@@ -3,7 +3,8 @@
 Exit codes are a stable contract for CI use: 0 success / all checks pass,
 1 property failure or manipulation counterexample found, 2 input error
 (unreadable file, parse or validation failure, bad arguments), 3 internal
-solver assertion (always a bug, never a valid outcome).
+failure: a failed solver self-check or any unexpected exception (always a
+bug, never a valid outcome).
 
 All numbers are printed as exact fractions; ``--output json`` emits the same
 data machine-readably.  ``--seed`` defaults to the LEXIMINFLOW_SEED
@@ -266,6 +267,8 @@ def cmd_audit(args) -> int:
             f"unknown properties: {', '.join(sorted(unknown))}"
             f" (choose from {', '.join(AUDIT_PROPERTIES)})"
         )
+    if args.samples < 0:
+        raise ParseError("samples must be nonnegative")
     seed = _resolve_seed(args.seed)
     allocation, profile = lexicographic_allocation(instance)
     reports: list[PropertyReport] = []
@@ -282,12 +285,16 @@ def cmd_audit(args) -> int:
         elif prop == "lorenz":
             if args.samples == 0:
                 skipped.append(("lorenz", "0 samples requested"))
+            elif not instance.agents:
+                skipped.append(("lorenz", "no agents"))
             else:
                 reports.append(_audit_lorenz(instance, allocation, args.samples, seed))
         elif prop == "structure":
             reports.append(structure_check(instance, allocation, profile))
         elif prop == "substructure":
-            if len(instance.agents) > 12:
+            if not instance.agents:
+                skipped.append(("substructure", "no agents"))
+            elif len(instance.agents) > 12:
                 skipped.append(("substructure", "needs <= 12 agents for the oracle"))
             else:
                 reports.append(check_substructure(instance, trials=5, seed=seed))
@@ -498,6 +505,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -98,12 +98,6 @@ class Allocation:
                 total += v
         return total
 
-    def restrict(self, agents: Iterable[str]) -> "Allocation":
-        keep = set(agents)
-        return Allocation({k: v for k, v in self.amount.items() if k[0] in keep})
-
-
-EMPTY_ALLOCATION = Allocation({})
 
 
 @dataclass(frozen=True)
@@ -124,18 +118,6 @@ class UtilityVector:
             "sorted_normalized",
             tuple(sorted(norm for _, _, norm in self.entries)),
         )
-
-    def utility_of(self, agent: str) -> Rational:
-        for a, u, _ in self.entries:
-            if a == agent:
-                return u
-        raise KeyError(agent)
-
-    def normalized_of(self, agent: str) -> Rational:
-        for a, _, norm in self.entries:
-            if a == agent:
-                return norm
-        raise KeyError(agent)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -176,12 +158,6 @@ def validate_instance(instance: Instance) -> list[str]:
         if v < ZERO:
             violations.append(f"demand must be nonnegative: ({a!r}, {b!r}) has {v}")
     return violations
-
-
-def require_valid(instance: Instance) -> None:
-    violations = validate_instance(instance)
-    if violations:
-        raise InvalidInstanceError("; ".join(violations))
 
 
 def capped_supply(instance: Instance) -> dict[str, Rational]:

@@ -99,48 +99,33 @@ class TierView:
     caps: Mapping[str, Rational]
     demand: Mapping[tuple[str, str], Rational]
 
-    def __post_init__(self):
-        for b in self.objects:
-            if self.caps[b] < ZERO:
-                raise ValueError(f"negative residual capacity for object {b!r}: {self.caps[b]}")
+
+def _demand_by_object(demand: Mapping[tuple[str, str], Rational], agents) -> dict[str, Rational]:
+    """Per object, the total of the given agents' demand entries (objects they
+    do not demand are absent)."""
+    totals: dict[str, Rational] = {}
+    for (a, b), d in demand.items():
+        if a in agents:
+            totals[b] = totals.get(b, ZERO) + d
+    return totals
 
 
 def tier_capacity(view: TierView, agent_subset) -> Rational:
     """Joint absorbable supply of a subset of the view's agents: per object,
     the subset's demand capped by residual capacity."""
-    subset = set(agent_subset)
     total = ZERO
-    for b in view.objects:
-        demand = ZERO
-        for a in subset:
-            demand += view.demand.get((a, b), ZERO)
-        total += min(view.caps[b], demand)
+    for b, d in _demand_by_object(view.demand, set(agent_subset)).items():
+        total += min(view.caps[b], d)
     return total
 
 
-def build_network(instance: Instance, source_caps: Mapping[str, Rational]) -> FlowNetwork:
-    """Bipartite agent/object flow network of an instance.
+def _view_network(view: TierView, source_caps: Mapping[str, Rational]) -> FlowNetwork:
+    """Bipartite agent/object flow network of a view.
 
     Source-to-agent capacities are the caller's (this is the parametric part);
-    agent-to-object edges carry demand (zero-demand edges omitted); object-to-
-    sink edges carry the demand-capped supply.
+    agent-to-object edges carry demand; object-to-sink edges carry the
+    residual capacity.
     """
-    capped = capped_supply(instance)
-    vertices = (
-        [SOURCE]
-        + [agent_vertex(a) for a in instance.agents]
-        + [object_vertex(b) for b in instance.objects]
-        + [SINK]
-    )
-    edges = [(SOURCE, agent_vertex(a), source_caps[a]) for a in instance.agents]
-    edges += [
-        (agent_vertex(a), object_vertex(b), d) for (a, b), d in sorted(instance.demand.items())
-    ]
-    edges += [(object_vertex(b), SINK, capped[b]) for b in instance.objects]
-    return FlowNetwork(vertices=tuple(vertices), source=SOURCE, sink=SINK, edges=tuple(edges))
-
-
-def _view_network(view: TierView, source_caps: Mapping[str, Rational]) -> FlowNetwork:
     vertices = (
         [SOURCE]
         + [agent_vertex(a) for a in view.agents]
@@ -153,6 +138,13 @@ def _view_network(view: TierView, source_caps: Mapping[str, Rational]) -> FlowNe
     ]
     edges += [(object_vertex(b), SINK, view.caps[b]) for b in view.objects]
     return FlowNetwork(vertices=tuple(vertices), source=SOURCE, sink=SINK, edges=tuple(edges))
+
+
+def build_network(instance: Instance, source_caps: Mapping[str, Rational]) -> FlowNetwork:
+    """Flow network of a whole instance: the view with every agent and
+    object, whose sink edges carry the demand-capped supply."""
+    view = TierView(instance.agents, instance.objects, capped_supply(instance), instance.demand)
+    return _view_network(view, source_caps)
 
 
 def min_ratio(view: TierView, endowments: Mapping[str, Rational]) -> tuple[Rational, frozenset]:
@@ -187,7 +179,11 @@ def min_ratio(view: TierView, endowments: Mapping[str, Rational]) -> tuple[Ratio
         tight_e = ZERO
         for a in tight:
             tight_e += endowments[a]
-        next_lam = tier_capacity(view, tight) / tight_e
+        # Newton step of Dinkelbach (1967) for fractional programs: a minimum
+        # cut puts each object on whichever side costs min(residual cap,
+        # demand of T), so its capacity is cap(T) + lambda x e(A \ T), and the
+        # ratio cap(T) / e(T) needs no second pass over the demand.
+        next_lam = (cut.capacity - lam * (total_e - tight_e)) / tight_e
         if next_lam >= lam:
             raise InternalCheckError("min-ratio iteration failed to decrease")
         lam = next_lam
@@ -196,14 +192,19 @@ def min_ratio(view: TierView, endowments: Mapping[str, Rational]) -> tuple[Ratio
 def breakpoints(instance: Instance) -> BreakpointProfile:
     """Tier structure of an instance: peel off the maximal minimum-ratio agent
     set at each rate, mark the objects it exhausts, and recompute residual
-    capacities for the rest."""
+    capacities for the rest.
+
+    The active demand entries and the residual caps of the active objects are
+    carried from tier to tier; each frozen tier updates them from its own
+    demand entries.
+    """
     violations = validate_instance(instance)
     if violations:
         raise InvalidInstanceError("; ".join(violations))
-    capped = capped_supply(instance)
     remaining = list(instance.agents)
     exhausted: set = set()
-    caps = dict(capped)
+    caps = capped_supply(instance)
+    demand = instance.demand
     fixed: set = set()
     lambdas: list[Rational] = []
     agent_tiers: list[frozenset] = []
@@ -211,18 +212,8 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     per_agent: dict[str, Rational] = {}
     residual_caps: list[dict[str, Rational]] = []
     while remaining:
-        active_objects = tuple(b for b in instance.objects if b not in exhausted)
-        view = TierView(
-            agents=tuple(remaining),
-            objects=active_objects,
-            caps={b: caps[b] for b in active_objects},
-            demand={
-                (a, b): d
-                for (a, b), d in instance.demand.items()
-                if a in set(remaining) and b not in exhausted
-            },
-        )
-        residual_caps.append(dict(view.caps))
+        view = TierView(agents=tuple(remaining), objects=tuple(caps), caps=caps, demand=demand)
+        residual_caps.append(caps)
         lam, tier = min_ratio(view, instance.endowment)
         if not tier:
             raise InternalCheckError("empty tier")
@@ -230,11 +221,8 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
             raise InternalCheckError(
                 f"rates must strictly increase, got {lambdas[-1]} then {lam}"
             )
-        newly_exhausted = {
-            b
-            for b in active_objects
-            if instance.group_demand(tier, b) > caps[b]
-        }
+        tier_demand = _demand_by_object(demand, tier)
+        newly_exhausted = {b for b, d in tier_demand.items() if d > caps[b]}
         fixed |= tier
         exhausted |= newly_exhausted
         lambdas.append(lam)
@@ -243,13 +231,15 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
         for a in tier:
             per_agent[a] = lam
         remaining = [a for a in remaining if a not in tier]
-        for b in instance.objects:
-            if b not in exhausted:
-                caps[b] = capped[b] - instance.group_demand(fixed, b)
+        caps = {b: c for b, c in caps.items() if b not in newly_exhausted}
+        for b, d in tier_demand.items():
+            if b in caps:
+                caps[b] -= d
                 if caps[b] < ZERO:
                     raise InternalCheckError(
                         f"negative residual capacity for non-exhausted object {b!r}"
                     )
+        demand = {k: d for k, d in demand.items() if k[0] not in tier and k[1] in caps}
     return BreakpointProfile(
         lambdas=tuple(lambdas),
         agent_tiers=tuple(agent_tiers),

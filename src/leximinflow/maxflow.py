@@ -3,10 +3,10 @@
 Dinic's algorithm over exact rational capacities: with rational data every
 augmentation is exact and termination is guaranteed, so flow values, cut
 capacities, and the max-flow = min-cut identity can all be asserted with zero
-tolerance.  Besides the usual source-side-minimal cut this module computes the
-*source-heavy* minimum cut — the unique minimum cut whose source side contains
-the source side of every other minimum cut — which the breakpoint solver needs
-to pick maximal tight agent sets.
+tolerance.  The cut this module reads off a maximum flow is the *source-heavy*
+minimum cut — the unique minimum cut whose source side contains the source
+side of every other minimum cut — which the breakpoint solver needs to pick
+maximal tight agent sets.
 
 Vertices are arbitrary hashable ids.  All procedures are deterministic: edge
 input order fixes the augmentation order, so identical input yields an
@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .core import InternalCheckError
 from .rational import Rational, ZERO
 
 
@@ -66,44 +67,25 @@ class CutResult:
     capacity: Rational
 
 
-def flow_violations(network: FlowNetwork, flow: Flow) -> list[str]:
-    """Check capacity and conservation constraints; empty list iff a valid flow."""
-    violations = []
-    excess = {v: ZERO for v in network.vertices}
-    for (tail, head, cap), f in zip(network.edges, flow.edge_flows):
-        if f < ZERO or f > cap:
-            violations.append(f"edge {tail!r} -> {head!r}: flow {f} outside [0, {cap}]")
-        excess[tail] -= f
-        excess[head] += f
-    for v in network.vertices:
-        if v in (network.source, network.sink):
-            continue
-        if excess[v] != ZERO:
-            violations.append(f"conservation violated at {v!r}: excess {excess[v]}")
-    if excess[network.sink] != flow.value:
-        violations.append(f"stated value {flow.value} != net flow into sink {excess[network.sink]}")
-    return violations
-
-
 class _Residual:
     """Arc-pair residual graph: arc 2i is edge i forward, arc 2i+1 its reverse."""
 
     def __init__(self, network: FlowNetwork):
-        self.index = {v: i for i, v in enumerate(network.vertices)}
+        index = {v: i for i, v in enumerate(network.vertices)}
         n = len(network.vertices)
         self.head: list[int] = []
         self.residual: list[Rational] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
         for tail, head, cap in network.edges:
-            t, h = self.index[tail], self.index[head]
+            t, h = index[tail], index[head]
             self.adj[t].append(len(self.head))
             self.head.append(h)
             self.residual.append(cap)
             self.adj[h].append(len(self.head))
             self.head.append(t)
             self.residual.append(ZERO)
-        self.source = self.index[network.source]
-        self.sink = self.index[network.sink]
+        self.source = index[network.source]
+        self.sink = index[network.sink]
         self.n = n
 
     def tail(self, arc: int) -> int:
@@ -176,14 +158,6 @@ def max_flow(network: FlowNetwork) -> Flow:
     return Flow(edge_flows=edge_flows, value=value)
 
 
-def _saturated_residual(network: FlowNetwork, flow: Flow) -> _Residual:
-    residual = _Residual(network)
-    for i, f in enumerate(flow.edge_flows):
-        residual.residual[2 * i] -= f
-        residual.residual[2 * i + 1] += f
-    return residual
-
-
 def _cut_capacity(network: FlowNetwork, source_side: frozenset) -> Rational:
     capacity = ZERO
     for tail, head, cap in network.edges:
@@ -194,51 +168,33 @@ def _cut_capacity(network: FlowNetwork, source_side: frozenset) -> Rational:
 
 def _check_minimum(network: FlowNetwork, flow: Flow, cut: CutResult) -> CutResult:
     if cut.capacity != flow.value:
-        raise ValueError(
+        raise InternalCheckError(
             f"flow is not maximum: cut capacity {cut.capacity} != flow value {flow.value}"
         )
     return cut
-
-
-def min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
-    """Source-side-minimal minimum cut: vertices reachable from the source
-    in the residual graph of a maximum flow."""
-    residual = _saturated_residual(network, flow)
-    reachable = {residual.source}
-    queue = deque([residual.source])
-    while queue:
-        v = queue.popleft()
-        for arc in residual.adj[v]:
-            h = residual.head[arc]
-            if h not in reachable and residual.residual[arc] > ZERO:
-                reachable.add(h)
-                queue.append(h)
-    source_side = frozenset(v for v in network.vertices if residual.index[v] in reachable)
-    if network.sink in source_side:
-        raise ValueError("flow is not maximum: sink reachable in residual graph")
-    return _check_minimum(network, flow, CutResult(source_side, _cut_capacity(network, source_side)))
 
 
 def source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
     """The unique minimum cut whose source side contains every minimum cut's
     source side: the complement of the vertices that can still reach the sink
     in the residual graph."""
-    residual = _saturated_residual(network, flow)
-    # Walk residual arcs backwards from the sink: u joins if some arc u -> v
-    # with positive residual lands inside the set.
-    reaches_sink = {residual.sink}
-    queue = deque([residual.sink])
-    while queue:
-        v = queue.popleft()
-        for arc in residual.adj[v]:
-            # arc^1 is the residual arc (head[arc]) -> v.
-            u = residual.head[arc]
-            if u not in reaches_sink and residual.residual[arc ^ 1] > ZERO:
+    # Residual arcs grouped by head: an edge below capacity gives tail -> head,
+    # an edge carrying flow gives head -> tail.
+    tails: dict = {}
+    for (tail, head, cap), f in zip(network.edges, flow.edge_flows):
+        if f < cap:
+            tails.setdefault(head, []).append(tail)
+        if f > ZERO:
+            tails.setdefault(tail, []).append(head)
+    # Walk residual arcs backwards from the sink.
+    reaches_sink = {network.sink}
+    stack = [network.sink]
+    while stack:
+        for u in tails.get(stack.pop(), ()):
+            if u not in reaches_sink:
                 reaches_sink.add(u)
-                queue.append(u)
-    if residual.source in reaches_sink:
-        raise ValueError("flow is not maximum: sink reachable in residual graph")
-    source_side = frozenset(
-        v for v in network.vertices if residual.index[v] not in reaches_sink
-    )
+                stack.append(u)
+    if network.source in reaches_sink:
+        raise InternalCheckError("flow is not maximum: sink reachable in residual graph")
+    source_side = frozenset(v for v in network.vertices if v not in reaches_sink)
     return _check_minimum(network, flow, CutResult(source_side, _cut_capacity(network, source_side)))

@@ -95,12 +95,6 @@ class SiReport:
     ratio: Optional[Rational]
     table: tuple[tuple[str, Rational, Rational], ...]
 
-    def entitlement_of(self, agent: str) -> Rational:
-        for a, _, si in self.table:
-            if a == agent:
-                return si
-        raise KeyError(agent)
-
 
 def si_ratio(instance: Instance, allocation: Allocation) -> SiReport:
     total_e = ZERO

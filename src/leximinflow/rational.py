@@ -13,7 +13,7 @@ import re
 
 try:
     from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
+except ImportError:
     from fractions import Fraction as Rational
 
 ZERO = Rational(0)

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from leximinflow import cli
-from leximinflow.core import EMPTY_ALLOCATION, InternalCheckError
+from leximinflow import cli, leximin
+from leximinflow.core import Allocation, InternalCheckError
 from leximinflow.fileio import parse_instance, save_instance, serialize_instance
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
+from leximinflow.maxflow import Flow
 from leximinflow.rational import Rational, format_rational, parse_rational
 
 
@@ -87,6 +88,16 @@ def test_allocate_missing_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_allocate_short_flow_is_an_internal_error(squeeze_path, capsys, monkeypatch):
+    def short(network):
+        return Flow(edge_flows=tuple(Rational(0) for _ in network.edges), value=Rational(0))
+
+    monkeypatch.setattr(leximin, "max_flow", short)
+    code, out, err = run(capsys, ["allocate", squeeze_path])
+    assert code == 3 and out == ""
+    assert "internal check failed: flow is not maximum" in err
+
+
 def test_allocate_rejects_invalid_instance(tmp_path, capsys):
     path = tmp_path / "invalid.json"
     path.write_text(
@@ -140,7 +151,7 @@ def test_audit_flags_an_injected_bug(squeeze_path, capsys, monkeypatch):
 
     def broken(instance):
         _, profile = real(instance)
-        return EMPTY_ALLOCATION, profile
+        return Allocation({}), profile
 
     monkeypatch.setattr(cli, "lexicographic_allocation", broken)
     code, out, err = run(
@@ -159,6 +170,46 @@ def test_audit_internal_error_exit_code(squeeze_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["audit", squeeze_path])
     assert code == 3
     assert "internal check failed" in err
+
+
+def test_audit_unexpected_exception_exit_code(squeeze_path, capsys, monkeypatch):
+    def crashing(instance, allocation):
+        raise RuntimeError("checker crashed (injected)")
+
+    monkeypatch.setattr(cli, "is_frugal", crashing)
+    code, out, err = run(capsys, ["audit", squeeze_path, "--properties", "frugal"])
+    assert code == 3
+    assert "internal error: RuntimeError: checker crashed (injected)" in err
+
+
+@pytest.mark.parametrize("output", ["table", "json"])
+def test_audit_rejects_negative_samples(misreport_path, capsys, output):
+    code, out, err = run(
+        capsys, ["audit", misreport_path, "--samples", "-5", "--output", output]
+    )
+    assert code == 2 and out == ""
+    assert "samples must be nonnegative" in err
+
+
+def test_audit_without_agents_skips_vacuous_checks(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"version": 1, "agents": [], "objects": [], "demands": []}\n')
+    code, out, err = run(capsys, ["audit", str(path)])
+    assert code == 0
+    assert "lorenz: skipped (no agents)" in out
+    assert "substructure: skipped (no agents)" in out
+    assert "lorenz: pass" not in out and "substructure: pass" not in out
+
+    code, out, err = run(capsys, ["audit", str(path), "--output", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["skipped"] == [
+        {"name": "lorenz", "reason": "no agents"},
+        {"name": "substructure", "reason": "no agents"},
+    ]
+    assert {r["name"] for r in data["properties"]} == {
+        "frugal", "non-wasteful", "envy-free", "si", "structure",
+    }
 
 
 def test_audit_deterministic_given_seed(misreport_path, capsys):

@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 from conftest import breakpoint_example
 from leximinflow.core import (
     Allocation,
-    EMPTY_ALLOCATION,
     Instance,
-    InvalidInstanceError,
     capacity,
     capped_supply,
-    require_valid,
     sub_instance,
     utility,
     utility_vector,
@@ -30,15 +27,12 @@ from leximinflow.rational import Rational, ZERO, format_rational, parse_rational
 
 def test_valid_instance_has_empty_report():
     assert validate_instance(breakpoint_example()) == []
-    require_valid(breakpoint_example())
 
 
 def test_zero_endowment_is_flagged():
     inst = Instance(("a",), {"a": 0}, ("b",), {"b": 1}, {})
     report = validate_instance(inst)
     assert any("strictly positive" in line for line in report)
-    with pytest.raises(InvalidInstanceError):
-        require_valid(inst)
 
 
 def test_duplicate_ids_are_flagged():
@@ -91,13 +85,13 @@ def test_capacity_is_monotone_in_the_subset(seed):
 
 def test_utility_examples():
     inst = si_bound_instance(2)
-    assert utility(EMPTY_ALLOCATION, inst, "a1") == ZERO
+    assert utility(Allocation({}), inst, "a1") == ZERO
     flooded = Allocation({("a1", "b1"): 10, ("a1", "b2"): 10})
     assert utility(flooded, inst, "a1") == Rational(2)  # capped at total demand
     mech = Allocation({("a1", "b1"): Rational(1, 2), ("a1", "b2"): 1})
     assert utility(mech, inst, "a1") == Rational(3, 2)
     with pytest.raises(KeyError):
-        utility(EMPTY_ALLOCATION, inst, "nobody")
+        utility(Allocation({}), inst, "nobody")
 
 
 def test_utility_vector_sorts_normalized_values():
@@ -111,8 +105,10 @@ def test_utility_vector_sorts_normalized_values():
     )
     vector = utility_vector(two, Allocation({("a", "o"): 2, ("b", "o"): 1}))
     assert vector.sorted_normalized == (Rational(1), Rational(2))
-    assert vector.utility_of("a") == Rational(2)
-    assert vector.normalized_of("b") == Rational(1)
+    assert vector.entries == (
+        ("a", Rational(2), Rational(2)),
+        ("b", Rational(1), Rational(1)),
+    )
     assert len(vector) == 2
 
 
@@ -125,7 +121,7 @@ def test_burst_instance_gives_everyone_the_same_utility():
 
 def test_sub_instance_identity_and_full_removal():
     inst = breakpoint_example()
-    same = sub_instance(inst, EMPTY_ALLOCATION, [])
+    same = sub_instance(inst, Allocation({}), [])
     assert same.agents == inst.agents
     assert same.endowment == inst.endowment
     assert same.supply == inst.supply
@@ -151,7 +147,7 @@ def test_sub_instance_rejects_infeasible_allocation():
     with pytest.raises(ValueError):
         sub_instance(inst, Allocation({("a1", "b"): 4}), ["a1"])
     with pytest.raises(ValueError):
-        sub_instance(inst, EMPTY_ALLOCATION, ["nobody"])
+        sub_instance(inst, Allocation({}), ["nobody"])
 
 
 def test_allocation_drops_zeros_and_rejects_negatives():
@@ -159,7 +155,6 @@ def test_allocation_drops_zeros_and_rejects_negatives():
     assert ("a", "b") not in allocation.amount
     assert allocation.amount_of("a", "b") == ZERO
     assert allocation.object_total("c") == Rational(1, 2)
-    assert allocation.restrict(["x"]).amount == {}
     with pytest.raises(ValueError):
         Allocation({("a", "b"): -1})
 

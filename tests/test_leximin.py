@@ -33,7 +33,8 @@ from leximinflow.leximin import (
     object_vertex,
     structure_check,
 )
-from leximinflow.maxflow import max_flow, min_cut, source_heavy_min_cut
+from leximinflow.maxflow import max_flow, source_heavy_min_cut
+from leximinflow.oracle import oracle_breakpoints
 from leximinflow.rational import ONE, Rational, ZERO
 
 
@@ -78,7 +79,7 @@ def test_min_cut_capacity_at_the_shared_rate():
     net = build_network(inst, {a: Rational(3) * inst.endowment[a] for a in inst.agents})
     flow = max_flow(net)
     assert flow.value == Rational(9)
-    assert min_cut(net, flow).capacity == Rational(9)
+    assert source_heavy_min_cut(net, flow).capacity == Rational(9)
 
 
 def test_source_heavy_cut_separates_the_slower_agent():
@@ -130,11 +131,6 @@ def test_min_ratio_rejects_empty_view():
     view = TierView(agents=(), objects=(), caps={}, demand={})
     with pytest.raises(ValueError):
         min_ratio(view, {})
-
-
-def test_tier_view_rejects_negative_caps():
-    with pytest.raises(ValueError):
-        TierView(agents=("a",), objects=("b",), caps={"b": Rational(-1)}, demand={})
 
 
 def test_breakpoints_hand_example():
@@ -244,6 +240,36 @@ def test_profile_invariants_on_random_instances(corpus):
             assert profile.new_objects(i) == expected_new_objects
             for a in fresh:
                 assert profile.per_agent[a] == profile.lambdas[i]
+
+
+def staircase(n: int) -> Instance:
+    """Agent a_i demands i+1 units of b_i and 1 unit of b_{i+1}, with ample
+    supply: each agent absorbs a distinct amount, so there are n tiers."""
+    agents = tuple(f"a{i}" for i in range(1, n + 1))
+    objects = tuple(f"b{j}" for j in range(1, n + 2))
+    demand = {}
+    for i in range(1, n + 1):
+        demand[(f"a{i}", f"b{i}")] = i + 1
+        demand[(f"a{i}", f"b{i + 1}")] = 1
+    return Instance(
+        agents, {a: 1 for a in agents}, objects, {b: n + 3 for b in objects}, demand
+    )
+
+
+def test_multi_tier_profiles_match_the_oracle():
+    # Default random instances mostly freeze in one or two tiers; staircases
+    # and sparse 10x10 instances run the tier loop for 3-11 tiers.
+    instances = [staircase(n) for n in range(2, 12)]
+    instances += [random_instance(seed, 10, 10, 0.25) for seed in range(40)]
+    tier_counts = []
+    for inst in instances:
+        allocation, profile = lexicographic_allocation(inst)
+        expected = oracle_breakpoints(inst)
+        assert profile == expected
+        for a in inst.agents:
+            assert utility(allocation, inst, a) == inst.endowment[a] * expected.per_agent[a]
+        tier_counts.append(profile.k)
+    assert sorted(tier_counts)[len(tier_counts) // 2] >= 6
 
 
 def test_input_order_never_changes_utilities(corpus):

@@ -7,16 +7,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leximinflow.core import InternalCheckError
 from leximinflow.maxflow import (
     CutResult,
     Flow,
     FlowNetwork,
-    flow_violations,
     max_flow,
-    min_cut,
     source_heavy_min_cut,
 )
 from leximinflow.rational import Rational, ZERO
+
+
+def flow_violations(network: FlowNetwork, flow: Flow) -> list[str]:
+    """Check capacity and conservation constraints; empty list iff a valid flow."""
+    violations = []
+    excess = {v: ZERO for v in network.vertices}
+    for (tail, head, cap), f in zip(network.edges, flow.edge_flows):
+        if f < ZERO or f > cap:
+            violations.append(f"edge {tail!r} -> {head!r}: flow {f} outside [0, {cap}]")
+        excess[tail] -= f
+        excess[head] += f
+    for v in network.vertices:
+        if v in (network.source, network.sink):
+            continue
+        if excess[v] != ZERO:
+            violations.append(f"conservation violated at {v!r}: excess {excess[v]}")
+    if excess[network.sink] != flow.value:
+        violations.append(f"stated value {flow.value} != net flow into sink {excess[network.sink]}")
+    return violations
 
 
 def network(edges, extra_vertices=()):
@@ -56,14 +74,14 @@ def test_series_parallel_value():
 
 def test_min_cut_of_single_saturated_edge():
     net = network([("s", "t", 5)])
-    cut = min_cut(net, max_flow(net))
+    cut = source_heavy_min_cut(net, max_flow(net))
     assert cut.source_side == frozenset({"s"})
     assert cut.capacity == Rational(5)
 
 
 def test_min_cut_when_bottleneck_is_at_the_sink():
     net = network([("s", "u", 9), ("s", "v", 9), ("u", "t", 1), ("v", "t", 2)])
-    cut = min_cut(net, max_flow(net))
+    cut = source_heavy_min_cut(net, max_flow(net))
     assert cut.source_side == frozenset({"s", "u", "v"})
     assert cut.capacity == Rational(3)
 
@@ -71,22 +89,19 @@ def test_min_cut_when_bottleneck_is_at_the_sink():
 def test_source_heavy_equals_min_cut_when_unique():
     net = network([("s", "u", 1), ("u", "t", 5)])
     flow = max_flow(net)
-    assert source_heavy_min_cut(net, flow) == min_cut(net, flow)
+    assert source_heavy_min_cut(net, flow) == CutResult(frozenset({"s"}), Rational(1))
 
 
 def test_source_heavy_takes_the_larger_of_two_min_cuts():
     net = network([("s", "v", 1), ("v", "t", 1)])
     flow = max_flow(net)
-    assert min_cut(net, flow).source_side == frozenset({"s"})
     assert source_heavy_min_cut(net, flow).source_side == frozenset({"s", "v"})
 
 
 def test_rejects_non_maximum_flow():
     net = network([("s", "t", 5)])
     lazy = Flow(edge_flows=(ZERO,), value=ZERO)
-    with pytest.raises(ValueError):
-        min_cut(net, lazy)
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalCheckError):
         source_heavy_min_cut(net, lazy)
 
 
@@ -143,14 +158,12 @@ def test_flow_and_cuts_agree_with_brute_force(seed):
     best = min(cap for _, cap in cuts)
     assert flow.value == best
 
-    minimal = min_cut(net, flow)
     heavy = source_heavy_min_cut(net, flow)
-    assert minimal.capacity == flow.value
     assert heavy.capacity == flow.value
+    assert (heavy.source_side, heavy.capacity) in cuts
     for side, cap in cuts:
         if cap == best:
-            # The returned cuts bracket every minimum cut's source side.
-            assert minimal.source_side <= side
+            # The source-heavy cut contains every minimum cut's source side.
             assert side <= heavy.source_side
 
 

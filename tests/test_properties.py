@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import vec
-from leximinflow.core import Allocation, EMPTY_ALLOCATION, Instance, utility_vector
+from leximinflow.core import Allocation, Instance, utility_vector
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.leximin import lexicographic_allocation
 from leximinflow.oracle import random_frugal_allocation
@@ -31,7 +31,7 @@ def twins(supply=1, demand=1):
 
 def test_frugal_passes_and_fails():
     inst = twins()
-    assert is_frugal(inst, EMPTY_ALLOCATION).passed
+    assert is_frugal(inst, Allocation({})).passed
     report = is_frugal(inst, Allocation({("a1", "b"): 2}))
     assert not report.passed
     assert report.witness.subject == ("a1", "b")
@@ -81,7 +81,7 @@ def test_si_ratio_squeeze_family():
         allocation, _ = lexicographic_allocation(inst)
         report = si_ratio(inst, allocation)
         assert report.ratio == expected
-        assert report.entitlement_of("a1") == Rational(2)
+        assert {a: si for a, _, si in report.table}["a1"] == Rational(2)
 
 
 def test_si_ratio_sole_owner_and_vacuous_cases():
@@ -89,7 +89,7 @@ def test_si_ratio_sole_owner_and_vacuous_cases():
     allocation, _ = lexicographic_allocation(solo)
     assert si_ratio(solo, allocation).ratio == ONE
     no_demand = Instance(("a",), {"a": 1}, ("b",), {"b": 10}, {})
-    assert si_ratio(no_demand, EMPTY_ALLOCATION).ratio is None
+    assert si_ratio(no_demand, Allocation({})).ratio is None
 
 
 def test_lorenz_dominates_examples():
