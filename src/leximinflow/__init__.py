@@ -17,7 +17,6 @@ from .core import (
     InternalCheckError,
     InvalidInstanceError,
     UtilityVector,
-    capacity,
     capped_supply,
     sub_instance,
     utility,
@@ -53,7 +52,6 @@ __all__ = [
     "Rational",
     "UtilityVector",
     "breakpoints",
-    "capacity",
     "capped_supply",
     "envy_report",
     "format_rational",

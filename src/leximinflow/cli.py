@@ -7,8 +7,8 @@ failure: a failed solver self-check or any unexpected exception (always a
 bug, never a valid outcome).
 
 All numbers are printed as exact fractions; ``--output json`` emits the same
-data machine-readably.  ``--seed`` defaults to the LEXIMINFLOW_SEED
-environment variable when set, else 0.
+data machine-readably.  The ``--seed`` of ``audit`` and ``generate``
+defaults to the LEXIMINFLOW_SEED environment variable when set, else 0.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def cmd_allocate(args) -> int:
         print(json.dumps(report.as_dict(), indent=2))
     else:
         print(report.as_table(), end="")
-    return EXIT_OK
+    return EXIT_OK if all(r.passed for r in report.properties) else EXIT_FAIL
 
 
 def _audit_si(instance: Instance, allocation: Allocation) -> PropertyReport:
@@ -309,6 +309,7 @@ def cmd_audit(args) -> int:
                             "passed": r.passed,
                             "witness": None if r.witness is None else str(r.witness),
                             "detail": r.detail,
+                            "seed": r.seed,
                         }
                         for r in reports
                     ],
@@ -350,7 +351,6 @@ def cmd_manipulate(args) -> int:
             "runs": result.runs,
             "space": result.space,
             "truncated": result.truncated,
-            "seed": _resolve_seed(args.seed),
             "counterexample": None,
             "note": "absence of a counterexample is grid-bounded evidence, not proof",
         }
@@ -474,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", choices=("lmmf", "mmf-si"), default="lmmf",
                    help="lmmf: the main mechanism; mmf-si: the manipulable "
                    "maximin-with-full-entitlements reference rule")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_manipulate)
 

@@ -5,8 +5,9 @@ endowment), objects with nonnegative supplies, and a sparse nonnegative demand
 matrix.  An allocation hands out object amounts; the utility an agent draws
 from an object is capped by its demand for that object.  This module holds the
 value types plus the derived quantities the solver and the property checkers
-share: effective (demand-capped) supply, subset capacity, utilities, and
-residual sub-instances.
+share: per-object demand sums, effective (demand-capped) supply, utilities,
+and residual sub-instances.  Every derived quantity loops over the sparse
+demand or allocation entries, never over all agent/object pairs.
 
 All quantities are exact rationals (`rational.Rational`); every comparison in
 the package is exact equality, never approximate.
@@ -15,7 +16,7 @@ the package is exact equality, never approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping, Optional
 
 from .rational import Rational, ZERO
 
@@ -63,13 +64,6 @@ class Instance:
     def demand_between(self, agent: str, obj: str) -> Rational:
         return self.demand.get((agent, obj), ZERO)
 
-    def group_demand(self, agents: Iterable[str], obj: str) -> Rational:
-        """Total demand of a set of agents for one object."""
-        total = ZERO
-        for a in agents:
-            total += self.demand.get((a, obj), ZERO)
-        return total
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -89,15 +83,6 @@ class Allocation:
 
     def amount_of(self, agent: str, obj: str) -> Rational:
         return self.amount.get((agent, obj), ZERO)
-
-    def object_total(self, obj: str) -> Rational:
-        """Total amount of one object handed out across all agents."""
-        total = ZERO
-        for (_, b), v in self.amount.items():
-            if b == obj:
-                total += v
-        return total
-
 
 
 @dataclass(frozen=True)
@@ -160,51 +145,49 @@ def validate_instance(instance: Instance) -> list[str]:
     return violations
 
 
+def object_totals(
+    entries: Mapping[tuple[str, str], Rational], agents: Optional[Container[str]] = None
+) -> dict[str, Rational]:
+    """Per object, the total of sparse (agent, object) entries such as demands
+    or allocated amounts: of the given agents, or of every agent when
+    ``agents`` is None.  Objects without an entry are absent."""
+    totals: dict[str, Rational] = {}
+    for (a, b), v in entries.items():
+        if agents is None or a in agents:
+            totals[b] = totals.get(b, ZERO) + v
+    return totals
+
+
 def capped_supply(instance: Instance) -> dict[str, Rational]:
     """Effective supply per object: raw supply capped by total demand.
 
     Supply beyond what all agents together demand can never be consumed, so
     every flow computation and capacity bound uses this cap.
     """
-    return {
-        b: min(instance.supply[b], instance.group_demand(instance.agents, b))
-        for b in instance.objects
-    }
+    totals = object_totals(instance.demand, set(instance.agents))
+    return {b: min(instance.supply[b], totals.get(b, ZERO)) for b in instance.objects}
 
 
-def capacity(instance: Instance, agent_subset: Iterable[str]) -> Rational:
-    """Maximum total utility jointly reachable by a subset of agents.
-
-    Per object, the subset can absorb at most its total demand and at most the
-    effective supply; the capacity is the sum of those per-object bounds.
-    """
-    subset = set(agent_subset)
-    if not subset <= set(instance.agents):
-        raise ValueError(f"unknown agents in subset: {sorted(subset - set(instance.agents))}")
-    capped = capped_supply(instance)
-    total = ZERO
-    for b in instance.objects:
-        total += min(capped[b], instance.group_demand(subset, b))
-    return total
+def utilities(instance: Instance, allocation: Allocation) -> dict[str, Rational]:
+    """Every agent's utility (per object, the received amount capped by
+    demand), in instance agent order, from one pass over the allocation
+    entries: an entry off the demand support is worth nothing."""
+    totals = dict.fromkeys(instance.agents, ZERO)
+    for key, x in allocation.amount.items():
+        d = instance.demand.get(key)
+        if d is not None and key[0] in totals:
+            totals[key[0]] += min(x, d)
+    return totals
 
 
 def utility(allocation: Allocation, instance: Instance, agent: str) -> Rational:
-    """Utility of one agent: per object, the received amount capped by demand."""
-    if agent not in instance.endowment:
-        raise KeyError(agent)
-    total = ZERO
-    for (a, b), d in instance.demand.items():
-        if a == agent:
-            total += min(allocation.amount_of(a, b), d)
-    return total
+    """Utility of one agent; KeyError for an agent not in the instance."""
+    return utilities(instance, allocation)[agent]
 
 
 def utility_vector(instance: Instance, allocation: Allocation) -> UtilityVector:
-    entries = []
-    for a in instance.agents:
-        u = utility(allocation, instance, a)
-        entries.append((a, u, u / instance.endowment[a]))
-    return UtilityVector(tuple(entries))
+    own = utilities(instance, allocation)
+    return UtilityVector(tuple((a, u, u / instance.endowment[a]) for a, u in own.items()))
 
 
 def sub_instance(instance: Instance, allocation: Allocation, removed: Iterable[str]) -> Instance:
@@ -217,12 +200,10 @@ def sub_instance(instance: Instance, allocation: Allocation, removed: Iterable[s
     removed = set(removed)
     if not removed <= set(instance.agents):
         raise ValueError(f"unknown agents in removal set: {sorted(removed - set(instance.agents))}")
+    taken = object_totals(allocation.amount, removed)
     residual = {}
     for b in instance.objects:
-        taken = ZERO
-        for a in removed:
-            taken += allocation.amount_of(a, b)
-        left = instance.supply[b] - taken
+        left = instance.supply[b] - taken.get(b, ZERO)
         if left < ZERO:
             raise ValueError(
                 f"allocation infeasible: object {b!r} over-allocated by {-left}"

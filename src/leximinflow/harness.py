@@ -21,8 +21,7 @@ from .core import (
     Instance,
     InternalCheckError,
     sub_instance,
-    utility,
-    utility_vector,
+    utilities,
 )
 from .leximin import BreakpointProfile, lexicographic_allocation, structure_check
 from .oracle import oracle_breakpoints, oracle_mmf_si
@@ -58,8 +57,7 @@ class PerturbationSpec:
 
 def _mechanism_utilities(instance: Instance) -> dict[str, Rational]:
     allocation, _ = lexicographic_allocation(instance)
-    vector = utility_vector(instance, allocation)
-    return {a: u for a, u, _ in vector.entries}
+    return utilities(instance, allocation)
 
 
 def check_rm(instance: Instance, spec: PerturbationSpec, trials: int) -> PropertyReport:
@@ -161,8 +159,7 @@ def check_substructure(instance: Instance, trials: int, seed: int = 0) -> Proper
         if not residual.agents:
             continue
         expected = oracle_breakpoints(residual)
-        for a in residual.agents:
-            got = utility(allocation, residual, a)
+        for a, got in utilities(residual, allocation).items():
             want = residual.endowment[a] * expected.per_agent[a]
             if got != want:
                 return failing(
@@ -311,37 +308,33 @@ def search_manipulation(
             raise ValueError(f"grid multipliers must be nonnegative, got {m}")
 
     truthful_alloc, _ = _run_mechanism(instance, mechanism)
-    baseline = {a: utility(truthful_alloc, instance, a) for a in instance.agents}
+    baseline = utilities(instance, truthful_alloc)
 
-    runs = 0
+    # Per coalition: its entries, their true values and their report grids.
+    searches = []
     space = 0
-    truncated = False
     for coalition in itertools.combinations(instance.agents, coalition_size):
         pairs = [(a, b) for a in coalition for b in instance.objects]
+        truth = tuple(instance.demand_between(*p) for p in pairs)
         value_lists = [_entry_values(instance, p, grid, absolute) for p in pairs]
         coalition_space = 1
         for values in value_lists:
             coalition_space *= len(values)
-        if all(
-            instance.demand_between(*p) in values
-            for p, values in zip(pairs, value_lists)
-        ):
+        if all(t in values for t, values in zip(truth, value_lists)):
             coalition_space -= 1
         space += coalition_space
-    for coalition in itertools.combinations(instance.agents, coalition_size):
-        pairs = [(a, b) for a in coalition for b in instance.objects]
-        value_lists = [_entry_values(instance, p, grid, absolute) for p in pairs]
+        searches.append((coalition, pairs, truth, value_lists))
+    runs = 0
+    truncated = False
+    for coalition, pairs, truth, value_lists in searches:
         for combo in itertools.product(*value_lists):
-            reported_entries = dict(zip(pairs, combo))
-            if all(
-                v == instance.demand_between(a, b)
-                for (a, b), v in reported_entries.items()
-            ):
+            if combo == truth:
                 continue
             if runs >= budget:
                 truncated = True
                 break
             runs += 1
+            reported_entries = dict(zip(pairs, combo))
             reported = Instance(
                 agents=instance.agents,
                 endowment=instance.endowment,
@@ -357,16 +350,13 @@ def search_manipulation(
                 },
             )
             misreport_alloc, misreport_profile = _run_mechanism(reported, mechanism)
+            misreport = utilities(instance, misreport_alloc)
             report = ManipulationReport(
                 coalition=coalition,
-                true_demands={
-                    p: instance.demand_between(*p) for p in pairs
-                },
+                true_demands=dict(zip(pairs, truth)),
                 reported_demands=reported_entries,
                 truthful_utilities={a: baseline[a] for a in coalition},
-                misreport_utilities={
-                    a: utility(misreport_alloc, instance, a) for a in coalition
-                },
+                misreport_utilities={a: misreport[a] for a in coalition},
             )
             if not report.is_counterexample:
                 continue

@@ -29,6 +29,7 @@ from .core import (
     InternalCheckError,
     InvalidInstanceError,
     capped_supply,
+    object_totals,
     validate_instance,
 )
 from .maxflow import FlowNetwork, max_flow, source_heavy_min_cut
@@ -100,21 +101,11 @@ class TierView:
     demand: Mapping[tuple[str, str], Rational]
 
 
-def _demand_by_object(demand: Mapping[tuple[str, str], Rational], agents) -> dict[str, Rational]:
-    """Per object, the total of the given agents' demand entries (objects they
-    do not demand are absent)."""
-    totals: dict[str, Rational] = {}
-    for (a, b), d in demand.items():
-        if a in agents:
-            totals[b] = totals.get(b, ZERO) + d
-    return totals
-
-
 def tier_capacity(view: TierView, agent_subset) -> Rational:
     """Joint absorbable supply of a subset of the view's agents: per object,
     the subset's demand capped by residual capacity."""
     total = ZERO
-    for b, d in _demand_by_object(view.demand, set(agent_subset)).items():
+    for b, d in object_totals(view.demand, set(agent_subset)).items():
         total += min(view.caps[b], d)
     return total
 
@@ -221,7 +212,7 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
             raise InternalCheckError(
                 f"rates must strictly increase, got {lambdas[-1]} then {lam}"
             )
-        tier_demand = _demand_by_object(demand, tier)
+        tier_demand = object_totals(demand, tier)
         newly_exhausted = {b for b, d in tier_demand.items() if d > caps[b]}
         fixed |= tier
         exhausted |= newly_exhausted
@@ -294,54 +285,69 @@ def structure_check(
         consumed by the agents of tiers <= i; (d) per tier, the total frozen
         absorption equals exhausted supply plus the frozen agents' demand on
         unexhausted objects.
+
+    Checks (a)-(c) run over the demand and allocation entries, and (d)
+    carries its totals from tier to tier.  The witness is the first violation
+    by tier, then by check, then in instance agent/object order.
     """
     name = "structure"
+    k = profile.k
+    # Tier of each agent and object; k means never frozen / never exhausted.
+    agent_tier = dict.fromkeys(instance.agents, k)
+    object_tier = dict.fromkeys(instance.objects, k)
+    for i in range(k):
+        agent_tier.update(dict.fromkeys(profile.new_agents(i), i))
+        object_tier.update(dict.fromkeys(profile.new_objects(i), i))
+    agent_rank = {a: r for r, a in enumerate(agent_tier)}
+    object_rank = {b: r for r, b in enumerate(object_tier)}
     capped = capped_supply(instance)
-    all_objects = set(instance.objects)
-    for i in range(profile.k):
-        cum_agents = profile.agent_tiers[i]
-        cum_objects = profile.object_tiers[i]
+    # Violations as (tier, check, rank, rank, subject, lhs, rhs, note).
+    found = []
+    consumed: dict[str, Rational] = {}
+    # Demand on objects still open when its agent froze, all and per tier.
+    open_entries: dict = {}
+    open_by_tier = [ZERO] * k
+    for key in instance.demand.keys() | allocation.amount.keys():
+        a, b = key
+        ta, tb = agent_tier.get(a), object_tier.get(b)
+        if ta is None or tb is None:
+            continue
+        mu = allocation.amount.get(key, ZERO)
+        d = instance.demand.get(key, ZERO)
+        if ta < tb:
+            if mu != d:
+                found.append((ta, 0, agent_rank[a], object_rank[b], key, mu, d,
+                              "unexhausted object must be served in full"))
+            open_entries[key] = d
+            open_by_tier[ta] += d
+        elif tb < ta and mu != ZERO:
+            found.append((tb, 1, object_rank[b], agent_rank[a], key, mu, ZERO,
+                          "later agent served from an exhausted object"))
+        if ta <= tb < k:
+            consumed[b] = consumed.get(b, ZERO) + mu
+    # An exhausted object's consumption is final at its own tier: a later
+    # holder is a (b) violation at that tier, which (c) comes after.
+    for b, tb in object_tier.items():
+        if tb < k and consumed.get(b, ZERO) != capped[b]:
+            found.append((tb, 2, object_rank[b], 0, (b,), consumed.get(b, ZERO), capped[b],
+                          "exhausted object not fully consumed by its tiers"))
+    # (d) carried forward: the frozen agents' demand on unexhausted objects
+    # gains each tier's open demand and loses the demand on the objects the
+    # tier exhausts.
+    open_demand = object_totals(open_entries)
+    absorbed = exhausted_supply = outside = ZERO
+    for i in range(k):
         for a in profile.new_agents(i):
-            for b in all_objects - cum_objects:
-                mu = allocation.amount_of(a, b)
-                d = instance.demand_between(a, b)
-                if mu != d:
-                    return failing(
-                        name, (a, b), mu, d,
-                        note="unexhausted object must be served in full",
-                    )
+            absorbed += instance.endowment[a] * profile.lambdas[i]
+        outside += open_by_tier[i]
         for b in profile.new_objects(i):
-            for a in instance.agents:
-                if a not in cum_agents:
-                    mu = allocation.amount_of(a, b)
-                    if mu != ZERO:
-                        return failing(
-                            name, (a, b), mu, ZERO,
-                            note="later agent served from an exhausted object",
-                        )
-        for b in cum_objects:
-            got = ZERO
-            for a in cum_agents:
-                got += allocation.amount_of(a, b)
-            if got != capped[b]:
-                return failing(
-                    name, (b,), got, capped[b],
-                    note="exhausted object not fully consumed by its tiers",
-                )
-        lhs = ZERO
-        for j in range(i + 1):
-            tier_e = ZERO
-            for a in profile.new_agents(j):
-                tier_e += instance.endowment[a]
-            lhs += tier_e * profile.lambdas[j]
-        rhs = ZERO
-        for b in cum_objects:
-            rhs += instance.supply[b]
-        for b in all_objects - cum_objects:
-            rhs += instance.group_demand(cum_agents, b)
-        if lhs != rhs:
-            return failing(
-                name, (f"tier {i + 1}",), lhs, rhs,
-                note="absorption total != exhausted supply + outside demand",
-            )
+            exhausted_supply += instance.supply[b]
+            outside -= open_demand.get(b, ZERO)
+        if absorbed != exhausted_supply + outside:
+            found.append((i, 3, 0, 0, (f"tier {i + 1}",), absorbed, exhausted_supply + outside,
+                          "absorption total != exhausted supply + outside demand"))
+            break
+    if found:
+        *_, subject, lhs, rhs, note = min(found)
+        return failing(name, subject, lhs, rhs, note=note)
     return passing(name)

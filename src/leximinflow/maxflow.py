@@ -24,7 +24,8 @@ from .rational import Rational, ZERO
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Directed graph with a distinguished source and sink and rational capacities."""
+    """Directed graph with a distinguished source and sink and exact (rational
+    or integer) capacities, kept as given."""
 
     vertices: tuple
     source: object
@@ -40,15 +41,12 @@ class FlowNetwork:
             raise ValueError("duplicate vertex ids")
         if self.source not in vertex_set or self.sink not in vertex_set:
             raise ValueError("source and sink must be vertices")
-        edges = []
+        object.__setattr__(self, "edges", tuple(self.edges))
         for tail, head, cap in self.edges:
-            cap = Rational(cap)
             if cap < ZERO:
                 raise ValueError(f"negative capacity on edge {tail!r} -> {head!r}: {cap}")
             if tail not in vertex_set or head not in vertex_set:
                 raise ValueError(f"edge {tail!r} -> {head!r} references unknown vertex")
-            edges.append((tail, head, cap))
-        object.__setattr__(self, "edges", tuple(edges))
 
 
 @dataclass(frozen=True)

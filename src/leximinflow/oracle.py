@@ -86,7 +86,10 @@ def oracle_breakpoints(instance: Instance) -> BreakpointProfile:
             elif ratio == best:
                 union |= {remaining[i] for i in range(n) if mask >> i & 1}
         tier = union
-        newly = {b for b in active if instance.group_demand(tier, b) > caps[b]}
+        newly = {
+            b for b in active
+            if sum((instance.demand_between(a, b) for a in tier), ZERO) > caps[b]
+        }
         fixed |= tier
         exhausted |= newly
         lambdas.append(best)
@@ -97,7 +100,7 @@ def oracle_breakpoints(instance: Instance) -> BreakpointProfile:
         remaining = [a for a in remaining if a not in tier]
         for b in instance.objects:
             if b not in exhausted:
-                caps[b] = capped[b] - instance.group_demand(fixed, b)
+                caps[b] = capped[b] - sum((instance.demand_between(a, b) for a in fixed), ZERO)
     return BreakpointProfile(
         lambdas=tuple(lambdas),
         agent_tiers=tuple(agent_tiers),

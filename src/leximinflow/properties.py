@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Allocation, Instance, UtilityVector, utility
+from .core import Allocation, Instance, UtilityVector, object_totals, utilities
 from .leximin import breakpoints
 from .rational import Rational, ZERO
 from .reporting import PropertyReport, Witness, failing, passing
@@ -42,41 +42,63 @@ def is_frugal(instance: Instance, allocation: Allocation) -> PropertyReport:
 
 def is_nw(instance: Instance, allocation: Allocation) -> PropertyReport:
     """Non-wastefulness: every object is fully handed out, or every agent's
-    demand for it is met.  Defined on frugal allocations only."""
+    demand for it is met.  Defined on frugal allocations only, so a frugality
+    violation fails it too.
+
+    On a frugal allocation only a demander can fall short, so only the
+    demand entries of unexhausted objects are checked; the witness is the
+    first shortfall in instance object order, then agent order.
+    """
     frugal = is_frugal(instance, allocation)
     if not frugal.passed:
-        raise ValueError(f"non-wasteful is defined on frugal allocations: {frugal.witness}")
-    for b in instance.objects:
-        if allocation.object_total(b) == instance.supply[b]:
-            continue
-        for a in instance.agents:
-            d = instance.demand_between(a, b)
-            got = allocation.amount_of(a, b)
-            if got != d:
-                return failing(
-                    "non-wasteful", (a, b), got, d,
-                    note="object not exhausted yet demand unmet",
-                )
+        w = frugal.witness
+        return failing(
+            "non-wasteful", w.subject, w.lhs, w.rhs, note="defined on frugal allocations only"
+        )
+    handed_out = object_totals(allocation.amount)
+    open_rank = {
+        b: r for r, b in enumerate(instance.objects)
+        if handed_out.get(b, ZERO) != instance.supply[b]
+    }
+    agent_rank = {a: r for r, a in enumerate(instance.agents)}
+    short = [
+        (open_rank[b], agent_rank[a], a, b)
+        for (a, b), d in instance.demand.items()
+        if b in open_rank and allocation.amount_of(a, b) != d
+    ]
+    if short:
+        *_, a, b = min(short)
+        return failing(
+            "non-wasteful", (a, b), allocation.amount_of(a, b), instance.demand[(a, b)],
+            note="object not exhausted yet demand unmet",
+        )
     return passing("non-wasteful")
 
 
 def envy_report(instance: Instance, allocation: Allocation) -> PropertyReport:
     """Envy-freeness: no agent prefers another's bundle scaled by the
-    endowment ratio, valued through its own demand caps."""
+    endowment ratio, valued through its own demand caps.
+
+    The envier's valuation runs over its own demand entries only: elsewhere
+    its cap is 0 and min(amount, 0) = 0 for every amount >= 0.
+    """
+    own = utilities(instance, allocation)
+    entries: dict[str, list] = {a: [] for a in instance.agents}
+    for (a, b), d in instance.demand.items():
+        entries[a].append((b, d))
     for a in instance.agents:
-        own = utility(allocation, instance, a)
         for other in instance.agents:
             if other == a:
                 continue
             scale = instance.endowment[a] / instance.endowment[other]
             envied = ZERO
-            for b in instance.objects:
-                envied += min(
-                    scale * allocation.amount_of(other, b), instance.demand_between(a, b)
-                )
-            if own < envied:
+            for b, d in entries[a]:
+                x = allocation.amount.get((other, b))
+                if x is not None:
+                    envied += min(scale * x, d)
+            if own[a] < envied:
                 return failing(
-                    "envy-free", (a, other), own, envied,
+                    "envy-free", (a, other), own[a], envied,
                     note="agent prefers the other's scaled bundle",
                 )
     return passing("envy-free")
@@ -100,14 +122,15 @@ def si_ratio(instance: Instance, allocation: Allocation) -> SiReport:
     total_e = ZERO
     for a in instance.agents:
         total_e += instance.endowment[a]
+    share = {a: instance.endowment[a] / total_e for a in instance.agents}
+    # Off the agent's demand entries its cap is 0, and min(supply share, 0) = 0.
+    entitlements = dict.fromkeys(instance.agents, ZERO)
+    for (a, b), d in instance.demand.items():
+        entitlements[a] += min(share[a] * instance.supply[b], d)
     rows = []
     worst: Optional[Rational] = None
-    for a in instance.agents:
-        share = instance.endowment[a] / total_e
-        entitlement = ZERO
-        for b in instance.objects:
-            entitlement += min(share * instance.supply[b], instance.demand_between(a, b))
-        u = utility(allocation, instance, a)
+    for a, u in utilities(instance, allocation).items():
+        entitlement = entitlements[a]
         rows.append((a, u, entitlement))
         if entitlement > ZERO:
             ratio = u / entitlement

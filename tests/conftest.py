@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from leximinflow.core import Instance, UtilityVector
+from leximinflow.core import Instance, UtilityVector, capped_supply
 from leximinflow.generators import random_instance
-from leximinflow.rational import Rational
+from leximinflow.rational import Rational, ZERO
 
 CORPUS_SIZE = 500
 
@@ -34,6 +34,20 @@ def breakpoint_example() -> Instance:
         supply={"b": 3},
         demand={("a1", "b"): 1, ("a2", "b"): 5},
     )
+
+
+def capacity(instance: Instance, agent_subset) -> Rational:
+    """Maximum total utility jointly reachable by a subset of agents: per
+    object, the subset's total demand capped by the demand-capped supply."""
+    subset = set(agent_subset)
+    if not subset <= set(instance.agents):
+        raise ValueError(f"unknown agents in subset: {sorted(subset - set(instance.agents))}")
+    capped = capped_supply(instance)
+    total = ZERO
+    for b in instance.objects:
+        demand = sum((instance.demand_between(a, b) for a in subset), ZERO)
+        total += min(capped[b], demand)
+    return total
 
 
 def vec(*normalized) -> UtilityVector:

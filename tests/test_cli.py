@@ -1,14 +1,16 @@
 """End-to-end command-line tests: output shape, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
 from leximinflow import cli, leximin
-from leximinflow.core import Allocation, InternalCheckError
+from leximinflow.core import Allocation, InternalCheckError, utility_vector
 from leximinflow.fileio import parse_instance, save_instance, serialize_instance
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.maxflow import Flow
+from leximinflow.oracle import random_frugal_allocation
 from leximinflow.rational import Rational, format_rational, parse_rational
 
 
@@ -98,6 +100,25 @@ def test_allocate_short_flow_is_an_internal_error(squeeze_path, capsys, monkeypa
     assert "internal check failed: flow is not maximum" in err
 
 
+def over_demand(monkeypatch):
+    """Make the mechanism hand a1 100 units of b2 beyond its demand."""
+    real = cli.lexicographic_allocation
+
+    def greedy(instance):
+        allocation, profile = real(instance)
+        extra = instance.demand[("a1", "b2")] + 100
+        return Allocation({**allocation.amount, ("a1", "b2"): extra}), profile
+
+    monkeypatch.setattr(cli, "lexicographic_allocation", greedy)
+
+
+def test_allocate_non_frugal_output_fails(squeeze_path, capsys, monkeypatch):
+    over_demand(monkeypatch)
+    code, out, err = run(capsys, ["allocate", squeeze_path])
+    assert code == 1 and err == ""
+    assert "frugal=FAIL" in out and "non-wasteful=FAIL" in out
+
+
 def test_allocate_rejects_invalid_instance(tmp_path, capsys):
     path = tmp_path / "invalid.json"
     path.write_text(
@@ -136,6 +157,10 @@ def test_audit_json_shape(misreport_path, capsys):
         "frugal", "non-wasteful", "envy-free", "si", "lorenz", "structure", "substructure",
     }
     assert all(r["passed"] and r["witness"] is None for r in data["properties"])
+    assert {r["name"]: r["seed"] for r in data["properties"]} == {
+        "frugal": None, "non-wasteful": None, "envy-free": None, "si": None,
+        "lorenz": 3, "structure": None, "substructure": 3,
+    }
     assert data["skipped"] == []
 
 
@@ -160,6 +185,41 @@ def test_audit_flags_an_injected_bug(squeeze_path, capsys, monkeypatch):
     assert code == 1
     assert "non-wasteful: FAIL" in out
     assert "structure: FAIL" in out
+
+
+def test_audit_non_frugal_output_fails_frugal_and_nw(squeeze_path, capsys, monkeypatch):
+    over_demand(monkeypatch)
+    code, out, err = run(capsys, ["audit", squeeze_path, "--properties", "frugal,nw"])
+    assert code == 1 and err == ""
+    assert "frugal: FAIL [a1, b2] 101 vs 1 (amount exceeds demand)" in out
+    assert "non-wasteful: FAIL [a1, b2] 101 vs 1 (defined on frugal allocations only)" in out
+
+
+def test_audit_json_seed_replays_a_lorenz_failure(squeeze_path, capsys, monkeypatch):
+    real = cli.lexicographic_allocation
+
+    def stingy(instance):
+        _, profile = real(instance)
+        return Allocation({}), profile
+
+    monkeypatch.setattr(cli, "lexicographic_allocation", stingy)
+    code, out, err = run(
+        capsys,
+        ["audit", squeeze_path, "--properties", "lorenz", "--samples", "20",
+         "--seed", "4", "--output", "json"],
+    )
+    assert code == 1
+    [report] = json.loads(out)["properties"]
+    assert report["name"] == "lorenz" and not report["passed"]
+    # The seed alone regenerates the rival allocation that beat the output.
+    instance = si_bound_instance(2)
+    rival = utility_vector(instance, random_frugal_allocation(instance, report["seed"]))
+    sample, prefix = re.match(r"\[sample (\d+), prefix (\d+)\]", report["witness"]).groups()
+    assert report["seed"] == 4 * 1_000_003 + int(sample)
+    beaten = sum(rival.sorted_normalized[: int(prefix)], Rational(0))
+    assert report["witness"].startswith(
+        f"[sample {sample}, prefix {prefix}] 0 vs {format_rational(beaten)}"
+    )
 
 
 def test_audit_internal_error_exit_code(squeeze_path, capsys, monkeypatch):
@@ -252,6 +312,15 @@ def test_manipulate_json_counterexample(misreport_path, capsys):
     assert data["counterexample"]["truthful_utilities"]["a1"] == "3"
     assert data["counterexample"]["misreport_utilities"]["a1"] == "4"
     assert data["note"] == "absence of a counterexample is grid-bounded evidence, not proof"
+
+
+def test_manipulate_has_no_seed(misreport_path, capsys):
+    code, out, err = run(capsys, ["manipulate", misreport_path, "--grid", "1,2", "--output", "json"])
+    assert code == 0
+    assert "seed" not in json.loads(out)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["manipulate", misreport_path, "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_manipulate_argument_errors(misreport_path, capsys):

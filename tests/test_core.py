@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import breakpoint_example
+from conftest import breakpoint_example, capacity
 from leximinflow.core import (
     Allocation,
     Instance,
-    capacity,
     capped_supply,
+    object_totals,
     sub_instance,
     utility,
     utility_vector,
@@ -154,7 +154,7 @@ def test_allocation_drops_zeros_and_rejects_negatives():
     allocation = Allocation({("a", "b"): 0, ("a", "c"): Rational(1, 2)})
     assert ("a", "b") not in allocation.amount
     assert allocation.amount_of("a", "b") == ZERO
-    assert allocation.object_total("c") == Rational(1, 2)
+    assert allocation.amount == {("a", "c"): Rational(1, 2)}
     with pytest.raises(ValueError):
         Allocation({("a", "b"): -1})
 
@@ -163,7 +163,9 @@ def test_instance_drops_zero_demand_entries():
     inst = Instance(("a",), {"a": 1}, ("b", "c"), {"b": 1, "c": 1}, {("a", "b"): 0, ("a", "c"): 2})
     assert ("a", "b") not in inst.demand
     assert inst.demand_between("a", "b") == ZERO
-    assert inst.group_demand(["a"], "c") == Rational(2)
+    assert inst.demand == {("a", "c"): Rational(2)}
+    assert object_totals(inst.demand) == {"c": Rational(2)}
+    assert object_totals(inst.demand, {"z"}) == {}
 
 
 @settings(max_examples=40, deadline=None)

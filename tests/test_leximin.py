@@ -12,6 +12,7 @@ from leximinflow.core import (
     Instance,
     InvalidInstanceError,
     capped_supply,
+    object_totals,
     utility,
     utility_vector,
 )
@@ -226,16 +227,18 @@ def test_profile_invariants_on_random_instances(corpus):
         for i in range(profile.k):
             previous_agents = profile.agent_tiers[i - 1] if i else frozenset()
             previous_objects = profile.object_tiers[i - 1] if i else frozenset()
+            previous_demand = object_totals(inst.demand, previous_agents)
             caps = {
-                b: capped[b] - inst.group_demand(previous_agents, b)
+                b: capped[b] - previous_demand.get(b, ZERO)
                 for b in inst.objects
                 if b not in previous_objects
             }
             assert profile.residual_caps[i] == caps
             assert all(c >= ZERO for c in caps.values())
             fresh = profile.new_agents(i)
+            fresh_demand = object_totals(inst.demand, fresh)
             expected_new_objects = {
-                b for b in caps if inst.group_demand(fresh, b) > caps[b]
+                b for b in caps if fresh_demand.get(b, ZERO) > caps[b]
             }
             assert profile.new_objects(i) == expected_new_objects
             for a in fresh:
@@ -348,7 +351,7 @@ def test_absorption_identity_hand_values():
     profile = breakpoints(inst)
     assert profile.lambdas[0] * inst.endowment["a1"] == ONE
     assert profile.object_tiers[0] == frozenset()
-    assert inst.group_demand(profile.agent_tiers[0], "b") == ONE
+    assert object_totals(inst.demand, profile.agent_tiers[0]) == {"b": ONE}
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import breakpoint_example
-from leximinflow.core import Instance, capacity, utility
+from conftest import breakpoint_example, capacity
+from leximinflow.core import Instance, utility
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.leximin import breakpoints
 from leximinflow.oracle import (
@@ -65,8 +65,10 @@ def test_sampler_outputs_are_frugal_and_feasible(corpus):
         for seed in range(10):
             allocation = random_frugal_allocation(inst, seed)
             assert is_frugal(inst, allocation).passed
-            for b in inst.objects:
-                assert allocation.object_total(b) <= inst.supply[b]
+            handed_out = {}
+            for (_, b), x in allocation.amount.items():
+                handed_out[b] = handed_out.get(b, ZERO) + x
+            assert all(x <= inst.supply[b] for b, x in handed_out.items())
 
 
 def test_sampler_is_deterministic_per_seed():

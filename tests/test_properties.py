@@ -52,8 +52,11 @@ def test_nw_examples():
 
 def test_nw_requires_frugality():
     inst = twins()
-    with pytest.raises(ValueError):
-        is_nw(inst, Allocation({("a1", "b"): 5}))
+    report = is_nw(inst, Allocation({("a1", "b"): 5}))
+    assert not report.passed
+    assert report.witness.subject == ("a1", "b")
+    assert report.witness.lhs == Rational(5) and report.witness.rhs == ONE
+    assert report.witness.note == "defined on frugal allocations only"
 
 
 def test_envy_examples():
