@@ -35,7 +35,6 @@ from .properties import (
     is_nw,
     leximin_cmp,
     lorenz_dominates,
-    mmf_value,
     si_ratio,
 )
 from .rational import ParseError, Rational, format_rational, parse_rational
@@ -60,7 +59,6 @@ __all__ = [
     "leximin_cmp",
     "lexicographic_allocation",
     "lorenz_dominates",
-    "mmf_value",
     "parse_rational",
     "si_ratio",
     "structure_check",

@@ -7,15 +7,16 @@ failure: a failed solver self-check or any unexpected exception (always a
 bug, never a valid outcome).
 
 All numbers are printed as exact fractions; ``--output json`` emits the same
-data machine-readably.  The ``--seed`` of ``audit`` and ``generate``
-defaults to the LEXIMINFLOW_SEED environment variable when set, else 0.
+data machine-readably.  ``audit`` checks the allocation the mechanism
+returns, substructure included; the ``--seed`` of ``audit`` and ``generate``
+defaults to 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -55,7 +56,6 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-SEED_ENV = "LEXIMINFLOW_SEED"
 AUDIT_PROPERTIES = ("frugal", "nw", "ef", "si", "lorenz", "structure", "substructure")
 HALF = Rational(1, 2)
 
@@ -166,18 +166,6 @@ def build_report(instance: Instance, allocation: Allocation, profile: Breakpoint
     )
 
 
-def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
-
-
 def _load(path: str) -> Instance:
     instance = fileio.load_instance(path)
     violations = validate_instance(instance)
@@ -261,6 +249,10 @@ def cmd_audit(args) -> int:
     selected = AUDIT_PROPERTIES if args.properties is None else tuple(
         p.strip() for p in args.properties.split(",") if p.strip()
     )
+    if not selected:
+        raise ParseError(
+            f"properties must list at least one of: {', '.join(AUDIT_PROPERTIES)}"
+        )
     unknown = set(selected) - set(AUDIT_PROPERTIES)
     if unknown:
         raise ParseError(
@@ -269,7 +261,6 @@ def cmd_audit(args) -> int:
         )
     if args.samples < 0:
         raise ParseError("samples must be nonnegative")
-    seed = _resolve_seed(args.seed)
     allocation, profile = lexicographic_allocation(instance)
     reports: list[PropertyReport] = []
     skipped: list[tuple[str, str]] = []
@@ -288,7 +279,7 @@ def cmd_audit(args) -> int:
             elif not instance.agents:
                 skipped.append(("lorenz", "no agents"))
             else:
-                reports.append(_audit_lorenz(instance, allocation, args.samples, seed))
+                reports.append(_audit_lorenz(instance, allocation, args.samples, args.seed))
         elif prop == "structure":
             reports.append(structure_check(instance, allocation, profile))
         elif prop == "substructure":
@@ -297,7 +288,7 @@ def cmd_audit(args) -> int:
             elif len(instance.agents) > 12:
                 skipped.append(("substructure", "needs <= 12 agents for the oracle"))
             else:
-                reports.append(check_substructure(instance, trials=5, seed=seed))
+                reports.append(check_substructure(instance, allocation, trials=5, seed=args.seed))
     all_passed = all(r.passed for r in reports)
     if args.output == "json":
         print(
@@ -415,7 +406,7 @@ def cmd_generate(args) -> int:
         instance = burst_demand_instance(args.n)
     else:
         instance = random_instance(
-            seed=_resolve_seed(args.seed),
+            seed=args.seed,
             num_agents=args.agents,
             num_objects=args.objects,
             density=args.density,
@@ -429,6 +420,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leximinflow",
@@ -438,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
             "audits it: demand caps respected, nothing wasted, envy-free, at least "
             "half of each agent's proportional entitlement."
         ),
-        epilog=f"Default --seed comes from ${SEED_ENV} when set, else 0.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -456,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=1000,
                    help="random allocations to dominate in the lorenz check (0 skips)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_audit)
 
@@ -484,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", type=int, default=None, help="object count (random family)")
     p.add_argument("--density", type=float, default=None,
                    help="probability of a nonzero demand entry (random family)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_generate)
     return parser

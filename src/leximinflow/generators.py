@@ -79,23 +79,26 @@ def burst_demand_instance(n: int) -> Instance:
     )
 
 
+def _small_rational(rng: random.Random, lowest: int) -> Rational:
+    return Rational(rng.randint(lowest, 12), rng.randint(1, 8))
+
+
 def random_instance(
     seed: int,
     num_agents: Optional[int] = None,
     num_objects: Optional[int] = None,
     density: Optional[float] = None,
-    max_numerator: int = 12,
-    max_denominator: int = 8,
     equal_endowments: bool = False,
 ) -> Instance:
     """Seeded random instance with small-denominator rational data.
 
     Size and density default to small draws (at most 8 agents, 6 objects)
-    matching the regime the brute-force oracles can check.  The same seed and
-    parameters always produce the identical instance.  With
-    ``equal_endowments`` every agent shares one random endowment; sorted
-    normalized utility vectors of different allocations are then comparable
-    prefix-by-prefix, which the plain Lorenz-dominance check requires.
+    matching the regime the brute-force oracles can check.  Every number is
+    n/d with n at most 12 and d at most 8.  The same seed and parameters
+    always produce the identical instance.  With ``equal_endowments`` every
+    agent shares one random endowment; sorted normalized utility vectors of
+    different allocations are then comparable prefix-by-prefix, which the
+    plain Lorenz-dominance check requires.
     """
     rng = random.Random(seed)
     if num_agents is None:
@@ -111,24 +114,16 @@ def random_instance(
     agents = tuple(f"a{i}" for i in range(1, num_agents + 1))
     objects = tuple(f"b{j}" for j in range(1, num_objects + 1))
     if equal_endowments:
-        shared = Rational(rng.randint(1, max_numerator), rng.randint(1, max_denominator))
+        shared = _small_rational(rng, 1)
         endowment = {a: shared for a in agents}
     else:
-        endowment = {
-            a: Rational(rng.randint(1, max_numerator), rng.randint(1, max_denominator))
-            for a in agents
-        }
-    supply = {
-        b: Rational(rng.randint(0, max_numerator), rng.randint(1, max_denominator))
-        for b in objects
-    }
+        endowment = {a: _small_rational(rng, 1) for a in agents}
+    supply = {b: _small_rational(rng, 0) for b in objects}
     demand = {}
     for a in agents:
         for b in objects:
             if rng.random() < density:
-                demand[(a, b)] = Rational(
-                    rng.randint(1, max_numerator), rng.randint(1, max_denominator)
-                )
+                demand[(a, b)] = _small_rational(rng, 1)
     return Instance(
         agents=agents, endowment=endowment, objects=objects, supply=supply, demand=demand
     )

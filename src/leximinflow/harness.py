@@ -1,12 +1,13 @@
 """Cross-instance mechanism checks: monotonicity, substructure, manipulation.
 
-Each check perturbs or restricts an instance, reruns the mechanism, and
-compares exact utilities: supply increases must never hurt anyone, endowment
-shrinks and departures must never hurt the unchanged agents, restrictions of
-an output must stay optimal for the residual instance, and no small coalition
-should profit from misreporting demands.  The manipulation search enumerates a
-finite misreport grid, so absence of a counterexample is evidence within the
-declared coverage, not a proof.
+Each check perturbs or restricts an instance, reruns the mechanism or the
+oracle, and compares exact utilities: supply increases must never hurt
+anyone, endowment shrinks and departures must never hurt the unchanged
+agents, restrictions of an audited allocation must stay optimal for the
+residual instance, and no small coalition should profit from misreporting
+demands.  The manipulation search enumerates a finite misreport grid, so
+absence of a counterexample is evidence within the declared coverage, not a
+proof.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import (
     Allocation,
     Instance,
     InternalCheckError,
+    object_totals,
     sub_instance,
     utilities,
 )
@@ -28,7 +30,6 @@ from .oracle import oracle_breakpoints, oracle_mmf_si
 from .rational import ONE, Rational, ZERO
 from .reporting import PropertyReport, failing, passing
 
-SUPPLY_INCREASE = "supply-increase"
 ENDOWMENT_DECREASE = "endowment-decrease"
 AGENT_REMOVAL = "agent-removal"
 
@@ -36,47 +37,25 @@ _SUPPLY_STEPS = (Rational(1, 4), Rational(1, 2), ONE, Rational(2))
 _ENDOWMENT_FACTORS = (Rational(1, 4), Rational(1, 2), Rational(3, 4))
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """How to perturb an instance: which kind, fixed magnitudes or a seed.
-
-    When ``magnitudes`` is given (per object for supply increases, per agent
-    otherwise) the perturbation is applied once, deterministically.  Otherwise
-    each trial draws a random nonempty subset and magnitudes from a small
-    rational grid, seeded.
-    """
-
-    kind: str
-    magnitudes: Optional[Mapping[str, Rational]] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in (SUPPLY_INCREASE, ENDOWMENT_DECREASE, AGENT_REMOVAL):
-            raise ValueError(f"unknown perturbation kind {self.kind!r}")
-
-
 def _mechanism_utilities(instance: Instance) -> dict[str, Rational]:
     allocation, _ = lexicographic_allocation(instance)
     return utilities(instance, allocation)
 
 
-def check_rm(instance: Instance, spec: PerturbationSpec, trials: int) -> PropertyReport:
-    """Supply increases must leave every agent at least as well off."""
-    if spec.kind != SUPPLY_INCREASE:
-        raise ValueError(f"supply-increase spec required, got {spec.kind!r}")
+def check_rm(instance: Instance, trials: int, seed: int = 0) -> PropertyReport:
+    """Supply increases must leave every agent at least as well off.
+
+    Each trial raises a random nonempty subset of the objects by steps drawn
+    from a small rational grid, seeded.
+    """
     base = _mechanism_utilities(instance)
-    rng = random.Random(spec.seed)
+    rng = random.Random(seed)
     perturbations = []
-    if spec.magnitudes is not None:
-        perturbations.append(dict(spec.magnitudes))
-    else:
-        for _ in range(trials):
-            if not instance.objects:
-                break
-            chosen = rng.sample(
-                instance.objects, rng.randint(1, len(instance.objects))
-            )
-            perturbations.append({b: rng.choice(_SUPPLY_STEPS) for b in chosen})
+    for _ in range(trials):
+        if not instance.objects:
+            break
+        chosen = rng.sample(instance.objects, rng.randint(1, len(instance.objects)))
+        perturbations.append({b: rng.choice(_SUPPLY_STEPS) for b in chosen})
     for bump in perturbations:
         raised = Instance(
             agents=instance.agents,
@@ -93,29 +72,31 @@ def check_rm(instance: Instance, spec: PerturbationSpec, trials: int) -> Propert
                 return failing(
                     "resource-monotonic", (a,), after[a], base[a],
                     note=f"utility dropped after supply increase {bump}",
-                    seed=spec.seed,
+                    seed=seed,
                 )
-    return passing("resource-monotonic", detail=f"{len(perturbations)} perturbations", seed=spec.seed)
+    return passing("resource-monotonic", detail=f"{len(perturbations)} perturbations", seed=seed)
 
 
-def check_pm(instance: Instance, spec: PerturbationSpec, trials: int) -> PropertyReport:
-    """Endowment decreases or departures must never hurt the unchanged agents."""
-    if spec.kind not in (ENDOWMENT_DECREASE, AGENT_REMOVAL):
-        raise ValueError(f"shrink spec required, got {spec.kind!r}")
+def check_pm(instance: Instance, kind: str, trials: int, seed: int = 0) -> PropertyReport:
+    """Endowment decreases or departures must never hurt the unchanged agents.
+
+    ``kind`` is ENDOWMENT_DECREASE or AGENT_REMOVAL.  Each trial shrinks or
+    removes a random nonempty subset of the agents, with endowment factors
+    drawn from a small rational grid, seeded.
+    """
+    if kind not in (ENDOWMENT_DECREASE, AGENT_REMOVAL):
+        raise ValueError(f"unknown shrink kind {kind!r}")
     base = _mechanism_utilities(instance)
-    rng = random.Random(spec.seed)
+    rng = random.Random(seed)
     shrinks: list[dict[str, Rational]] = []
-    if spec.magnitudes is not None:
-        shrinks.append(dict(spec.magnitudes))
-    else:
-        for _ in range(trials):
-            if not instance.agents:
-                break
-            chosen = rng.sample(instance.agents, rng.randint(1, len(instance.agents)))
-            if spec.kind == AGENT_REMOVAL:
-                shrinks.append({a: ZERO for a in chosen})
-            else:
-                shrinks.append({a: rng.choice(_ENDOWMENT_FACTORS) for a in chosen})
+    for _ in range(trials):
+        if not instance.agents:
+            break
+        chosen = rng.sample(instance.agents, rng.randint(1, len(instance.agents)))
+        if kind == AGENT_REMOVAL:
+            shrinks.append({a: ZERO for a in chosen})
+        else:
+            shrinks.append({a: rng.choice(_ENDOWMENT_FACTORS) for a in chosen})
     for factors in shrinks:
         removed = {a for a, f in factors.items() if f == ZERO}
         keep = [a for a in instance.agents if a not in removed]
@@ -136,22 +117,30 @@ def check_pm(instance: Instance, spec: PerturbationSpec, trials: int) -> Propert
                 return failing(
                     "population-monotonic", (a,), after[a], base[a],
                     note=f"utility dropped after shrinking {sorted(factors)}",
-                    seed=spec.seed,
+                    seed=seed,
                 )
-    return passing("population-monotonic", detail=f"{len(shrinks)} shrinks", seed=spec.seed)
+    return passing("population-monotonic", detail=f"{len(shrinks)} shrinks", seed=seed)
 
 
-def check_substructure(instance: Instance, trials: int, seed: int = 0) -> PropertyReport:
+def check_substructure(
+    instance: Instance, allocation: Allocation, trials: int, seed: int = 0
+) -> PropertyReport:
     """Removing agents with their share leaves an allocation that is still
     optimal for the residual instance.
 
-    For random agent subsets, the mechanism's output restricted to the
-    remaining agents must reproduce, agent by agent, the brute-force optimum
-    of the residual instance.  Limited to 12 agents by the oracle.
+    For random agent subsets, the allocation restricted to the remaining
+    agents must reproduce, agent by agent, the brute-force optimum of the
+    residual instance; one that hands out more than an object's supply leaves
+    no residual and fails.  Limited to 12 agents by the oracle.
     """
     if len(instance.agents) > 12:
         raise ValueError("substructure check relies on the subset-enumeration oracle (<= 12 agents)")
-    allocation, _ = lexicographic_allocation(instance)
+    for b, total in object_totals(allocation.amount).items():
+        if b in instance.supply and total > instance.supply[b]:
+            return failing(
+                "substructure", (b,), total, instance.supply[b],
+                note="object handed out beyond its supply",
+            )
     rng = random.Random(seed)
     for _ in range(trials):
         removed = [a for a in instance.agents if rng.random() < 0.5]

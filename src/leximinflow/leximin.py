@@ -55,15 +55,13 @@ class BreakpointProfile:
     ``lambdas`` is strictly increasing.  ``agent_tiers[i]`` / ``object_tiers[i]``
     are the *cumulative* sets through tier i+1 (0-based), so the last agent
     tier is the full agent set.  ``per_agent`` maps each agent to the rate its
-    tier froze at.  ``residual_caps[i]`` maps each object not yet exhausted
-    when tier i+1 started to its remaining absorbable supply.
+    tier froze at.
     """
 
     lambdas: tuple[Rational, ...]
     agent_tiers: tuple[frozenset, ...]
     object_tiers: tuple[frozenset, ...]
     per_agent: Mapping[str, Rational]
-    residual_caps: tuple[Mapping[str, Rational], ...]
 
     @property
     def k(self) -> int:
@@ -201,10 +199,8 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     agent_tiers: list[frozenset] = []
     object_tiers: list[frozenset] = []
     per_agent: dict[str, Rational] = {}
-    residual_caps: list[dict[str, Rational]] = []
     while remaining:
         view = TierView(agents=tuple(remaining), objects=tuple(caps), caps=caps, demand=demand)
-        residual_caps.append(caps)
         lam, tier = min_ratio(view, instance.endowment)
         if not tier:
             raise InternalCheckError("empty tier")
@@ -236,7 +232,6 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
         agent_tiers=tuple(agent_tiers),
         object_tiers=tuple(object_tiers),
         per_agent=per_agent,
-        residual_caps=tuple(residual_caps),
     )
 
 

@@ -150,10 +150,8 @@ def max_flow(network: FlowNetwork) -> Flow:
         if level[residual.sink] < 0:
             break
         value += residual.blocking_flow(level)
-    edge_flows = tuple(
-        cap - residual.residual[2 * i] for i, (_, _, cap) in enumerate(network.edges)
-    )
-    return Flow(edge_flows=edge_flows, value=value)
+    # The residual of reverse arc 2i+1 is exactly the flow on edge i.
+    return Flow(edge_flows=tuple(residual.residual[1::2]), value=value)
 
 
 def _cut_capacity(network: FlowNetwork, source_side: frozenset) -> Rational:

@@ -3,15 +3,15 @@
 Nothing here shares logic with the flow-based solver: the breakpoint oracle
 finds each tier's rate by enumerating all agent subsets, the sampler draws
 arbitrary feasible demand-capped allocations, and the tiny maximin-with-full-
-entitlements rule exists only to demonstrate, on one three-agent instance,
-that such a rule is manipulable while the main mechanism is not.
+entitlements rule is the reference that shows, on one three-agent instance,
+that such a rule is manipulable while the main mechanism is not.  The only
+thing taken from the solver's module is the ``BreakpointProfile`` type.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -22,8 +22,7 @@ from .core import (
     utility,
     validate_instance,
 )
-from .generators import si_bound_instance, si_misreport_instance
-from .leximin import BreakpointProfile, lexicographic_allocation
+from .leximin import BreakpointProfile
 from .properties import si_ratio
 from .rational import Rational, ZERO
 
@@ -56,10 +55,8 @@ def oracle_breakpoints(instance: Instance) -> BreakpointProfile:
     agent_tiers = []
     object_tiers = []
     per_agent = {}
-    residual_caps = []
     while remaining:
         active = [b for b in instance.objects if b not in exhausted]
-        residual_caps.append({b: caps[b] for b in active})
         n = len(remaining)
         # Subset sums built mask-by-mask from the submask with the lowest bit
         # cleared, so each of the 2^n rows costs O(|objects|).
@@ -106,7 +103,6 @@ def oracle_breakpoints(instance: Instance) -> BreakpointProfile:
         agent_tiers=tuple(agent_tiers),
         object_tiers=tuple(object_tiers),
         per_agent=per_agent,
-        residual_caps=tuple(residual_caps),
     )
 
 
@@ -194,62 +190,3 @@ def oracle_mmf_si(
         )
     return best_alloc, best_min
 
-
-@dataclass(frozen=True)
-class SiBoundReport:
-    """Mechanism run on the two-object entitlement-squeeze family."""
-
-    n: int
-    ratio: Rational
-    conclusion: str
-
-
-@dataclass(frozen=True)
-class MisreportGainReport:
-    """Manipulation demonstration against the full-entitlement maximin rule."""
-
-    truthful_utility: Rational
-    misreport_utility: Rational
-    gained: bool
-    conclusion: str
-
-
-def reproduce_impossibility(family: str, parameter: Optional[int] = None):
-    """Run the named demonstration and report its exact numbers.
-
-    ``lemma5``: the mechanism's worst entitlement ratio on the n-agent squeeze
-    family (it tends to 1/2 as n grows).  ``lemma6``: the full-entitlement
-    maximin rule pays agent a1 utility 3 when truthful and strictly more after
-    inflating one demand, so that rule is not strategyproof.
-    """
-    if family == "lemma5":
-        if parameter is None or parameter < 2:
-            raise ValueError("this family needs a size parameter n >= 2")
-        inst = si_bound_instance(parameter)
-        allocation, _ = lexicographic_allocation(inst)
-        report = si_ratio(inst, allocation)
-        return SiBoundReport(
-            n=parameter,
-            ratio=report.ratio,
-            conclusion="worst entitlement ratio tends to 1/2 as n grows",
-        )
-    if family == "lemma6":
-        inst = si_misreport_instance()
-        truthful_alloc, _ = oracle_mmf_si(inst)
-        truthful = utility(truthful_alloc, inst, "a1")
-        misreported = Instance(
-            agents=inst.agents,
-            endowment=inst.endowment,
-            objects=inst.objects,
-            supply=inst.supply,
-            demand={**inst.demand, ("a1", "b2"): Rational(2)},
-        )
-        misreport_alloc, _ = oracle_mmf_si(misreported)
-        after = utility(misreport_alloc, inst, "a1")
-        return MisreportGainReport(
-            truthful_utility=truthful,
-            misreport_utility=after,
-            gained=after > truthful,
-            conclusion="a maximin rule forced to meet full entitlements rewards demand inflation",
-        )
-    raise ValueError(f"unknown family {family!r}")

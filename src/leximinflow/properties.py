@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Allocation, Instance, UtilityVector, object_totals, utilities
-from .leximin import breakpoints
 from .rational import Rational, ZERO
 from .reporting import PropertyReport, Witness, failing, passing
 
@@ -27,7 +26,6 @@ __all__ = [
     "si_ratio",
     "lorenz_dominates",
     "leximin_cmp",
-    "mmf_value",
 ]
 
 
@@ -165,9 +163,3 @@ def leximin_cmp(v: UtilityVector, w: UtilityVector) -> int:
             return 1
     return 0
 
-
-def mmf_value(instance: Instance) -> Rational:
-    """The best achievable minimum normalized utility: the first breakpoint rate."""
-    if not instance.agents:
-        raise ValueError("the minimum normalized utility needs at least one agent")
-    return breakpoints(instance).lambdas[0]

@@ -24,23 +24,22 @@ from leximinflow.core import (
     utility_vector,
 )
 from leximinflow.fileio import save_instance
-from leximinflow.generators import burst_demand_instance, random_instance, si_misreport_instance
+from leximinflow.generators import (
+    burst_demand_instance,
+    random_instance,
+    si_bound_instance,
+    si_misreport_instance,
+)
 from leximinflow.harness import (
     AGENT_REMOVAL,
     ENDOWMENT_DECREASE,
-    SUPPLY_INCREASE,
-    PerturbationSpec,
     check_pm,
     check_rm,
     check_substructure,
     search_manipulation,
 )
 from leximinflow.leximin import lexicographic_allocation, structure_check
-from leximinflow.oracle import (
-    oracle_breakpoints,
-    random_frugal_allocation,
-    reproduce_impossibility,
-)
+from leximinflow.oracle import oracle_breakpoints, oracle_mmf_si, random_frugal_allocation
 from leximinflow.properties import (
     envy_report,
     is_frugal,
@@ -72,14 +71,7 @@ def test_criterion_01_oracle_equivalence(corpus):
     for inst in corpus:
         _, profile = lexicographic_allocation(inst)
         expected = oracle_breakpoints(inst)
-        same = (
-            profile.lambdas == expected.lambdas
-            and profile.agent_tiers == expected.agent_tiers
-            and profile.object_tiers == expected.object_tiers
-            and profile.per_agent == expected.per_agent
-            and profile.residual_caps == expected.residual_caps
-        )
-        if not same:
+        if profile != expected:
             mismatches += 1
     elapsed = time.monotonic() - start
     _verdict(
@@ -154,11 +146,11 @@ def test_criterion_06_monotonicity(corpus):
     hurt the unchanged agents: 10 perturbations of each kind per instance."""
     bad = 0
     for seed, inst in enumerate(corpus):
-        if not check_rm(inst, PerturbationSpec(kind=SUPPLY_INCREASE, seed=seed), trials=10).passed:
+        if not check_rm(inst, trials=10, seed=seed).passed:
             bad += 1
-        if not check_pm(inst, PerturbationSpec(kind=ENDOWMENT_DECREASE, seed=seed), trials=5).passed:
+        if not check_pm(inst, ENDOWMENT_DECREASE, trials=5, seed=seed).passed:
             bad += 1
-        if not check_pm(inst, PerturbationSpec(kind=AGENT_REMOVAL, seed=seed), trials=5).passed:
+        if not check_pm(inst, AGENT_REMOVAL, trials=5, seed=seed).passed:
             bad += 1
     _verdict("criterion 6 (resource and population monotonicity)", bad == 0, f"{bad} failures")
 
@@ -167,7 +159,8 @@ def test_criterion_07_substructure(corpus):
     """Restricting the output to any agent subset stays optimal: 5 subsets each."""
     bad = 0
     for seed, inst in enumerate(corpus):
-        if not check_substructure(inst, trials=5, seed=seed).passed:
+        allocation, _ = lexicographic_allocation(inst)
+        if not check_substructure(inst, allocation, trials=5, seed=seed).passed:
             bad += 1
     _verdict("criterion 7 (substructure optimality)", bad == 0, f"{bad} failures")
 
@@ -206,15 +199,10 @@ def test_criterion_09_exact_reproductions():
 
     expected_ratio = {2: Rational(3, 4), 10: Rational(11, 20), 100: Rational(101, 200)}
     for n, want in expected_ratio.items():
-        got = reproduce_impossibility("lemma5", n).ratio
+        inst = si_bound_instance(n)
+        got = si_ratio(inst, lexicographic_allocation(inst)[0]).ratio
         ok &= got == want
         details.append(f"squeeze n={n}: ratio {got}")
-
-    gain = reproduce_impossibility("lemma6")
-    ok &= gain.truthful_utility == Rational(3)
-    ok &= gain.misreport_utility == Rational(4)
-    ok &= gain.gained
-    details.append(f"reference rule: {gain.truthful_utility} -> {gain.misreport_utility}")
 
     inst = si_misreport_instance()
     inflated = Instance(
@@ -224,6 +212,12 @@ def test_criterion_09_exact_reproductions():
         supply=inst.supply,
         demand={**inst.demand, ("a1", "b2"): Rational(2)},
     )
+    truthful = utility(oracle_mmf_si(inst)[0], inst, "a1")
+    misreported = utility(oracle_mmf_si(inflated)[0], inst, "a1")
+    ok &= truthful == Rational(3)
+    ok &= misreported == Rational(4)
+    details.append(f"reference rule: {truthful} -> {misreported}")
+
     allocation, _ = lexicographic_allocation(inflated)
     after = utility(allocation, inst, "a1")
     ok &= after == Rational(3)

@@ -187,6 +187,29 @@ def test_audit_flags_an_injected_bug(squeeze_path, capsys, monkeypatch):
     assert "structure: FAIL" in out
 
 
+def test_audit_substructure_checks_the_audited_allocation(squeeze_path, capsys, monkeypatch):
+    real = cli.lexicographic_allocation
+
+    def broken(instance):
+        _, profile = real(instance)
+        return Allocation({}), profile
+
+    monkeypatch.setattr(cli, "lexicographic_allocation", broken)
+    code, out, err = run(
+        capsys, ["audit", squeeze_path, "--properties", "nw,substructure"]
+    )
+    assert code == 1 and err == ""
+    assert "non-wasteful: FAIL" in out
+    assert "substructure: FAIL" in out
+
+
+@pytest.mark.parametrize("properties", [",", ""])
+def test_audit_rejects_empty_property_list(misreport_path, capsys, properties):
+    code, out, err = run(capsys, ["audit", misreport_path, "--properties", properties])
+    assert code == 2 and out == ""
+    assert "properties must list at least one of" in err
+
+
 def test_audit_non_frugal_output_fails_frugal_and_nw(squeeze_path, capsys, monkeypatch):
     over_demand(monkeypatch)
     code, out, err = run(capsys, ["audit", squeeze_path, "--properties", "frugal,nw"])
@@ -363,18 +386,10 @@ def test_generate_to_file(tmp_path, capsys):
     assert parse_instance(out_path.read_text()) == si_misreport_instance()
 
 
-def test_generate_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV, "9")
+def test_generate_seed_defaults_to_zero(capsys):
     code, out, err = run(capsys, ["generate", "random"])
     assert code == 0
-    assert out == serialize_instance(random_instance(9))
-
-
-def test_generate_invalid_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV, "many")
-    code, _, err = run(capsys, ["generate", "random"])
-    assert code == 2
-    assert cli.SEED_ENV in err
+    assert out == serialize_instance(random_instance(0))
 
 
 def test_generate_random_with_sizes(capsys):

@@ -3,14 +3,12 @@
 import pytest
 
 from conftest import breakpoint_example
-from leximinflow.core import Instance, sub_instance, utility
+from leximinflow.core import Allocation, Instance, sub_instance, utility
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.harness import (
     AGENT_REMOVAL,
     ENDOWMENT_DECREASE,
-    SUPPLY_INCREASE,
     ManipulationReport,
-    PerturbationSpec,
     check_pm,
     check_rm,
     check_substructure,
@@ -21,17 +19,6 @@ from leximinflow.oracle import oracle_breakpoints
 from leximinflow.rational import ONE, Rational, ZERO
 
 
-def test_perturbation_spec_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        PerturbationSpec(kind="supply-decrease")
-
-
-def test_rm_zero_increase_changes_nothing():
-    inst = breakpoint_example()
-    spec = PerturbationSpec(kind=SUPPLY_INCREASE, magnitudes={"b": ZERO})
-    assert check_rm(inst, spec, trials=1).passed
-
-
 def test_rm_hand_example():
     # Doubling the shared object's supply lifts the big-demand agent from 2 to
     # 5 and leaves the small one at its full demand 1.
@@ -39,22 +26,18 @@ def test_rm_hand_example():
     raised = Instance(
         inst.agents, inst.endowment, inst.objects, {"b": Rational(6)}, inst.demand
     )
+    before, _ = lexicographic_allocation(inst)
+    assert utility(before, inst, "a1") == ONE
+    assert utility(before, inst, "a2") == Rational(2)
     allocation, _ = lexicographic_allocation(raised)
     assert utility(allocation, raised, "a1") == ONE
     assert utility(allocation, raised, "a2") == Rational(5)
-    spec = PerturbationSpec(kind=SUPPLY_INCREASE, magnitudes={"b": Rational(3)})
-    assert check_rm(inst, spec, trials=1).passed
-
-
-def test_rm_requires_matching_spec_kind():
-    with pytest.raises(ValueError):
-        check_rm(breakpoint_example(), PerturbationSpec(kind=AGENT_REMOVAL), trials=1)
+    assert check_rm(inst, trials=4).passed
 
 
 def test_rm_random_sweep(corpus):
     for seed, inst in enumerate(corpus[:40]):
-        spec = PerturbationSpec(kind=SUPPLY_INCREASE, seed=seed)
-        report = check_rm(inst, spec, trials=3)
+        report = check_rm(inst, trials=3, seed=seed)
         assert report.passed, report.witness
 
 
@@ -63,8 +46,11 @@ def test_pm_removing_harmless_agent_changes_nothing():
         ("a1", "a2"), {"a1": 1, "a2": 1}, ("b",), {"b": 2},
         {("a1", "b"): 2},
     )
-    spec = PerturbationSpec(kind=AGENT_REMOVAL, magnitudes={"a2": ZERO})
-    assert check_pm(inst, spec, trials=1).passed
+    alone = Instance(("a1",), {"a1": 1}, ("b",), {"b": 2}, {("a1", "b"): 2})
+    allocation, _ = lexicographic_allocation(inst)
+    residual_allocation, _ = lexicographic_allocation(alone)
+    assert utility(allocation, inst, "a1") == utility(residual_allocation, alone, "a1") == Rational(2)
+    assert check_pm(inst, AGENT_REMOVAL, trials=3).passed
 
 
 def test_pm_departure_helps_the_remaining_agent():
@@ -73,21 +59,23 @@ def test_pm_departure_helps_the_remaining_agent():
         ("a1",), {"a1": ONE}, inst.objects, inst.supply,
         {k: v for k, v in inst.demand.items() if k[0] == "a1"},
     )
+    before, _ = lexicographic_allocation(inst)
+    assert utility(before, inst, "a1") == Rational(3, 2)
     allocation, _ = lexicographic_allocation(residual)
     assert utility(allocation, residual, "a1") == Rational(2)
-    spec = PerturbationSpec(kind=AGENT_REMOVAL, magnitudes={"a2": ZERO})
-    assert check_pm(inst, spec, trials=1).passed
+    assert check_pm(inst, AGENT_REMOVAL, trials=3).passed
 
 
 def test_pm_requires_matching_spec_kind():
-    with pytest.raises(ValueError):
-        check_pm(breakpoint_example(), PerturbationSpec(kind=SUPPLY_INCREASE), trials=1)
+    for kind in ("supply-increase", "supply-decrease"):
+        with pytest.raises(ValueError):
+            check_pm(breakpoint_example(), kind, trials=1)
 
 
 def test_pm_random_sweep(corpus):
     for seed, inst in enumerate(corpus[:40]):
         for kind in (ENDOWMENT_DECREASE, AGENT_REMOVAL):
-            report = check_pm(inst, PerturbationSpec(kind=kind, seed=seed), trials=3)
+            report = check_pm(inst, kind, trials=3, seed=seed)
             assert report.passed, report.witness
 
 
@@ -97,20 +85,30 @@ def test_substructure_hand_example():
     residual = sub_instance(inst, allocation, ["a1"])
     expected = oracle_breakpoints(residual)
     assert utility(allocation, residual, "a2") == residual.endowment["a2"] * expected.per_agent["a2"]
-    assert check_substructure(inst, trials=8, seed=1).passed
+    assert check_substructure(inst, allocation, trials=8, seed=1).passed
 
 
 def test_substructure_random_sweep(corpus):
     for seed, inst in enumerate(corpus[:40]):
-        report = check_substructure(inst, trials=3, seed=seed)
+        allocation, _ = lexicographic_allocation(inst)
+        report = check_substructure(inst, allocation, trials=3, seed=seed)
         assert report.passed, report.witness
+
+
+def test_substructure_checks_the_given_allocation():
+    inst = breakpoint_example()
+    report = check_substructure(inst, Allocation({}), trials=8, seed=1)
+    assert not report.passed
+    over = Allocation({("a1", "b"): Rational(4)})
+    report = check_substructure(inst, over, trials=8, seed=1)
+    assert not report.passed and report.witness.subject == ("b",)
 
 
 def test_substructure_size_limit():
     agents = tuple(f"a{i}" for i in range(13))
     inst = Instance(agents, {a: 1 for a in agents}, ("b",), {"b": 1}, {})
     with pytest.raises(ValueError):
-        check_substructure(inst, trials=1)
+        check_substructure(inst, Allocation({}), trials=1)
 
 
 def test_manipulation_report_classification():

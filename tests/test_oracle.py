@@ -8,12 +8,9 @@ from leximinflow.generators import random_instance, si_bound_instance, si_misrep
 from leximinflow.leximin import breakpoints
 from leximinflow.oracle import (
     GridInfeasibleError,
-    MisreportGainReport,
-    SiBoundReport,
     oracle_breakpoints,
     oracle_mmf_si,
     random_frugal_allocation,
-    reproduce_impossibility,
 )
 from leximinflow.properties import is_frugal
 from leximinflow.rational import Rational, ZERO
@@ -46,13 +43,7 @@ def test_oracle_breakpoints_size_limit():
 
 def test_solver_matches_oracle_on_random_slice(corpus):
     for inst in corpus[:80]:
-        fast = breakpoints(inst)
-        slow = oracle_breakpoints(inst)
-        assert fast.lambdas == slow.lambdas
-        assert fast.agent_tiers == slow.agent_tiers
-        assert fast.object_tiers == slow.object_tiers
-        assert fast.per_agent == slow.per_agent
-        assert fast.residual_caps == slow.residual_caps
+        assert breakpoints(inst) == oracle_breakpoints(inst)
 
 
 def test_sampler_zero_demand_yields_zero_allocation():
@@ -124,24 +115,3 @@ def test_full_entitlement_maximin_input_limits():
     with pytest.raises(ValueError):
         oracle_mmf_si(si_misreport_instance(), grid_resolution=ZERO)
 
-
-def test_demonstration_reports():
-    squeeze = reproduce_impossibility("lemma5", 2)
-    assert isinstance(squeeze, SiBoundReport)
-    assert squeeze.ratio == Rational(3, 4)
-    assert reproduce_impossibility("lemma5", 10).ratio == Rational(11, 20)
-
-    gain = reproduce_impossibility("lemma6")
-    assert isinstance(gain, MisreportGainReport)
-    assert gain.truthful_utility == Rational(3)
-    assert gain.misreport_utility == Rational(4)
-    assert gain.gained
-
-
-def test_demonstration_argument_errors():
-    with pytest.raises(ValueError):
-        reproduce_impossibility("lemma5")
-    with pytest.raises(ValueError):
-        reproduce_impossibility("lemma5", 1)
-    with pytest.raises(ValueError):
-        reproduce_impossibility("unknown")

@@ -15,7 +15,6 @@ from leximinflow.properties import (
     is_nw,
     leximin_cmp,
     lorenz_dominates,
-    mmf_value,
     si_ratio,
 )
 from leximinflow.rational import ONE, Rational, ZERO
@@ -130,14 +129,6 @@ def test_dominance_implies_leximin_at_least(values):
     w = vec(*(Rational(b, 4) for _, b in values))
     if lorenz_dominates(v, w):
         assert leximin_cmp(v, w) >= 0
-
-
-def test_mmf_value_examples():
-    assert mmf_value(si_misreport_instance()) == Rational(3)
-    assert mmf_value(si_bound_instance(2)) == Rational(3, 2)
-    assert mmf_value(Instance(("a",), {"a": 1}, ("b",), {"b": 5}, {})) == ZERO
-    with pytest.raises(ValueError):
-        mmf_value(Instance((), {}, (), {}, {}))
 
 
 def test_mechanism_dominates_samples_under_shared_endowments(equal_corpus):
