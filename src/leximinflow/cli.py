@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import fileio
@@ -40,7 +39,6 @@ from .harness import check_substructure, search_manipulation
 from .leximin import BreakpointProfile, lexicographic_allocation, structure_check
 from .oracle import random_frugal_allocation
 from .properties import (
-    SiReport,
     envy_report,
     is_frugal,
     is_nw,
@@ -48,7 +46,7 @@ from .properties import (
     lorenz_dominates,
     si_ratio,
 )
-from .rational import ParseError, Rational, format_rational, parse_rational
+from .rational import ParseError, Rational, ZERO, format_rational, parse_rational
 from .reporting import PropertyReport, failing, passing
 
 EXIT_OK = 0
@@ -60,110 +58,81 @@ AUDIT_PROPERTIES = ("frugal", "nw", "ef", "si", "lorenz", "structure", "substruc
 HALF = Rational(1, 2)
 
 
-@dataclass(frozen=True)
-class AllocationReport:
-    """Everything one mechanism run produced, ready for table or JSON output."""
-
-    instance: Instance
-    allocation: Allocation
-    profile: BreakpointProfile
-    entitlements: SiReport
-    properties: tuple[PropertyReport, ...]
-
-    def as_dict(self) -> dict:
-        inst = self.instance
-        vector = utility_vector(inst, self.allocation)
-        agents = []
-        for a, u, norm in vector.entries:
-            agents.append(
-                {
-                    "id": a,
-                    "endowment": format_rational(inst.endowment[a]),
-                    "rate": format_rational(self.profile.per_agent[a]),
-                    "tier": self.profile.tier_of(a) + 1,
-                    "utility": format_rational(u),
-                    "normalized": format_rational(norm),
-                }
-            )
-        allocation = [
-            {"agent": a, "object": b, "amount": format_rational(v)}
-            for (a, b), v in sorted(self.allocation.amount.items())
-        ]
-        tiers = []
-        for i in range(self.profile.k):
-            tiers.append(
-                {
-                    "rate": format_rational(self.profile.lambdas[i]),
-                    "agents": sorted(self.profile.new_agents(i)),
-                    "objects": sorted(self.profile.new_objects(i)),
-                }
-            )
-        return {
-            "agents": agents,
-            "allocation": allocation,
-            "breakpoints": [format_rational(l) for l in self.profile.lambdas],
-            "tiers": tiers,
-            "entitlements": {
-                "ratio": None
-                if self.entitlements.ratio is None
-                else format_rational(self.entitlements.ratio),
-                "table": [
-                    {
-                        "agent": a,
-                        "utility": format_rational(u),
-                        "entitlement": format_rational(si),
-                    }
-                    for a, u, si in self.entitlements.table
-                ],
-            },
-            "properties": {r.name: r.passed for r in self.properties},
-        }
-
-    def as_table(self) -> str:
-        data = self.as_dict()
-        lines = []
-        lines.append("agent  endowment  rate  tier  utility  normalized")
-        for row in data["agents"]:
-            lines.append(
-                f"{row['id']:<6} {row['endowment']:>9}  {row['rate']:>4}"
-                f"  {row['tier']:>4}  {row['utility']:>7}  {row['normalized']:>10}"
-            )
-        lines.append("")
-        lines.append("allocation (agent, object, amount):")
-        if not data["allocation"]:
-            lines.append("  (empty)")
-        for row in data["allocation"]:
-            lines.append(f"  {row['agent']:<6} {row['object']:<6} {row['amount']}")
-        lines.append("")
-        lines.append("breakpoints: " + (", ".join(data["breakpoints"]) or "(none)"))
-        for i, tier in enumerate(data["tiers"], start=1):
-            objs = ", ".join(tier["objects"]) or "-"
-            lines.append(
-                f"  tier {i}: rate {tier['rate']}, agents {', '.join(tier['agents'])},"
-                f" exhausted objects {objs}"
-            )
-        ratio = data["entitlements"]["ratio"]
-        lines.append("")
-        lines.append(f"entitlement ratio: {ratio if ratio is not None else 'unconstrained'}")
-        props = ", ".join(
-            f"{name}={'pass' if ok else 'FAIL'}" for name, ok in data["properties"].items()
-        )
-        lines.append(f"properties: {props}")
-        return "\n".join(lines) + "\n"
-
-
-def build_report(instance: Instance, allocation: Allocation, profile: BreakpointProfile) -> AllocationReport:
-    return AllocationReport(
-        instance=instance,
-        allocation=allocation,
-        profile=profile,
-        entitlements=si_ratio(instance, allocation),
-        properties=(
-            is_frugal(instance, allocation),
-            is_nw(instance, allocation),
-            envy_report(instance, allocation),
-        ),
+def allocation_dict(instance: Instance, allocation: Allocation, profile: BreakpointProfile) -> dict:
+    """One mechanism run as JSON-ready data, with the three printed checks."""
+    entitlements = si_ratio(instance, allocation)
+    properties = (
+        is_frugal(instance, allocation),
+        is_nw(instance, allocation),
+        envy_report(instance, allocation),
     )
+    agents = [
+        {
+            "id": a,
+            "endowment": format_rational(instance.endowment[a]),
+            "rate": format_rational(profile.per_agent[a]),
+            "tier": profile.tier_of(a) + 1,
+            "utility": format_rational(u),
+            "normalized": format_rational(norm),
+        }
+        for a, u, norm in utility_vector(instance, allocation).entries
+    ]
+    return {
+        "agents": agents,
+        "allocation": [
+            {"agent": a, "object": b, "amount": format_rational(v)}
+            for (a, b), v in sorted(allocation.amount.items())
+        ],
+        "breakpoints": [format_rational(l) for l in profile.lambdas],
+        "tiers": [
+            {
+                "rate": format_rational(profile.lambdas[i]),
+                "agents": sorted(profile.new_agents(i)),
+                "objects": sorted(profile.new_objects(i)),
+            }
+            for i in range(profile.k)
+        ],
+        "entitlements": {
+            "ratio": None if entitlements.ratio is None else format_rational(entitlements.ratio),
+            "table": [
+                {"agent": a, "utility": format_rational(u), "entitlement": format_rational(si)}
+                for a, u, si in entitlements.table
+            ],
+        },
+        "properties": {r.name: r.passed for r in properties},
+    }
+
+
+def allocation_table(data: dict) -> str:
+    """The table form of ``allocation_dict``'s data."""
+    lines = ["agent  endowment  rate  tier  utility  normalized"]
+    for row in data["agents"]:
+        lines.append(
+            f"{row['id']:<6} {row['endowment']:>9}  {row['rate']:>4}"
+            f"  {row['tier']:>4}  {row['utility']:>7}  {row['normalized']:>10}"
+        )
+    lines.append("")
+    lines.append("allocation (agent, object, amount):")
+    if not data["allocation"]:
+        lines.append("  (empty)")
+    for row in data["allocation"]:
+        lines.append(f"  {row['agent']:<6} {row['object']:<6} {row['amount']}")
+    lines.append("")
+    lines.append("breakpoints: " + (", ".join(data["breakpoints"]) or "(none)"))
+    for i, tier in enumerate(data["tiers"], start=1):
+        objs = ", ".join(tier["objects"]) or "-"
+        lines.append(
+            f"  tier {i}: rate {tier['rate']}, agents {', '.join(tier['agents'])},"
+            f" exhausted objects {objs}"
+        )
+    ratio = data["entitlements"]["ratio"]
+    lines.append("")
+    lines.append(f"entitlement ratio: {ratio if ratio is not None else 'unconstrained'}")
+    props = ", ".join(
+        f"{name}={'pass' if ok else 'FAIL'}" for name, ok in data["properties"].items()
+    )
+    lines.append(f"properties: {props}")
+    return "\n".join(lines) + "\n"
 
 
 def _load(path: str) -> Instance:
@@ -177,12 +146,12 @@ def _load(path: str) -> Instance:
 def cmd_allocate(args) -> int:
     instance = _load(args.path)
     allocation, profile = lexicographic_allocation(instance)
-    report = build_report(instance, allocation, profile)
+    data = allocation_dict(instance, allocation, profile)
     if args.output == "json":
-        print(json.dumps(report.as_dict(), indent=2))
+        print(json.dumps(data, indent=2))
     else:
-        print(report.as_table(), end="")
-    return EXIT_OK if all(r.passed for r in report.properties) else EXIT_FAIL
+        print(allocation_table(data), end="")
+    return EXIT_OK if all(data["properties"].values()) else EXIT_FAIL
 
 
 def _audit_si(instance: Instance, allocation: Allocation) -> PropertyReport:
@@ -204,8 +173,8 @@ def _audit_lorenz(instance: Instance, allocation: Allocation, samples: int, seed
     # Prefix-sum dominance between sorted normalized vectors is only a sound
     # requirement when all agents share one endowment; with unequal endowments
     # a leximin-optimal vector can still lose some prefix to an allocation that
-    # starves a small-endowment agent.  So the audit always requires the
-    # leximin comparison, and requires full dominance on equal endowments.
+    # starves a small-endowment agent.  So the audit requires full dominance on
+    # equal endowments and the leximin comparison otherwise.
     equal = len(set(instance.endowment.values())) <= 1
     reference = utility_vector(instance, allocation)
     for k in range(samples):
@@ -213,21 +182,23 @@ def _audit_lorenz(instance: Instance, allocation: Allocation, samples: int, seed
         other = utility_vector(
             instance, random_frugal_allocation(instance, sample_seed)
         )
+        # Dominance implies leximin order (the first differing position of a
+        # dominating vector is the larger one), so each sample needs one check.
         if equal and not lorenz_dominates(reference, other):
-            prefix = next(
-                i + 1
-                for i in range(len(reference))
-                if sum(reference.sorted_normalized[: i + 1], Rational(0))
-                < sum(other.sorted_normalized[: i + 1], Rational(0))
-            )
+            mine = theirs = ZERO
+            for prefix, (x, y) in enumerate(
+                zip(reference.sorted_normalized, other.sorted_normalized), start=1
+            ):
+                mine += x
+                theirs += y
+                if mine < theirs:
+                    break
             return failing(
-                "lorenz", (f"sample {k}", f"prefix {prefix}"),
-                sum(reference.sorted_normalized[:prefix], Rational(0)),
-                sum(other.sorted_normalized[:prefix], Rational(0)),
+                "lorenz", (f"sample {k}", f"prefix {prefix}"), mine, theirs,
                 note="sampled allocation not dominated",
                 seed=sample_seed,
             )
-        if leximin_cmp(reference, other) < 0:
+        if not equal and leximin_cmp(reference, other) < 0:
             pos = next(
                 i
                 for i in range(len(reference))
@@ -337,8 +308,8 @@ def cmd_manipulate(args) -> int:
     found = result.counterexample is not None
     if args.output == "json":
         payload = {
-            "mechanism": result.mechanism,
-            "coalition_size": result.coalition_size,
+            "mechanism": args.mechanism,
+            "coalition_size": args.coalition,
             "runs": result.runs,
             "space": result.space,
             "truncated": result.truncated,
@@ -369,7 +340,7 @@ def cmd_manipulate(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(
-            f"mechanism {result.mechanism}, coalitions of {result.coalition_size}:"
+            f"mechanism {args.mechanism}, coalitions of {args.coalition}:"
             f" {result.runs} of {result.space} misreports tried"
             + (" (budget exhausted)" if result.truncated else "")
         )
@@ -486,15 +457,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidInstanceError, OSError) as exc:
+    # ParseError and InvalidInstanceError are ValueErrors.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -131,7 +131,8 @@ def check_substructure(
     For random agent subsets, the allocation restricted to the remaining
     agents must reproduce, agent by agent, the brute-force optimum of the
     residual instance; one that hands out more than an object's supply leaves
-    no residual and fails.  Limited to 12 agents by the oracle.
+    no residual and fails.  A draw that removes every agent checks nothing and
+    is not counted.  Limited to 12 agents by the oracle.
     """
     if len(instance.agents) > 12:
         raise ValueError("substructure check relies on the subset-enumeration oracle (<= 12 agents)")
@@ -142,11 +143,13 @@ def check_substructure(
                 note="object handed out beyond its supply",
             )
     rng = random.Random(seed)
+    checked = 0
     for _ in range(trials):
         removed = [a for a in instance.agents if rng.random() < 0.5]
         residual = sub_instance(instance, allocation, removed)
         if not residual.agents:
             continue
+        checked += 1
         expected = oracle_breakpoints(residual)
         for a, got in utilities(residual, allocation).items():
             want = residual.endowment[a] * expected.per_agent[a]
@@ -156,7 +159,7 @@ def check_substructure(
                     note=f"restriction not optimal after removing {sorted(removed)}",
                     seed=seed,
                 )
-    return passing("substructure", detail=f"{trials} subsets", seed=seed)
+    return passing("substructure", detail=f"{checked} subsets", seed=seed)
 
 
 @dataclass(frozen=True)
@@ -206,8 +209,6 @@ class SearchResult:
     runs: int
     space: int
     truncated: bool
-    mechanism: str
-    coalition_size: int
 
 
 def _run_mechanism(instance: Instance, mechanism: str):
@@ -363,21 +364,7 @@ def search_manipulation(
                 no_robust_loss = all(floors[a] >= baseline[a] for a in coalition)
                 if not (robust_win and no_robust_loss):
                     continue
-            return SearchResult(
-                counterexample=report,
-                runs=runs,
-                space=space,
-                truncated=truncated,
-                mechanism=mechanism,
-                coalition_size=coalition_size,
-            )
+            return SearchResult(counterexample=report, runs=runs, space=space, truncated=truncated)
         if truncated:
             break
-    return SearchResult(
-        counterexample=None,
-        runs=runs,
-        space=space,
-        truncated=truncated,
-        mechanism=mechanism,
-        coalition_size=coalition_size,
-    )
+    return SearchResult(counterexample=None, runs=runs, space=space, truncated=truncated)

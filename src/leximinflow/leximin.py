@@ -21,7 +21,7 @@ most |remaining agents| + 1 max-flow solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .core import (
     Allocation,
@@ -87,29 +87,19 @@ class BreakpointProfile:
         return self.object_tiers[i] - self.object_tiers[i - 1]
 
 
-@dataclass(frozen=True)
-class TierView:
-    """The still-active part of an instance when a tier starts: remaining
-    agents, not-yet-exhausted objects, their residual capacities, and the
-    demand entries among them."""
-
-    agents: tuple[str, ...]
-    objects: tuple[str, ...]
-    caps: Mapping[str, Rational]
-    demand: Mapping[tuple[str, str], Rational]
-
-
-def tier_capacity(view: TierView, agent_subset) -> Rational:
-    """Joint absorbable supply of a subset of the view's agents: per object,
-    the subset's demand capped by residual capacity."""
+def tier_capacity(caps: Mapping[str, Rational], demand: Mapping) -> Rational:
+    """Joint absorbable supply of the agents behind ``demand``: per object,
+    their demand capped by residual capacity."""
     total = ZERO
-    for b, d in object_totals(view.demand, set(agent_subset)).items():
-        total += min(view.caps[b], d)
+    for b, d in object_totals(demand).items():
+        total += min(caps[b], d)
     return total
 
 
-def _view_network(view: TierView, source_caps: Mapping[str, Rational]) -> FlowNetwork:
-    """Bipartite agent/object flow network of a view.
+def _view_network(
+    agents: Sequence[str], caps: Mapping[str, Rational], demand: Mapping, source_caps: Mapping
+) -> FlowNetwork:
+    """Bipartite flow network of the given agents and the objects in ``caps``.
 
     Source-to-agent capacities are the caller's (this is the parametric part);
     agent-to-object edges carry demand; object-to-sink edges carry the
@@ -117,28 +107,30 @@ def _view_network(view: TierView, source_caps: Mapping[str, Rational]) -> FlowNe
     """
     vertices = (
         [SOURCE]
-        + [agent_vertex(a) for a in view.agents]
-        + [object_vertex(b) for b in view.objects]
+        + [agent_vertex(a) for a in agents]
+        + [object_vertex(b) for b in caps]
         + [SINK]
     )
-    edges = [(SOURCE, agent_vertex(a), source_caps[a]) for a in view.agents]
+    edges = [(SOURCE, agent_vertex(a), source_caps[a]) for a in agents]
     edges += [
-        (agent_vertex(a), object_vertex(b), d) for (a, b), d in sorted(view.demand.items())
+        (agent_vertex(a), object_vertex(b), d) for (a, b), d in sorted(demand.items())
     ]
-    edges += [(object_vertex(b), SINK, view.caps[b]) for b in view.objects]
+    edges += [(object_vertex(b), SINK, c) for b, c in caps.items()]
     return FlowNetwork(vertices=tuple(vertices), source=SOURCE, sink=SINK, edges=tuple(edges))
 
 
 def build_network(instance: Instance, source_caps: Mapping[str, Rational]) -> FlowNetwork:
-    """Flow network of a whole instance: the view with every agent and
-    object, whose sink edges carry the demand-capped supply."""
-    view = TierView(instance.agents, instance.objects, capped_supply(instance), instance.demand)
-    return _view_network(view, source_caps)
+    """Flow network of a whole instance: every agent and object, with sink
+    edges carrying the demand-capped supply."""
+    return _view_network(instance.agents, capped_supply(instance), instance.demand, source_caps)
 
 
-def min_ratio(view: TierView, endowments: Mapping[str, Rational]) -> tuple[Rational, frozenset]:
-    """Minimum of capacity/endowment over nonempty agent subsets, with the
-    maximal subset attaining it.
+def min_ratio(
+    agents: Sequence[str], caps: Mapping[str, Rational], demand: Mapping, endowments: Mapping
+) -> tuple[Rational, frozenset]:
+    """Minimum of capacity/endowment over nonempty subsets of ``agents``, with
+    the maximal subset attaining it, given the active objects' residual
+    ``caps`` and the ``demand`` entries among them.
 
     Iterated min-ratio-cut: starting from the full-set ratio, each round solves
     one max flow at source caps endowment x lambda and reads the source-heavy
@@ -146,21 +138,21 @@ def min_ratio(view: TierView, endowments: Mapping[str, Rational]) -> tuple[Ratio
     otherwise the cut's agent side has a strictly smaller ratio, which becomes
     the next lambda.
     """
-    if not view.agents:
+    if not agents:
         raise ValueError("min_ratio needs at least one agent")
     total_e = ZERO
-    for a in view.agents:
+    for a in agents:
         total_e += endowments[a]
-    lam = tier_capacity(view, view.agents) / total_e
+    lam = tier_capacity(caps, demand) / total_e
     rounds = 0
     while True:
         rounds += 1
-        if rounds > len(view.agents) + 1:
+        if rounds > len(agents) + 1:
             raise InternalCheckError("min-ratio iteration exceeded its bound")
-        network = _view_network(view, {a: endowments[a] * lam for a in view.agents})
+        network = _view_network(agents, caps, demand, {a: endowments[a] * lam for a in agents})
         flow = max_flow(network)
         cut = source_heavy_min_cut(network, flow)
-        tight = frozenset(a for a in view.agents if agent_vertex(a) in cut.source_side)
+        tight = frozenset(a for a in agents if agent_vertex(a) in cut.source_side)
         if cut.capacity == total_e * lam:
             return lam, tight
         if not tight:
@@ -200,8 +192,7 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     object_tiers: list[frozenset] = []
     per_agent: dict[str, Rational] = {}
     while remaining:
-        view = TierView(agents=tuple(remaining), objects=tuple(caps), caps=caps, demand=demand)
-        lam, tier = min_ratio(view, instance.endowment)
+        lam, tier = min_ratio(remaining, caps, demand, instance.endowment)
         if not tier:
             raise InternalCheckError("empty tier")
         if lambdas and lam <= lambdas[-1]:

@@ -27,6 +27,9 @@ from .properties import si_ratio
 from .rational import Rational, ZERO
 
 
+GRID_RESOLUTION = Rational(1, 4)
+
+
 class GridInfeasibleError(ValueError):
     """No grid allocation meets every agent's full entitlement."""
 
@@ -129,14 +132,12 @@ def random_frugal_allocation(instance: Instance, seed: int) -> Allocation:
     return Allocation(amounts)
 
 
-def oracle_mmf_si(
-    instance: Instance, grid_resolution: Rational = Rational(1, 4)
-) -> tuple[Allocation, Rational]:
+def oracle_mmf_si(instance: Instance) -> tuple[Allocation, Rational]:
     """Best minimum normalized utility among grid allocations that meet every
     agent's full entitlement (its endowment share of each object, demand-
     capped).
 
-    Exhaustive over per-object splits in steps of ``grid_resolution``, so it is
+    Exhaustive over per-object splits in steps of ``GRID_RESOLUTION``, so it is
     restricted to at most 3 agents and 2 objects.  Returns the first argmax in
     enumeration order.
     """
@@ -147,18 +148,13 @@ def oracle_mmf_si(
         raise ValueError("grid search handles at most 3 agents and 2 objects")
     if not instance.agents:
         raise ValueError("needs at least one agent")
-    grid_resolution = Rational(grid_resolution)
-    if grid_resolution <= ZERO:
-        raise ValueError(f"grid resolution must be positive, got {grid_resolution}")
 
     def splits_of(obj: str) -> list[tuple[Rational, ...]]:
         per_agent_steps = []
         for a in instance.agents:
             ceiling = min(instance.demand_between(a, obj), instance.supply[obj])
-            steps = int(ceiling / grid_resolution)  # floor for rationals >= 0
-            per_agent_steps.append(
-                [grid_resolution * k for k in range(steps + 1)]
-            )
+            steps = int(ceiling / GRID_RESOLUTION)  # floor for rationals >= 0
+            per_agent_steps.append([GRID_RESOLUTION * k for k in range(steps + 1)])
         out = []
         for combo in itertools.product(*per_agent_steps):
             if sum(combo, ZERO) <= instance.supply[obj]:
@@ -186,7 +182,7 @@ def oracle_mmf_si(
             best_alloc = allocation
     if best_alloc is None:
         raise GridInfeasibleError(
-            f"no allocation meets every full entitlement at resolution {grid_resolution}"
+            f"no allocation meets every full entitlement at resolution {GRID_RESOLUTION}"
         )
     return best_alloc, best_min
 

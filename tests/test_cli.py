@@ -6,7 +6,7 @@ import re
 import pytest
 
 from leximinflow import cli, leximin
-from leximinflow.core import Allocation, InternalCheckError, utility_vector
+from leximinflow.core import Allocation, Instance, InternalCheckError, utility_vector
 from leximinflow.fileio import parse_instance, save_instance, serialize_instance
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.maxflow import Flow
@@ -243,6 +243,42 @@ def test_audit_json_seed_replays_a_lorenz_failure(squeeze_path, capsys, monkeypa
     assert report["witness"].startswith(
         f"[sample {sample}, prefix {prefix}] 0 vs {format_rational(beaten)}"
     )
+
+
+UNEQUAL = Instance(("x", "y"), {"x": 1, "y": 4}, ("b",), {"b": 1}, {("x", "b"): 1, ("y", "b"): 4})
+
+
+@pytest.mark.parametrize(
+    "instance, amounts, seed, witness, sample_seed",
+    [
+        # Equal endowments: prefix dominance, witnessed by the first lost prefix.
+        (si_bound_instance(2), {("a1", "b2"): 1, ("a2", "b1"): 1}, 0,
+         "[sample 3, prefix 2] 2 vs 77/32 (sampled allocation not dominated)", 3),
+        # Unequal endowments: leximin order, witnessed by the first lost position.
+        (UNEQUAL, {("x", "b"): Rational(1, 5), ("y", "b"): Rational(1, 2)}, 2,
+         "[sample 6, position 2] 1/5 vs 1/4"
+         " (sampled allocation beats the mechanism in leximin order)", 2 * 1_000_003 + 6),
+    ],
+    ids=["prefix", "leximin"],
+)
+def test_audit_lorenz_failure_witness(
+    tmp_path, capsys, monkeypatch, instance, amounts, seed, witness, sample_seed
+):
+    path = str(tmp_path / "instance.json")
+    save_instance(instance, path)
+    real = cli.lexicographic_allocation
+
+    def forced(inst):
+        _, profile = real(inst)
+        return Allocation(amounts), profile
+
+    monkeypatch.setattr(cli, "lexicographic_allocation", forced)
+    argv = ["audit", path, "--properties", "lorenz", "--samples", "50", "--seed", str(seed)]
+    assert run(capsys, argv) == (1, f"lorenz: FAIL {witness}\n", "")
+    code, out, err = run(capsys, argv + ["--output", "json"])
+    assert code == 1 and err == ""
+    [report] = json.loads(out)["properties"]
+    assert (report["passed"], report["witness"], report["seed"]) == (False, witness, sample_seed)
 
 
 def test_audit_internal_error_exit_code(squeeze_path, capsys, monkeypatch):

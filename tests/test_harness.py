@@ -104,6 +104,16 @@ def test_substructure_checks_the_given_allocation():
     assert not report.passed and report.witness.subject == ("b",)
 
 
+def test_substructure_counts_only_checked_subsets():
+    # A single agent: two of the five seed-0 draws remove it, leave no
+    # residual agent and check nothing.
+    inst = random_instance(2)
+    assert inst.agents == ("a1",)
+    allocation, _ = lexicographic_allocation(inst)
+    report = check_substructure(inst, allocation, trials=5, seed=0)
+    assert report.passed and report.detail == "3 subsets"
+
+
 def test_substructure_size_limit():
     agents = tuple(f"a{i}" for i in range(13))
     inst = Instance(agents, {a: 1 for a in agents}, ("b",), {"b": 1}, {})

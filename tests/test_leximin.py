@@ -25,7 +25,6 @@ from leximinflow.generators import (
 from leximinflow.leximin import (
     SINK,
     SOURCE,
-    TierView,
     agent_vertex,
     breakpoints,
     build_network,
@@ -92,46 +91,33 @@ def test_source_heavy_cut_separates_the_slower_agent():
 
 
 def single_object_view(caps, demand):
+    """(agents, caps, demand) of one object ``b`` shared by the demanders."""
     agents = tuple(sorted({a for a, _ in demand}))
-    return TierView(
-        agents=agents,
-        objects=("b",),
-        caps={"b": Rational(caps)},
-        demand={(a, b): Rational(v) for (a, b), v in demand.items()},
-    )
+    return agents, {"b": Rational(caps)}, {k: Rational(v) for k, v in demand.items()}
 
 
 def test_min_ratio_single_agent():
     view = single_object_view(3, {("a", "b"): 1})
-    assert min_ratio(view, {"a": ONE}) == (ONE, frozenset({"a"}))
+    assert min_ratio(*view, {"a": ONE}) == (ONE, frozenset({"a"}))
 
 
 def test_min_ratio_picks_the_slowest_group():
     inst = breakpoint_example()
-    view = TierView(
-        agents=inst.agents, objects=inst.objects,
-        caps=capped_supply(inst), demand=inst.demand,
-    )
-    lam, tight = min_ratio(view, inst.endowment)
+    lam, tight = min_ratio(inst.agents, capped_supply(inst), inst.demand, inst.endowment)
     assert lam == ONE
     assert tight == frozenset({"a1"})
 
 
 def test_min_ratio_returns_the_maximal_tight_set():
     inst = si_misreport_instance()
-    view = TierView(
-        agents=inst.agents, objects=inst.objects,
-        caps=capped_supply(inst), demand=inst.demand,
-    )
-    lam, tight = min_ratio(view, inst.endowment)
+    lam, tight = min_ratio(inst.agents, capped_supply(inst), inst.demand, inst.endowment)
     assert lam == Rational(3)
     assert tight == frozenset(inst.agents)
 
 
 def test_min_ratio_rejects_empty_view():
-    view = TierView(agents=(), objects=(), caps={}, demand={})
     with pytest.raises(ValueError):
-        min_ratio(view, {})
+        min_ratio((), {}, {}, {})
 
 
 def test_breakpoints_hand_example():

@@ -93,13 +93,17 @@ def test_full_entitlement_maximin_saturated_case():
 
 
 def test_full_entitlement_maximin_grid_can_be_infeasible():
+    # Three equal agents each need 1/3 of one unit, i.e. 1/2 on the quarter
+    # grid, and three halves do not fit.
+    three = ("a1", "a2", "a3")
+    crowded = Instance(three, {a: 1 for a in three}, ("b",), {"b": 1}, {(a, "b"): 1 for a in three})
+    with pytest.raises(GridInfeasibleError):
+        oracle_mmf_si(crowded)
     inst = Instance(
         ("a1", "a2"), {"a1": 1, "a2": 1}, ("b",), {"b": 1},
         {("a1", "b"): 1, ("a2", "b"): 1},
     )
-    with pytest.raises(GridInfeasibleError):
-        oracle_mmf_si(inst, grid_resolution=Rational(1, 3))
-    allocation, worst = oracle_mmf_si(inst, grid_resolution=Rational(1, 2))
+    allocation, worst = oracle_mmf_si(inst)
     assert worst == Rational(1, 2)
     assert allocation.amount == {("a1", "b"): Rational(1, 2), ("a2", "b"): Rational(1, 2)}
 
@@ -112,6 +116,4 @@ def test_full_entitlement_maximin_input_limits():
     wide = Instance(("a",), {"a": 1}, ("b1", "b2", "b3"), {b: 1 for b in ("b1", "b2", "b3")}, {})
     with pytest.raises(ValueError):
         oracle_mmf_si(wide)
-    with pytest.raises(ValueError):
-        oracle_mmf_si(si_misreport_instance(), grid_resolution=ZERO)
 
