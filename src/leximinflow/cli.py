@@ -313,6 +313,7 @@ def cmd_manipulate(args) -> int:
             "runs": result.runs,
             "space": result.space,
             "truncated": result.truncated,
+            "skipped": result.skipped,
             "counterexample": None,
             "note": "absence of a counterexample is grid-bounded evidence, not proof",
         }
@@ -343,6 +344,11 @@ def cmd_manipulate(args) -> int:
             f"mechanism {args.mechanism}, coalitions of {args.coalition}:"
             f" {result.runs} of {result.space} misreports tried"
             + (" (budget exhausted)" if result.truncated else "")
+            + (
+                f", {result.skipped} outside the rule's domain skipped"
+                if result.skipped
+                else ""
+            )
         )
         if found:
             ce = result.counterexample

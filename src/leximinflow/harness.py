@@ -26,7 +26,7 @@ from .core import (
     utilities,
 )
 from .leximin import BreakpointProfile, lexicographic_allocation, structure_check
-from .oracle import oracle_breakpoints, oracle_mmf_si
+from .oracle import GRID_RESOLUTION, GridInfeasibleError, oracle_breakpoints, oracle_mmf_si
 from .rational import ONE, Rational, ZERO
 from .reporting import PropertyReport, failing, passing
 
@@ -202,13 +202,16 @@ class SearchResult:
 
     ``runs`` mechanism invocations actually performed out of ``space`` distinct
     non-identity misreports the grid spans; ``truncated`` marks an exhausted
-    budget.
+    budget.  ``skipped`` counts the runs on misreports outside the mechanism's
+    domain (the reference rule's grid holds no full-entitlement allocation),
+    which are not compared.
     """
 
     counterexample: Optional[ManipulationReport]
     runs: int
     space: int
     truncated: bool
+    skipped: int
 
 
 def _run_mechanism(instance: Instance, mechanism: str):
@@ -279,7 +282,9 @@ def search_manipulation(
     candidate hit is only reported if the gain survives for every allocation
     the reported instance admits (tie-breaking could otherwise fake a gain);
     the search stops, marked truncated, once ``budget`` mechanism runs are
-    spent.
+    spent.  A misreport the reference rule cannot allocate is skipped and
+    counted; a truthful instance it cannot allocate raises
+    ``GridInfeasibleError``.
     """
     if not 1 <= coalition_size <= len(instance.agents):
         raise ValueError(
@@ -297,7 +302,14 @@ def search_manipulation(
         if m < ZERO:
             raise ValueError(f"grid multipliers must be nonnegative, got {m}")
 
-    truthful_alloc, _ = _run_mechanism(instance, mechanism)
+    try:
+        truthful_alloc, _ = _run_mechanism(instance, mechanism)
+    except GridInfeasibleError as exc:
+        raise GridInfeasibleError(
+            "the truthful instance lies outside the mmf-si reference rule's domain"
+            " (at most 3 agents and 2 objects, and a full-entitlement allocation"
+            f" on the {GRID_RESOLUTION} grid): {exc}"
+        ) from exc
     baseline = utilities(instance, truthful_alloc)
 
     # Per coalition: its entries, their true values and their report grids.
@@ -315,6 +327,7 @@ def search_manipulation(
         space += coalition_space
         searches.append((coalition, pairs, truth, value_lists))
     runs = 0
+    skipped = 0
     truncated = False
     for coalition, pairs, truth, value_lists in searches:
         for combo in itertools.product(*value_lists):
@@ -339,7 +352,11 @@ def search_manipulation(
                     **reported_entries,
                 },
             )
-            misreport_alloc, misreport_profile = _run_mechanism(reported, mechanism)
+            try:
+                misreport_alloc, misreport_profile = _run_mechanism(reported, mechanism)
+            except GridInfeasibleError:
+                skipped += 1
+                continue
             misreport = utilities(instance, misreport_alloc)
             report = ManipulationReport(
                 coalition=coalition,
@@ -364,7 +381,12 @@ def search_manipulation(
                 no_robust_loss = all(floors[a] >= baseline[a] for a in coalition)
                 if not (robust_win and no_robust_loss):
                     continue
-            return SearchResult(counterexample=report, runs=runs, space=space, truncated=truncated)
+            return SearchResult(
+                counterexample=report, runs=runs, space=space, truncated=truncated,
+                skipped=skipped,
+            )
         if truncated:
             break
-    return SearchResult(counterexample=None, runs=runs, space=space, truncated=truncated)
+    return SearchResult(
+        counterexample=None, runs=runs, space=space, truncated=truncated, skipped=skipped
+    )

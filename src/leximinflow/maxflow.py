@@ -1,12 +1,15 @@
 """Exact maximum flow and minimum cuts on rational-capacitated networks.
 
-Dinic's algorithm over exact rational capacities: with rational data every
-augmentation is exact and termination is guaranteed, so flow values, cut
-capacities, and the max-flow = min-cut identity can all be asserted with zero
-tolerance.  The cut this module reads off a maximum flow is the *source-heavy*
-minimum cut — the unique minimum cut whose source side contains the source
-side of every other minimum cut — which the breakpoint solver needs to pick
-maximal tight agent sets.
+Dinic's algorithm runs on Python ints: ``max_flow`` scales every capacity by
+the lcm of their denominators, so the residual graph is integral, and divides
+the edge flows and the value back by that scale once at the end.  Scaling by
+a positive constant preserves every comparison, so the augmentations are the
+ones exact rational arithmetic would make, and flow values, cut capacities,
+and the max-flow = min-cut identity can all be asserted with zero tolerance.
+The cut this module reads off a maximum flow is the *source-heavy* minimum
+cut — the unique minimum cut whose source side contains the source side of
+every other minimum cut — which the breakpoint solver needs to pick maximal
+tight agent sets.
 
 Vertices are arbitrary hashable ids.  All procedures are deterministic: edge
 input order fixes the augmentation order, so identical input yields an
@@ -15,6 +18,7 @@ identical flow.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -66,66 +70,71 @@ class CutResult:
 
 
 class _Residual:
-    """Arc-pair residual graph: arc 2i is edge i forward, arc 2i+1 its reverse."""
+    """Arc-pair residual graph on integer capacities: arc 2i is edge i
+    forward, arc 2i+1 its reverse.  Capacities are the network's times
+    ``scale``, the lcm of their denominators."""
 
     def __init__(self, network: FlowNetwork):
         index = {v: i for i, v in enumerate(network.vertices)}
         n = len(network.vertices)
+        # int(): a gmpy2 denominator is an mpz.
+        self.scale = math.lcm(*(int(c.denominator) for _, _, c in network.edges))
         self.head: list[int] = []
-        self.residual: list[Rational] = []
+        self.residual: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
         for tail, head, cap in network.edges:
             t, h = index[tail], index[head]
             self.adj[t].append(len(self.head))
             self.head.append(h)
-            self.residual.append(cap)
+            self.residual.append(int(cap.numerator) * (self.scale // int(cap.denominator)))
             self.adj[h].append(len(self.head))
             self.head.append(t)
-            self.residual.append(ZERO)
+            self.residual.append(0)
         self.source = index[network.source]
         self.sink = index[network.sink]
         self.n = n
 
-    def tail(self, arc: int) -> int:
-        return self.head[arc ^ 1]
-
     def levels_from_source(self) -> list[int]:
+        head, residual, adj = self.head, self.residual, self.adj
         level = [-1] * self.n
         level[self.source] = 0
         queue = deque([self.source])
         while queue:
             v = queue.popleft()
-            for arc in self.adj[v]:
-                h = self.head[arc]
-                if level[h] < 0 and self.residual[arc] > ZERO:
+            for arc in adj[v]:
+                h = head[arc]
+                if level[h] < 0 and residual[arc] > 0:
                     level[h] = level[v] + 1
                     queue.append(h)
         return level
 
-    def blocking_flow(self, level: list[int]) -> Rational:
+    def blocking_flow(self, level: list[int]) -> int:
         """Push a blocking flow along level-increasing paths; returns total pushed."""
-        pushed_total = ZERO
+        head, residual, adj = self.head, self.residual, self.adj
+        source, sink = self.source, self.sink
+        pushed_total = 0
         pointer = [0] * self.n
         path: list[int] = []
-        v = self.source
+        v = source
         while True:
-            if v == self.sink:
-                bottleneck = min(self.residual[arc] for arc in path)
+            if v == sink:
+                bottleneck = min(residual[arc] for arc in path)
                 for arc in path:
-                    self.residual[arc] -= bottleneck
-                    self.residual[arc ^ 1] += bottleneck
+                    residual[arc] -= bottleneck
+                    residual[arc ^ 1] += bottleneck
                 pushed_total += bottleneck
                 for i, arc in enumerate(path):
-                    if self.residual[arc] == ZERO:
+                    if residual[arc] == 0:
                         del path[i:]
                         break
-                v = self.source if not path else self.head[path[-1]]
+                v = source if not path else head[path[-1]]
                 continue
             advanced = False
-            while pointer[v] < len(self.adj[v]):
-                arc = self.adj[v][pointer[v]]
-                h = self.head[arc]
-                if self.residual[arc] > ZERO and level[h] == level[v] + 1:
+            arcs = adj[v]
+            while pointer[v] < len(arcs):
+                arc = arcs[pointer[v]]
+                h = head[arc]
+                if residual[arc] > 0 and level[h] == level[v] + 1:
                     path.append(arc)
                     v = h
                     advanced = True
@@ -133,25 +142,29 @@ class _Residual:
                 pointer[v] += 1
             if advanced:
                 continue
-            if v == self.source:
+            if v == source:
                 return pushed_total
             level[v] = -1
             arc = path.pop()
-            v = self.tail(arc)
+            v = head[arc ^ 1]
             pointer[v] += 1
 
 
 def max_flow(network: FlowNetwork) -> Flow:
-    """Compute a maximum flow (Dinic's algorithm, exact arithmetic)."""
+    """Compute a maximum flow (Dinic's algorithm on the integer-scaled network)."""
     residual = _Residual(network)
-    value = ZERO
+    value = 0
     while True:
         level = residual.levels_from_source()
         if level[residual.sink] < 0:
             break
         value += residual.blocking_flow(level)
-    # The residual of reverse arc 2i+1 is exactly the flow on edge i.
-    return Flow(edge_flows=tuple(residual.residual[1::2]), value=value)
+    # The residual of reverse arc 2i+1 is exactly the scaled flow on edge i.
+    scale = residual.scale
+    return Flow(
+        edge_flows=tuple(Rational(f, scale) for f in residual.residual[1::2]),
+        value=Rational(value, scale),
+    )
 
 
 def _cut_capacity(network: FlowNetwork, source_side: frozenset) -> Rational:

@@ -36,6 +36,20 @@ def breakpoint_example() -> Instance:
     )
 
 
+def staircase(n: int) -> Instance:
+    """Agent a_i demands i+1 units of b_i and 1 unit of b_{i+1}, with ample
+    supply: each agent absorbs a distinct amount, so there are n tiers."""
+    agents = tuple(f"a{i}" for i in range(1, n + 1))
+    objects = tuple(f"b{j}" for j in range(1, n + 2))
+    demand = {}
+    for i in range(1, n + 1):
+        demand[(f"a{i}", f"b{i}")] = i + 1
+        demand[(f"a{i}", f"b{i + 1}")] = 1
+    return Instance(
+        agents, {a: 1 for a in agents}, objects, {b: n + 3 for b in objects}, demand
+    )
+
+
 def capacity(instance: Instance, agent_subset) -> Rational:
     """Maximum total utility jointly reachable by a subset of agents: per
     object, the subset's total demand capped by the demand-capped supply."""

@@ -370,7 +370,42 @@ def test_manipulate_json_counterexample(misreport_path, capsys):
     assert data["counterexample"]["losers"] == []
     assert data["counterexample"]["truthful_utilities"]["a1"] == "3"
     assert data["counterexample"]["misreport_utilities"]["a1"] == "4"
+    assert data["skipped"] == 0
     assert data["note"] == "absence of a counterexample is grid-bounded evidence, not proof"
+
+
+def test_manipulate_reference_rule_truthful_grid_infeasible(tmp_path, capsys):
+    # Three agents share one object: each is entitled to 1/3, which the
+    # quarter grid can only meet with 1/2 each.
+    path = tmp_path / "crowded.json"
+    save_instance(random_instance(18), str(path))
+    code, out, err = run(capsys, ["manipulate", str(path), "--mechanism", "mmf-si"])
+    assert code == 2 and out == ""
+    assert "outside the mmf-si reference rule's domain" in err
+    assert "at most 3 agents and 2 objects" in err
+
+
+def test_manipulate_reference_rule_skips_infeasible_misreports(tmp_path, capsys):
+    # Truthfully a3 demands nothing and a1, a2 take 1/2 each; a3 reporting
+    # the full supply leaves three agents entitled to 1/3 of one unit.
+    three = ("a1", "a2", "a3")
+    inst = Instance(
+        three, {a: 1 for a in three}, ("b",), {"b": 1}, {("a1", "b"): 1, ("a2", "b"): 1}
+    )
+    path = tmp_path / "two_of_three.json"
+    save_instance(inst, str(path))
+    code, out, err = run(capsys, ["manipulate", str(path), "--mechanism", "mmf-si"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == (
+        "mechanism mmf-si, coalitions of 1: 7 of 7 misreports tried,"
+        " 1 outside the rule's domain skipped"
+    )
+    code, out, err = run(
+        capsys, ["manipulate", str(path), "--mechanism", "mmf-si", "--output", "json"]
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert (data["runs"], data["space"], data["skipped"]) == (7, 7, 1)
 
 
 def test_manipulate_has_no_seed(misreport_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import breakpoint_example
+from conftest import breakpoint_example, staircase
 from leximinflow.core import (
     Allocation,
     Instance,
@@ -226,20 +226,6 @@ def test_profile_invariants_on_random_instances(corpus):
             assert profile.new_objects(i) == expected_new_objects
             for a in fresh:
                 assert profile.per_agent[a] == profile.lambdas[i]
-
-
-def staircase(n: int) -> Instance:
-    """Agent a_i demands i+1 units of b_i and 1 unit of b_{i+1}, with ample
-    supply: each agent absorbs a distinct amount, so there are n tiers."""
-    agents = tuple(f"a{i}" for i in range(1, n + 1))
-    objects = tuple(f"b{j}" for j in range(1, n + 2))
-    demand = {}
-    for i in range(1, n + 1):
-        demand[(f"a{i}", f"b{i}")] = i + 1
-        demand[(f"a{i}", f"b{i + 1}")] = 1
-    return Instance(
-        agents, {a: 1 for a in agents}, objects, {b: n + 3 for b in objects}, demand
-    )
 
 
 def test_multi_tier_profiles_match_the_oracle():

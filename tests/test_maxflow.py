@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import staircase
+from leximinflow import leximin
 from leximinflow.core import InternalCheckError
 from leximinflow.maxflow import (
     CutResult,
@@ -35,6 +38,106 @@ def flow_violations(network: FlowNetwork, flow: Flow) -> list[str]:
     if excess[network.sink] != flow.value:
         violations.append(f"stated value {flow.value} != net flow into sink {excess[network.sink]}")
     return violations
+
+
+class _ReferenceResidual:
+    """Dinic's residual graph on the exact rational capacities, as the solver
+    ran it before it scaled networks to integers: arc 2i is edge i forward,
+    arc 2i+1 its reverse."""
+
+    def __init__(self, network: FlowNetwork):
+        index = {v: i for i, v in enumerate(network.vertices)}
+        n = len(network.vertices)
+        self.head: list[int] = []
+        self.residual: list[Rational] = []
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        for tail, head, cap in network.edges:
+            t, h = index[tail], index[head]
+            self.adj[t].append(len(self.head))
+            self.head.append(h)
+            self.residual.append(cap)
+            self.adj[h].append(len(self.head))
+            self.head.append(t)
+            self.residual.append(ZERO)
+        self.source = index[network.source]
+        self.sink = index[network.sink]
+        self.n = n
+
+    def tail(self, arc: int) -> int:
+        return self.head[arc ^ 1]
+
+    def levels_from_source(self) -> list[int]:
+        level = [-1] * self.n
+        level[self.source] = 0
+        queue = deque([self.source])
+        while queue:
+            v = queue.popleft()
+            for arc in self.adj[v]:
+                h = self.head[arc]
+                if level[h] < 0 and self.residual[arc] > ZERO:
+                    level[h] = level[v] + 1
+                    queue.append(h)
+        return level
+
+    def blocking_flow(self, level: list[int]) -> Rational:
+        pushed_total = ZERO
+        pointer = [0] * self.n
+        path: list[int] = []
+        v = self.source
+        while True:
+            if v == self.sink:
+                bottleneck = min(self.residual[arc] for arc in path)
+                for arc in path:
+                    self.residual[arc] -= bottleneck
+                    self.residual[arc ^ 1] += bottleneck
+                pushed_total += bottleneck
+                for i, arc in enumerate(path):
+                    if self.residual[arc] == ZERO:
+                        del path[i:]
+                        break
+                v = self.source if not path else self.head[path[-1]]
+                continue
+            advanced = False
+            while pointer[v] < len(self.adj[v]):
+                arc = self.adj[v][pointer[v]]
+                h = self.head[arc]
+                if self.residual[arc] > ZERO and level[h] == level[v] + 1:
+                    path.append(arc)
+                    v = h
+                    advanced = True
+                    break
+                pointer[v] += 1
+            if advanced:
+                continue
+            if v == self.source:
+                return pushed_total
+            level[v] = -1
+            arc = path.pop()
+            v = self.tail(arc)
+            pointer[v] += 1
+
+
+def reference_max_flow(network: FlowNetwork) -> Flow:
+    """Dinic's algorithm in exact rational arithmetic: the reference for the
+    integer-scaled ``max_flow``."""
+    residual = _ReferenceResidual(network)
+    value = ZERO
+    while True:
+        level = residual.levels_from_source()
+        if level[residual.sink] < 0:
+            break
+        value += residual.blocking_flow(level)
+    return Flow(edge_flows=tuple(residual.residual[1::2]), value=value)
+
+
+def assert_matches_reference(net: FlowNetwork) -> Flow:
+    """``max_flow`` and the reference agree exactly, down to the number
+    type, on the flow and on the source-heavy minimum cut read off it."""
+    flow = max_flow(net)
+    expected = reference_max_flow(net)
+    assert repr(flow) == repr(expected)
+    assert source_heavy_min_cut(net, flow) == source_heavy_min_cut(net, expected)
+    return flow
 
 
 def network(edges, extra_vertices=()):
@@ -171,3 +274,75 @@ def test_cut_result_is_plain_data():
     cut = CutResult(source_side=frozenset({"s"}), capacity=Rational(1))
     assert cut.capacity == 1
     assert "s" in cut.source_side
+
+
+# Denominators mixed within one network, including large coprime ones.
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 25, 10**6 + 3, 2**31 - 1, 2**61 - 1, 10**30)
+
+
+def mixed_denominator_network(seed: int) -> FlowNetwork:
+    rng = random.Random(seed)
+    middle = [f"v{i}" for i in range(rng.randint(0, 6))]
+    vertices = ["s"] + middle + ["t"]
+    edges = []
+    for tail, head in itertools.permutations(vertices, 2):
+        if head == "s" or tail == "t":
+            continue
+        if rng.random() < 0.5:
+            den = rng.choice(DENOMINATORS)
+            edges.append((tail, head, Rational(rng.randint(0, 3 * den), den)))
+    return FlowNetwork(tuple(vertices), "s", "t", tuple(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_max_flow_matches_reference_on_mixed_denominators(seed):
+    net = mixed_denominator_network(seed)
+    assert flow_violations(net, assert_matches_reference(net)) == []
+
+
+def test_max_flow_matches_reference_on_solver_networks(corpus, monkeypatch):
+    """Every network the solver builds, on a corpus slice and on staircases
+    with 2-24 tiers."""
+    networks = []
+
+    def capture(network):
+        networks.append(network)
+        return max_flow(network)
+
+    monkeypatch.setattr(leximin, "max_flow", capture)
+    for inst in corpus[:60] + [staircase(n) for n in range(2, 25)]:
+        leximin.lexicographic_allocation(inst)
+    assert len(networks) > 1000
+    for net in networks:
+        assert_matches_reference(net)
+
+
+P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "edges, value",
+    [
+        pytest.param([("s", "u", 3), ("u", "t", 2), ("s", "t", 1)], 3, id="int-capacities"),
+        pytest.param(
+            [("s", "u", 0), ("u", "t", Rational(5, 3)), ("s", "v", Rational(0, 7)),
+             ("v", "t", 4), ("s", "t", 0)],
+            0,
+            id="zero-capacities",
+        ),
+        pytest.param([], 0, id="no-edges"),
+        pytest.param(
+            [("s", "u", Rational(1, P61)), ("s", "v", Rational(10**40, 7)),
+             ("u", "v", Rational(3, 10**30)), ("u", "t", Rational(1, P61)),
+             ("v", "t", Rational(3, 10**30)), ("s", "t", Rational(10**40, 7))],
+            Rational(10**40, 7) + Rational(1, P61) + Rational(3, 10**30),
+            id="large-coprime-denominators",
+        ),
+    ],
+)
+def test_max_flow_exact_edge_cases(edges, value):
+    net = network(edges, extra_vertices=("u", "v"))
+    flow = assert_matches_reference(net)
+    assert flow.value == value
+    assert flow_violations(net, flow) == []
