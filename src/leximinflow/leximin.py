@@ -16,6 +16,12 @@ max flow, read the source-heavy minimum cut; either the cut certifies lambda
 as the minimum ratio (and its agent side is the maximal tight set), or the
 agent side yields a strictly smaller ratio to recurse on.  Each tier needs at
 most |remaining agents| + 1 max-flow solves.
+
+Every network is bipartite on vertex indices: source 0, the p agents
+1..p, the q objects p+1..p+q and sink p+q+1.  Its edges are the p source
+edges, one edge per demand entry in sorted (agent, object) order, and one
+sink edge per object, so a cut maps back to agents by index and the
+allocation is read off the flow by position.
 """
 
 from __future__ import annotations
@@ -35,18 +41,6 @@ from .core import (
 from .maxflow import FlowNetwork, max_flow, source_heavy_min_cut
 from .rational import Rational, ZERO
 from .reporting import PropertyReport, failing, passing
-
-SOURCE = ("source",)
-SINK = ("sink",)
-
-
-def agent_vertex(agent: str) -> tuple:
-    return ("agent", agent)
-
-
-def object_vertex(obj: str) -> tuple:
-    return ("object", obj)
-
 
 @dataclass(frozen=True)
 class BreakpointProfile:
@@ -99,24 +93,23 @@ def tier_capacity(caps: Mapping[str, Rational], demand: Mapping) -> Rational:
 def _view_network(
     agents: Sequence[str], caps: Mapping[str, Rational], demand: Mapping, source_caps: Mapping
 ) -> FlowNetwork:
-    """Bipartite flow network of the given agents and the objects in ``caps``.
+    """Bipartite flow network of the given agents and the objects in ``caps``,
+    on vertex indices: source 0, agents 1..p in ``agents`` order, objects
+    p+1..p+q in ``caps`` order, sink p+q+1.
 
-    Source-to-agent capacities are the caller's (this is the parametric part);
-    agent-to-object edges carry demand; object-to-sink edges carry the
-    residual capacity.
+    Edges come in three runs: the p source-to-agent edges, whose capacities
+    are the caller's (this is the parametric part); the agent-to-object edges
+    in sorted ``demand`` order, carrying demand; the object-to-sink edges,
+    carrying the residual capacity.
     """
-    vertices = (
-        [SOURCE]
-        + [agent_vertex(a) for a in agents]
-        + [object_vertex(b) for b in caps]
-        + [SINK]
-    )
-    edges = [(SOURCE, agent_vertex(a), source_caps[a]) for a in agents]
-    edges += [
-        (agent_vertex(a), object_vertex(b), d) for (a, b), d in sorted(demand.items())
-    ]
-    edges += [(object_vertex(b), SINK, c) for b, c in caps.items()]
-    return FlowNetwork(vertices=tuple(vertices), source=SOURCE, sink=SINK, edges=tuple(edges))
+    p = len(agents)
+    sink = p + len(caps) + 1
+    agent_id = {a: i for i, a in enumerate(agents, 1)}
+    object_id = {b: i for i, b in enumerate(caps, p + 1)}
+    edges = [(0, i, source_caps[a]) for a, i in agent_id.items()]
+    edges += [(agent_id[a], object_id[b], d) for (a, b), d in sorted(demand.items())]
+    edges += [(i, sink, c) for i, c in enumerate(caps.values(), p + 1)]
+    return FlowNetwork(vertices=tuple(range(sink + 1)), source=0, sink=sink, edges=tuple(edges))
 
 
 def build_network(instance: Instance, source_caps: Mapping[str, Rational]) -> FlowNetwork:
@@ -152,7 +145,7 @@ def min_ratio(
         network = _view_network(agents, caps, demand, {a: endowments[a] * lam for a in agents})
         flow = max_flow(network)
         cut = source_heavy_min_cut(network, flow)
-        tight = frozenset(a for a in agents if agent_vertex(a) in cut.source_side)
+        tight = frozenset(a for i, a in enumerate(agents, 1) if i in cut.source_side)
         if cut.capacity == total_e * lam:
             return lam, tight
         if not tight:
@@ -253,10 +246,9 @@ def lexicographic_allocation(instance: Instance) -> tuple[Allocation, Breakpoint
             f"lexicographic flow value {flow.value} != capped supply {total_capped}"
             f" or != endowment-rate total {total_source}"
         )
-    amounts = {}
-    for (tail, head, _), f in zip(network.edges, flow.edge_flows):
-        if tail[0] == "agent" and head[0] == "object" and f != ZERO:
-            amounts[(tail[1], head[1])] = f
+    # The demand edges follow the source edges, in sorted demand order.
+    demand_flows = flow.edge_flows[len(instance.agents):]
+    amounts = {key: f for key, f in zip(sorted(instance.demand), demand_flows) if f != ZERO}
     return Allocation(amounts), profile
 
 

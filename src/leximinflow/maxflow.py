@@ -9,21 +9,23 @@ and the max-flow = min-cut identity can all be asserted with zero tolerance.
 The cut this module reads off a maximum flow is the *source-heavy* minimum
 cut — the unique minimum cut whose source side contains the source side of
 every other minimum cut — which the breakpoint solver needs to pick maximal
-tight agent sets.
+tight agent sets.  It is read off the integer residual graph that the flow
+keeps, so the cut costs one walk from the sink and one integer sum.
 
-Vertices are arbitrary hashable ids.  All procedures are deterministic: edge
-input order fixes the augmentation order, so identical input yields an
-identical flow.
+Vertices are arbitrary hashable ids; the solver's networks use the vertex
+indices 0..n-1, which the residual graph uses internally anyway.  All
+procedures are deterministic: edge input order fixes the augmentation order,
+so identical input yields an identical flow.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import InternalCheckError
-from .rational import Rational, ZERO
+from .rational import Rational
 
 
 @dataclass(frozen=True)
@@ -45,20 +47,18 @@ class FlowNetwork:
             raise ValueError("duplicate vertex ids")
         if self.source not in vertex_set or self.sink not in vertex_set:
             raise ValueError("source and sink must be vertices")
+        # Edges are checked where max_flow scales them, one comparison each.
         object.__setattr__(self, "edges", tuple(self.edges))
-        for tail, head, cap in self.edges:
-            if cap < ZERO:
-                raise ValueError(f"negative capacity on edge {tail!r} -> {head!r}: {cap}")
-            if tail not in vertex_set or head not in vertex_set:
-                raise ValueError(f"edge {tail!r} -> {head!r} references unknown vertex")
 
 
 @dataclass(frozen=True)
 class Flow:
-    """Per-edge flow values aligned with ``FlowNetwork.edges``, plus the total value."""
+    """Per-edge flow values aligned with ``FlowNetwork.edges``, plus the total
+    value and the integer residual graph they were read from."""
 
     edge_flows: tuple[Rational, ...]
     value: Rational
+    residual: _Residual = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,21 @@ class _Residual:
         index = {v: i for i, v in enumerate(network.vertices)}
         n = len(network.vertices)
         # int(): a gmpy2 denominator is an mpz.
-        self.scale = math.lcm(*(int(c.denominator) for _, _, c in network.edges))
+        self.scale = scale = math.lcm(*(int(c.denominator) for _, _, c in network.edges))
         self.head: list[int] = []
         self.residual: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
         for tail, head, cap in network.edges:
-            t, h = index[tail], index[head]
+            scaled = int(cap.numerator) * (scale // int(cap.denominator))
+            if scaled < 0:
+                raise ValueError(f"negative capacity on edge {tail!r} -> {head!r}: {cap}")
+            try:
+                t, h = index[tail], index[head]
+            except KeyError:
+                raise ValueError(f"edge {tail!r} -> {head!r} references unknown vertex") from None
             self.adj[t].append(len(self.head))
             self.head.append(h)
-            self.residual.append(int(cap.numerator) * (self.scale // int(cap.denominator)))
+            self.residual.append(scaled)
             self.adj[h].append(len(self.head))
             self.head.append(t)
             self.residual.append(0)
@@ -164,46 +170,42 @@ def max_flow(network: FlowNetwork) -> Flow:
     return Flow(
         edge_flows=tuple(Rational(f, scale) for f in residual.residual[1::2]),
         value=Rational(value, scale),
+        residual=residual,
     )
-
-
-def _cut_capacity(network: FlowNetwork, source_side: frozenset) -> Rational:
-    capacity = ZERO
-    for tail, head, cap in network.edges:
-        if tail in source_side and head not in source_side:
-            capacity += cap
-    return capacity
-
-
-def _check_minimum(network: FlowNetwork, flow: Flow, cut: CutResult) -> CutResult:
-    if cut.capacity != flow.value:
-        raise InternalCheckError(
-            f"flow is not maximum: cut capacity {cut.capacity} != flow value {flow.value}"
-        )
-    return cut
 
 
 def source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
     """The unique minimum cut whose source side contains every minimum cut's
     source side: the complement of the vertices that can still reach the sink
-    in the residual graph."""
-    # Residual arcs grouped by head: an edge below capacity gives tail -> head,
-    # an edge carrying flow gives head -> tail.
-    tails: dict = {}
-    for (tail, head, cap), f in zip(network.edges, flow.edge_flows):
-        if f < cap:
-            tails.setdefault(head, []).append(tail)
-        if f > ZERO:
-            tails.setdefault(tail, []).append(head)
-    # Walk residual arcs backwards from the sink.
-    reaches_sink = {network.sink}
-    stack = [network.sink]
+    in the flow's residual graph.
+
+    Self-checks (fatal on failure): the source cannot reach the sink, and the
+    cut capacity equals the flow value."""
+    graph = flow.residual
+    head, residual, adj = graph.head, graph.residual, graph.adj
+    # Walk residual arcs backwards from the sink: arc leaves v, and its
+    # reverse arc ^ 1 runs from head[arc] into v.
+    reaches_sink = [False] * graph.n
+    reaches_sink[graph.sink] = True
+    stack = [graph.sink]
     while stack:
-        for u in tails.get(stack.pop(), ()):
-            if u not in reaches_sink:
-                reaches_sink.add(u)
+        for arc in adj[stack.pop()]:
+            u = head[arc]
+            if residual[arc ^ 1] > 0 and not reaches_sink[u]:
+                reaches_sink[u] = True
                 stack.append(u)
-    if network.source in reaches_sink:
+    if reaches_sink[graph.source]:
         raise InternalCheckError("flow is not maximum: sink reachable in residual graph")
-    source_side = frozenset(v for v in network.vertices if v not in reaches_sink)
-    return _check_minimum(network, flow, CutResult(source_side, _cut_capacity(network, source_side)))
+    # Arc 2i runs tail -> head of edge i; its two residuals sum to the
+    # edge's scaled capacity.
+    scaled = 0
+    for arc in range(0, len(head), 2):
+        if reaches_sink[head[arc]] and not reaches_sink[head[arc + 1]]:
+            scaled += residual[arc] + residual[arc + 1]
+    capacity = Rational(scaled, graph.scale)
+    if capacity != flow.value:
+        raise InternalCheckError(
+            f"flow is not maximum: cut capacity {capacity} != flow value {flow.value}"
+        )
+    source_side = frozenset(v for v, r in zip(network.vertices, reaches_sink) if not r)
+    return CutResult(source_side, capacity)

@@ -78,25 +78,36 @@ def envy_report(instance: Instance, allocation: Allocation) -> PropertyReport:
     endowment ratio, valued through its own demand caps.
 
     The envier's valuation runs over its own demand entries only: elsewhere
-    its cap is 0 and min(amount, 0) = 0 for every amount >= 0.
+    its cap is 0 and min(amount, 0) = 0 for every amount >= 0.  So an envier
+    meets only the holders of the objects it demands; any other agent's
+    bundle is worth 0 to it, which cannot exceed its own utility.  The
+    witness is the first envious pair in instance agent order.
     """
     own = utilities(instance, allocation)
     entries: dict[str, list] = {a: [] for a in instance.agents}
     for (a, b), d in instance.demand.items():
         entries[a].append((b, d))
+    rank = {a: r for r, a in enumerate(instance.agents)}
+    # Holders by object; an entry of an agent outside the instance is
+    # nobody's bundle, as in ``utilities``.
+    holders: dict[str, list] = {}
+    for (other, b), x in allocation.amount.items():
+        if other in rank:
+            holders.setdefault(b, []).append((other, x))
     for a in instance.agents:
-        for other in instance.agents:
-            if other == a:
-                continue
-            scale = instance.endowment[a] / instance.endowment[other]
-            envied = ZERO
-            for b, d in entries[a]:
-                x = allocation.amount.get((other, b))
-                if x is not None:
-                    envied += min(scale * x, d)
-            if own[a] < envied:
+        scales: dict[str, Rational] = {}
+        envied: dict[str, Rational] = {}
+        for b, d in entries[a]:
+            for other, x in holders.get(b, ()):
+                if other != a:
+                    scale = scales.get(other)
+                    if scale is None:
+                        scale = scales[other] = instance.endowment[a] / instance.endowment[other]
+                    envied[other] = envied.get(other, ZERO) + min(scale * x, d)
+        for other in sorted(envied, key=rank.__getitem__):
+            if own[a] < envied[other]:
                 return failing(
-                    "envy-free", (a, other), own[a], envied,
+                    "envy-free", (a, other), own[a], envied[other],
                     note="agent prefers the other's scaled bundle",
                 )
     return passing("envy-free")

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from leximinflow.core import Instance, UtilityVector, capped_supply
+from leximinflow.core import Allocation, Instance, UtilityVector, capped_supply
 from leximinflow.generators import random_instance
+from leximinflow.maxflow import Flow, FlowNetwork, _Residual
 from leximinflow.rational import Rational, ZERO
 
 CORPUS_SIZE = 500
@@ -50,6 +51,17 @@ def staircase(n: int) -> Instance:
     )
 
 
+def double_envy_example() -> tuple[Instance, Allocation]:
+    """a1 envies both a2 and a3, but the object a1 lists first is held by the
+    later agent a3: a walk by object meets a3 before a2.  a1 gets nothing and
+    values a2's bundle at 1 and a3's at 2."""
+    instance = Instance(
+        ("a1", "a2", "a3"), {"a1": 1, "a2": 1, "a3": 1}, ("b1", "b2"), {"b1": 2, "b2": 1},
+        {("a1", "b1"): 2, ("a1", "b2"): 1, ("a2", "b2"): 1, ("a3", "b1"): 2},
+    )
+    return instance, Allocation({("a3", "b1"): 2, ("a2", "b2"): 1})
+
+
 def capacity(instance: Instance, agent_subset) -> Rational:
     """Maximum total utility jointly reachable by a subset of agents: per
     object, the subset's total demand capped by the demand-capped supply."""
@@ -70,6 +82,20 @@ def vec(*normalized) -> UtilityVector:
     return UtilityVector(
         tuple((f"a{i + 1}", v, v) for i, v in enumerate(values))
     )
+
+
+def hand_made_flow(network: FlowNetwork, edge_flows, value) -> Flow:
+    """A flow with the given edge flows and stated value, maximum or not,
+    carrying the integer residual graph that ``source_heavy_min_cut`` reads:
+    each edge's scaled flow moves from its forward arc to its reverse arc."""
+    residual = _Residual(network)
+    for i, f in enumerate(edge_flows):
+        scaled = Rational(f) * residual.scale
+        if scaled.denominator != 1:
+            raise ValueError(f"edge flow {f} is not a multiple of 1/{residual.scale}")
+        residual.residual[2 * i] -= int(scaled)
+        residual.residual[2 * i + 1] += int(scaled)
+    return Flow(tuple(Rational(f) for f in edge_flows), Rational(value), residual)
 
 
 @pytest.fixture(scope="session")

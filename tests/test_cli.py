@@ -5,11 +5,11 @@ import re
 
 import pytest
 
+from conftest import hand_made_flow
 from leximinflow import cli, leximin
 from leximinflow.core import Allocation, Instance, InternalCheckError, utility_vector
 from leximinflow.fileio import parse_instance, save_instance, serialize_instance
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
-from leximinflow.maxflow import Flow
 from leximinflow.oracle import random_frugal_allocation
 from leximinflow.rational import Rational, format_rational, parse_rational
 
@@ -92,7 +92,7 @@ def test_allocate_missing_file(tmp_path, capsys):
 
 def test_allocate_short_flow_is_an_internal_error(squeeze_path, capsys, monkeypatch):
     def short(network):
-        return Flow(edge_flows=tuple(Rational(0) for _ in network.edges), value=Rational(0))
+        return hand_made_flow(network, [Rational(0)] * len(network.edges), Rational(0))
 
     monkeypatch.setattr(leximin, "max_flow", short)
     code, out, err = run(capsys, ["allocate", squeeze_path])

@@ -23,14 +23,10 @@ from leximinflow.generators import (
     si_misreport_instance,
 )
 from leximinflow.leximin import (
-    SINK,
-    SOURCE,
-    agent_vertex,
     breakpoints,
     build_network,
     lexicographic_allocation,
     min_ratio,
-    object_vertex,
     structure_check,
 )
 from leximinflow.maxflow import max_flow, source_heavy_min_cut
@@ -41,27 +37,32 @@ from leximinflow.rational import ONE, Rational, ZERO
 def test_build_network_single_pair():
     inst = Instance(("a",), {"a": 1}, ("b",), {"b": 5}, {("a", "b"): 2})
     net = build_network(inst, {"a": Rational(10)})
-    assert len(net.vertices) == 4
-    caps = {(t, h): c for t, h, c in net.edges}
-    assert caps[(SOURCE, agent_vertex("a"))] == Rational(10)
-    assert caps[(agent_vertex("a"), object_vertex("b"))] == Rational(2)
-    assert caps[(object_vertex("b"), SINK)] == Rational(2)  # supply capped by demand
+    # Source 0, agent a 1, object b 2, sink 3.
+    assert net.vertices == (0, 1, 2, 3)
+    assert (net.source, net.sink) == (0, 3)
+    assert net.edges == (
+        (0, 1, Rational(10)),
+        (1, 2, Rational(2)),
+        (2, 3, Rational(2)),  # supply capped by demand
+    )
 
 
 def test_build_network_omits_zero_demand_edges():
     inst = si_bound_instance(2)
     net = build_network(inst, {a: ONE for a in inst.agents})
-    assert len(net.vertices) == 6
-    demand_edges = [e for e in net.edges if e[0][0] == "agent"]
-    assert len(demand_edges) == 3  # a2 demands nothing of b2
-    sink_caps = {t[1]: c for t, h, c in net.edges if h == SINK}
-    assert sink_caps == {"b1": Rational(2), "b2": Rational(1)}
+    # Source 0, agents a1 a2 1-2, objects b1 b2 3-4, sink 5.
+    assert net.vertices == tuple(range(6))
+    demand_edges = [(t, h) for t, h, _ in net.edges if t in (1, 2)]
+    assert demand_edges == [(1, 3), (1, 4), (2, 3)]  # a2 demands nothing of b2
+    sink_caps = {t: c for t, h, c in net.edges if h == net.sink}
+    assert sink_caps == {3: Rational(2), 4: Rational(1)}
 
 
 def test_build_network_empty_instance():
     inst = Instance((), {}, (), {}, {})
     net = build_network(inst, {})
-    assert set(net.vertices) == {SOURCE, SINK}
+    assert net.vertices == (0, 1)
+    assert (net.source, net.sink) == (0, 1)
     assert net.edges == ()
 
 
@@ -86,8 +87,9 @@ def test_source_heavy_cut_separates_the_slower_agent():
     inst = breakpoint_example()
     net = build_network(inst, {a: ONE for a in inst.agents})
     cut = source_heavy_min_cut(net, max_flow(net))
-    assert agent_vertex("a1") in cut.source_side
-    assert agent_vertex("a2") not in cut.source_side
+    # Agents a1 and a2 are vertices 1 and 2.
+    assert 1 in cut.source_side
+    assert 2 not in cut.source_side
 
 
 def single_object_view(caps, demand):

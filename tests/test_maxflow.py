@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import staircase
+from conftest import hand_made_flow, staircase
 from leximinflow import leximin
 from leximinflow.core import InternalCheckError
 from leximinflow.maxflow import (
@@ -127,7 +127,41 @@ def reference_max_flow(network: FlowNetwork) -> Flow:
         if level[residual.sink] < 0:
             break
         value += residual.blocking_flow(level)
-    return Flow(edge_flows=tuple(residual.residual[1::2]), value=value)
+    return Flow(edge_flows=tuple(residual.residual[1::2]), value=value, residual=None)
+
+
+def reference_source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
+    """The source-heavy minimum cut as the solver read it before it kept the
+    integer residual graph: a walk over the rational edge flows and a
+    rational sum of the cut, with both self-checks.  The reference for
+    ``source_heavy_min_cut``."""
+    # Residual arcs grouped by head: an edge below capacity gives tail -> head,
+    # an edge carrying flow gives head -> tail.
+    tails: dict = {}
+    for (tail, head, cap), f in zip(network.edges, flow.edge_flows):
+        if f < cap:
+            tails.setdefault(head, []).append(tail)
+        if f > ZERO:
+            tails.setdefault(tail, []).append(head)
+    reaches_sink = {network.sink}
+    stack = [network.sink]
+    while stack:
+        for u in tails.get(stack.pop(), ()):
+            if u not in reaches_sink:
+                reaches_sink.add(u)
+                stack.append(u)
+    if network.source in reaches_sink:
+        raise InternalCheckError("flow is not maximum: sink reachable in residual graph")
+    source_side = frozenset(v for v in network.vertices if v not in reaches_sink)
+    capacity = ZERO
+    for tail, head, cap in network.edges:
+        if tail in source_side and head not in source_side:
+            capacity += cap
+    if capacity != flow.value:
+        raise InternalCheckError(
+            f"flow is not maximum: cut capacity {capacity} != flow value {flow.value}"
+        )
+    return CutResult(source_side, capacity)
 
 
 def assert_matches_reference(net: FlowNetwork) -> Flow:
@@ -136,7 +170,10 @@ def assert_matches_reference(net: FlowNetwork) -> Flow:
     flow = max_flow(net)
     expected = reference_max_flow(net)
     assert repr(flow) == repr(expected)
-    assert source_heavy_min_cut(net, flow) == source_heavy_min_cut(net, expected)
+    cut = source_heavy_min_cut(net, flow)
+    expected_cut = reference_source_heavy_min_cut(net, expected)
+    assert cut == expected_cut
+    assert repr(cut.capacity) == repr(expected_cut.capacity)
     return flow
 
 
@@ -203,31 +240,36 @@ def test_source_heavy_takes_the_larger_of_two_min_cuts():
 
 def test_rejects_non_maximum_flow():
     net = network([("s", "t", 5)])
-    lazy = Flow(edge_flows=(ZERO,), value=ZERO)
-    with pytest.raises(InternalCheckError):
-        source_heavy_min_cut(net, lazy)
+    short = hand_made_flow(net, (ZERO,), ZERO)
+    mislabeled = hand_made_flow(net, (Rational(5),), Rational(3))
+    for cut in (source_heavy_min_cut, reference_source_heavy_min_cut):
+        with pytest.raises(InternalCheckError, match="not maximum: sink reachable"):
+            cut(net, short)
+        with pytest.raises(InternalCheckError, match="not maximum: cut capacity 5 != flow value 3"):
+            cut(net, mislabeled)
 
 
 def test_network_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="source and sink must differ"):
         FlowNetwork(("s",), "s", "s", ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate vertex ids"):
         FlowNetwork(("s", "t", "t"), "s", "t", ())
-    with pytest.raises(ValueError):
-        FlowNetwork(("s", "t"), "s", "t", (("s", "x", 1),))
-    with pytest.raises(ValueError):
-        FlowNetwork(("s", "t"), "s", "t", (("s", "t", -1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="source and sink must be vertices"):
         FlowNetwork(("a", "b"), "s", "t", ())
+    # Edges are checked where max_flow scales them.
+    with pytest.raises(ValueError, match="edge 's' -> 'x' references unknown vertex"):
+        max_flow(FlowNetwork(("s", "t"), "s", "t", (("s", "x", 1),)))
+    with pytest.raises(ValueError, match="negative capacity on edge 's' -> 't': -1"):
+        max_flow(FlowNetwork(("s", "t"), "s", "t", (("s", "t", -1),)))
 
 
 def test_flow_violations_reports_bad_flows():
     net = network([("s", "u", 2), ("u", "t", 2)])
-    overfull = Flow(edge_flows=(Rational(3), Rational(3)), value=Rational(3))
+    overfull = hand_made_flow(net, (3, 3), 3)
     assert any("outside" in line for line in flow_violations(net, overfull))
-    leaky = Flow(edge_flows=(Rational(2), Rational(1)), value=Rational(2))
+    leaky = hand_made_flow(net, (2, 1), 2)
     assert any("conservation" in line for line in flow_violations(net, leaky))
-    mislabeled = Flow(edge_flows=(Rational(2), Rational(2)), value=Rational(1))
+    mislabeled = hand_made_flow(net, (2, 2), 1)
     assert any("stated value" in line for line in flow_violations(net, mislabeled))
 
 
@@ -262,6 +304,7 @@ def test_flow_and_cuts_agree_with_brute_force(seed):
     assert flow.value == best
 
     heavy = source_heavy_min_cut(net, flow)
+    assert heavy == reference_source_heavy_min_cut(net, flow)
     assert heavy.capacity == flow.value
     assert (heavy.source_side, heavy.capacity) in cuts
     for side, cap in cuts:

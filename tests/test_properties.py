@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import vec
+from conftest import double_envy_example, vec
 from leximinflow.core import Allocation, Instance, utility_vector
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.leximin import lexicographic_allocation
@@ -66,6 +66,14 @@ def test_envy_examples():
     assert report.witness.subject == ("a2", "a1")
     fair = Allocation({("a1", "b"): Rational(1, 2), ("a2", "b"): Rational(1, 2)})
     assert envy_report(inst, fair).passed
+
+
+def test_envy_witness_is_the_first_envied_agent_in_instance_order():
+    inst, allocation = double_envy_example()
+    report = envy_report(inst, allocation)
+    assert not report.passed
+    assert report.witness.subject == ("a1", "a2")
+    assert report.witness.lhs == ZERO and report.witness.rhs == ONE
 
 
 def test_envy_scales_by_endowment_ratio():

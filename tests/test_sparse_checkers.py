@@ -10,8 +10,10 @@ version's witness depended on set iteration order).
 """
 
 import dataclasses
+import itertools
 import random
 
+from conftest import double_envy_example
 from leximinflow.core import Allocation, Instance, UtilityVector, capped_supply, utility_vector
 from leximinflow.leximin import lexicographic_allocation, structure_check
 from leximinflow.oracle import random_frugal_allocation
@@ -251,3 +253,21 @@ def test_structure_witness_is_first_in_instance_order():
     assert not report.passed
     assert report.witness.subject == ("y", "b")
     assert report.witness.lhs == ZERO and report.witness.rhs == Rational(1)
+
+
+def test_envy_witness_matches_the_dense_formula_in_every_order():
+    # One envier envies two agents; every order of agents, objects and
+    # allocation entries must give the dense formula's witness.
+    inst, allocation = double_envy_example()
+    witnesses = set()
+    for agents, objects, entries in itertools.product(
+        itertools.permutations(inst.agents),
+        itertools.permutations(inst.objects),
+        itertools.permutations(allocation.amount.items()),
+    ):
+        reordered = dataclasses.replace(inst, agents=agents, objects=objects)
+        shuffled = Allocation(dict(entries))
+        report = envy_report(reordered, shuffled)
+        assert report == dense_envy_report(reordered, shuffled), (agents, objects, entries)
+        witnesses.add(report.witness.subject)
+    assert witnesses == {("a1", "a2"), ("a1", "a3")}
