@@ -19,7 +19,6 @@ from .core import (
     UtilityVector,
     capped_supply,
     sub_instance,
-    utility,
     utility_vector,
     validate_instance,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "si_ratio",
     "structure_check",
     "sub_instance",
-    "utility",
     "utility_vector",
     "validate_instance",
 ]

@@ -217,8 +217,9 @@ def _audit_lorenz(instance: Instance, allocation: Allocation, samples: int, seed
 
 def cmd_audit(args) -> int:
     instance = _load(args.path)
+    # A repeated name runs once, in first-seen order.
     selected = AUDIT_PROPERTIES if args.properties is None else tuple(
-        p.strip() for p in args.properties.split(",") if p.strip()
+        dict.fromkeys(p.strip() for p in args.properties.split(",") if p.strip())
     )
     if not selected:
         raise ParseError(

@@ -180,11 +180,6 @@ def utilities(instance: Instance, allocation: Allocation) -> dict[str, Rational]
     return totals
 
 
-def utility(allocation: Allocation, instance: Instance, agent: str) -> Rational:
-    """Utility of one agent; KeyError for an agent not in the instance."""
-    return utilities(instance, allocation)[agent]
-
-
 def utility_vector(instance: Instance, allocation: Allocation) -> UtilityVector:
     own = utilities(instance, allocation)
     return UtilityVector(tuple((a, u, u / instance.endowment[a]) for a, u in own.items()))

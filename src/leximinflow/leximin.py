@@ -109,7 +109,7 @@ def _view_network(
     edges = [(0, i, source_caps[a]) for a, i in agent_id.items()]
     edges += [(agent_id[a], object_id[b], d) for (a, b), d in sorted(demand.items())]
     edges += [(i, sink, c) for i, c in enumerate(caps.values(), p + 1)]
-    return FlowNetwork(vertices=tuple(range(sink + 1)), source=0, sink=sink, edges=tuple(edges))
+    return FlowNetwork(sink + 1, edges)
 
 
 def build_network(instance: Instance, source_caps: Mapping[str, Rational]) -> FlowNetwork:
@@ -247,7 +247,7 @@ def lexicographic_allocation(instance: Instance) -> tuple[Allocation, Breakpoint
             f" or != endowment-rate total {total_source}"
         )
     # The demand edges follow the source edges, in sorted demand order.
-    demand_flows = flow.edge_flows[len(instance.agents):]
+    demand_flows = flow.edge_flows()[len(instance.agents):]
     amounts = {key: f for key, f in zip(sorted(instance.demand), demand_flows) if f != ZERO}
     return Allocation(amounts), profile
 

@@ -1,64 +1,47 @@
 """Exact maximum flow and minimum cuts on rational-capacitated networks.
 
+A network's vertices are the indices 0..n-1, with source 0 and sink n-1.
 Dinic's algorithm runs on Python ints: ``max_flow`` scales every capacity by
-the lcm of their denominators, so the residual graph is integral, and divides
-the edge flows and the value back by that scale once at the end.  Scaling by
-a positive constant preserves every comparison, so the augmentations are the
-ones exact rational arithmetic would make, and flow values, cut capacities,
-and the max-flow = min-cut identity can all be asserted with zero tolerance.
+the lcm of their denominators, so the residual graph is integral, and the
+``Flow`` it returns is that residual graph.  ``max_flow`` divides only the
+value back by the scale; ``Flow.edge_flows`` divides the edge flows back
+when it is called.  Scaling by a positive constant preserves
+every comparison, so the augmentations are the ones exact rational
+arithmetic would make, and flow values, cut capacities, and the max-flow =
+min-cut identity can all be asserted with zero tolerance.
 The cut this module reads off a maximum flow is the *source-heavy* minimum
 cut — the unique minimum cut whose source side contains the source side of
 every other minimum cut — which the breakpoint solver needs to pick maximal
-tight agent sets.  It is read off the integer residual graph that the flow
-keeps, so the cut costs one walk from the sink and one integer sum.
+tight agent sets.  It is read off the flow's integer residual graph, so the
+cut costs one walk from the sink and one integer sum.
 
-Vertices are arbitrary hashable ids; the solver's networks use the vertex
-indices 0..n-1, which the residual graph uses internally anyway.  All
-procedures are deterministic: edge input order fixes the augmentation order,
-so identical input yields an identical flow.
+All procedures are deterministic: edge input order fixes the augmentation
+order, so identical input yields an identical flow.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import InternalCheckError
-from .rational import Rational
+from .rational import Rational, ZERO
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Directed graph with a distinguished source and sink and exact (rational
-    or integer) capacities, kept as given."""
+    """Directed graph on the vertices 0..n-1, with source 0, sink n-1 and
+    exact (rational or integer) capacities, kept as given."""
 
-    vertices: tuple
-    source: object
-    sink: object
-    edges: tuple[tuple[object, object, Rational], ...]
+    n: int
+    edges: tuple[tuple[int, int, Rational], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if self.source == self.sink:
-            raise ValueError("source and sink must differ")
-        vertex_set = set(self.vertices)
-        if len(vertex_set) != len(self.vertices):
-            raise ValueError("duplicate vertex ids")
-        if self.source not in vertex_set or self.sink not in vertex_set:
-            raise ValueError("source and sink must be vertices")
+        if self.n < 2:
+            raise ValueError(f"a flow network needs at least 2 vertices, got {self.n}")
         # Edges are checked where max_flow scales them, one comparison each.
         object.__setattr__(self, "edges", tuple(self.edges))
-
-
-@dataclass(frozen=True)
-class Flow:
-    """Per-edge flow values aligned with ``FlowNetwork.edges``, plus the total
-    value and the integer residual graph they were read from."""
-
-    edge_flows: tuple[Rational, ...]
-    value: Rational
-    residual: _Residual = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -69,42 +52,47 @@ class CutResult:
     capacity: Rational
 
 
-class _Residual:
-    """Arc-pair residual graph on integer capacities: arc 2i is edge i
+class Flow:
+    """A flow as the arc-pair residual graph Dinic ran on: arc 2i is edge i
     forward, arc 2i+1 its reverse.  Capacities are the network's times
-    ``scale``, the lcm of their denominators."""
+    ``scale``, the lcm of their denominators, so the residual of arc 2i+1 is
+    edge i's scaled flow.  ``value`` is the unscaled flow value, set by
+    ``max_flow``; a fresh ``Flow(network)`` is the zero flow."""
 
     def __init__(self, network: FlowNetwork):
-        index = {v: i for i, v in enumerate(network.vertices)}
-        n = len(network.vertices)
+        n = network.n
         # int(): a gmpy2 denominator is an mpz.
         self.scale = scale = math.lcm(*(int(c.denominator) for _, _, c in network.edges))
         self.head: list[int] = []
         self.residual: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        for tail, head, cap in network.edges:
+        for t, h, cap in network.edges:
             scaled = int(cap.numerator) * (scale // int(cap.denominator))
             if scaled < 0:
-                raise ValueError(f"negative capacity on edge {tail!r} -> {head!r}: {cap}")
-            try:
-                t, h = index[tail], index[head]
-            except KeyError:
-                raise ValueError(f"edge {tail!r} -> {head!r} references unknown vertex") from None
+                raise ValueError(f"negative capacity on edge {t!r} -> {h!r}: {cap}")
+            # Explicit: the lists below would read a negative index from
+            # their end, so -1 would silently be the sink.
+            if not (0 <= t < n and 0 <= h < n):
+                raise ValueError(f"edge {t!r} -> {h!r} leaves the vertices 0..{n - 1}")
             self.adj[t].append(len(self.head))
             self.head.append(h)
             self.residual.append(scaled)
             self.adj[h].append(len(self.head))
             self.head.append(t)
             self.residual.append(0)
-        self.source = index[network.source]
-        self.sink = index[network.sink]
         self.n = n
+        self.value: Rational = ZERO
+
+    def edge_flows(self) -> tuple[Rational, ...]:
+        """Per-edge flow values aligned with ``FlowNetwork.edges``."""
+        scale = self.scale
+        return tuple(Rational(f, scale) for f in self.residual[1::2])
 
     def levels_from_source(self) -> list[int]:
         head, residual, adj = self.head, self.residual, self.adj
         level = [-1] * self.n
-        level[self.source] = 0
-        queue = deque([self.source])
+        level[0] = 0
+        queue = deque([0])
         while queue:
             v = queue.popleft()
             for arc in adj[v]:
@@ -117,7 +105,7 @@ class _Residual:
     def blocking_flow(self, level: list[int]) -> int:
         """Push a blocking flow along level-increasing paths; returns total pushed."""
         head, residual, adj = self.head, self.residual, self.adj
-        source, sink = self.source, self.sink
+        source, sink = 0, self.n - 1
         pushed_total = 0
         pointer = [0] * self.n
         path: list[int] = []
@@ -158,20 +146,16 @@ class _Residual:
 
 def max_flow(network: FlowNetwork) -> Flow:
     """Compute a maximum flow (Dinic's algorithm on the integer-scaled network)."""
-    residual = _Residual(network)
+    flow = Flow(network)
+    sink = network.n - 1
     value = 0
     while True:
-        level = residual.levels_from_source()
-        if level[residual.sink] < 0:
+        level = flow.levels_from_source()
+        if level[sink] < 0:
             break
-        value += residual.blocking_flow(level)
-    # The residual of reverse arc 2i+1 is exactly the scaled flow on edge i.
-    scale = residual.scale
-    return Flow(
-        edge_flows=tuple(Rational(f, scale) for f in residual.residual[1::2]),
-        value=Rational(value, scale),
-        residual=residual,
-    )
+        value += flow.blocking_flow(level)
+    flow.value = Rational(value, flow.scale)
+    return flow
 
 
 def source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
@@ -181,20 +165,20 @@ def source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
 
     Self-checks (fatal on failure): the source cannot reach the sink, and the
     cut capacity equals the flow value."""
-    graph = flow.residual
-    head, residual, adj = graph.head, graph.residual, graph.adj
+    head, residual, adj = flow.head, flow.residual, flow.adj
+    sink = network.n - 1
     # Walk residual arcs backwards from the sink: arc leaves v, and its
     # reverse arc ^ 1 runs from head[arc] into v.
-    reaches_sink = [False] * graph.n
-    reaches_sink[graph.sink] = True
-    stack = [graph.sink]
+    reaches_sink = [False] * network.n
+    reaches_sink[sink] = True
+    stack = [sink]
     while stack:
         for arc in adj[stack.pop()]:
             u = head[arc]
             if residual[arc ^ 1] > 0 and not reaches_sink[u]:
                 reaches_sink[u] = True
                 stack.append(u)
-    if reaches_sink[graph.source]:
+    if reaches_sink[0]:
         raise InternalCheckError("flow is not maximum: sink reachable in residual graph")
     # Arc 2i runs tail -> head of edge i; its two residuals sum to the
     # edge's scaled capacity.
@@ -202,10 +186,10 @@ def source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
     for arc in range(0, len(head), 2):
         if reaches_sink[head[arc]] and not reaches_sink[head[arc + 1]]:
             scaled += residual[arc] + residual[arc + 1]
-    capacity = Rational(scaled, graph.scale)
+    capacity = Rational(scaled, flow.scale)
     if capacity != flow.value:
         raise InternalCheckError(
             f"flow is not maximum: cut capacity {capacity} != flow value {flow.value}"
         )
-    source_side = frozenset(v for v, r in zip(network.vertices, reaches_sink) if not r)
+    source_side = frozenset(v for v, r in enumerate(reaches_sink) if not r)
     return CutResult(source_side, capacity)

@@ -19,7 +19,6 @@ from .core import (
     Instance,
     InvalidInstanceError,
     capped_supply,
-    utility,
     validate_instance,
 )
 from .leximin import BreakpointProfile
@@ -173,10 +172,7 @@ def oracle_mmf_si(instance: Instance) -> tuple[Allocation, Rational]:
         entitlement = si_ratio(instance, allocation)
         if entitlement.ratio is not None and entitlement.ratio < 1:
             continue
-        worst = min(
-            utility(allocation, instance, a) / instance.endowment[a]
-            for a in instance.agents
-        )
+        worst = min(u / instance.endowment[a] for a, u, _ in entitlement.table)
         if best_min is None or worst > best_min:
             best_min = worst
             best_alloc = allocation

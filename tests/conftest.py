@@ -15,7 +15,7 @@ import pytest
 
 from leximinflow.core import Allocation, Instance, UtilityVector, capped_supply
 from leximinflow.generators import random_instance
-from leximinflow.maxflow import Flow, FlowNetwork, _Residual
+from leximinflow.maxflow import Flow, FlowNetwork
 from leximinflow.rational import Rational, ZERO
 
 CORPUS_SIZE = 500
@@ -85,17 +85,18 @@ def vec(*normalized) -> UtilityVector:
 
 
 def hand_made_flow(network: FlowNetwork, edge_flows, value) -> Flow:
-    """A flow with the given edge flows and stated value, maximum or not,
-    carrying the integer residual graph that ``source_heavy_min_cut`` reads:
-    each edge's scaled flow moves from its forward arc to its reverse arc."""
-    residual = _Residual(network)
+    """A flow with the given edge flows and stated value, maximum or not:
+    each edge's scaled flow moves from its forward arc to its reverse arc of
+    the zero flow's residual graph."""
+    flow = Flow(network)
     for i, f in enumerate(edge_flows):
-        scaled = Rational(f) * residual.scale
+        scaled = Rational(f) * flow.scale
         if scaled.denominator != 1:
-            raise ValueError(f"edge flow {f} is not a multiple of 1/{residual.scale}")
-        residual.residual[2 * i] -= int(scaled)
-        residual.residual[2 * i + 1] += int(scaled)
-    return Flow(tuple(Rational(f) for f in edge_flows), Rational(value), residual)
+            raise ValueError(f"edge flow {f} is not a multiple of 1/{flow.scale}")
+        flow.residual[2 * i] -= int(scaled)
+        flow.residual[2 * i + 1] += int(scaled)
+    flow.value = Rational(value)
+    return flow
 
 
 @pytest.fixture(scope="session")

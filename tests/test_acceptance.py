@@ -20,7 +20,7 @@ from leximinflow.core import (
     Allocation,
     Instance,
     capped_supply,
-    utility,
+    utilities,
     utility_vector,
 )
 from leximinflow.fileio import save_instance
@@ -88,7 +88,7 @@ def test_criterion_02_rate_identity_and_absorption(corpus):
         allocation, profile = lexicographic_allocation(inst)
         total = ZERO
         for a in inst.agents:
-            u = utility(allocation, inst, a)
+            u = utilities(inst, allocation)[a]
             if u != inst.endowment[a] * profile.per_agent[a]:
                 bad += 1
             total += u
@@ -193,7 +193,7 @@ def test_criterion_09_exact_reproductions():
     for n in (3, 5):
         inst = burst_demand_instance(n)
         allocation, _ = lexicographic_allocation(inst)
-        values = {utility(allocation, inst, a) for a in inst.agents}
+        values = {utilities(inst, allocation)[a] for a in inst.agents}
         ok &= values == {Rational(n)}
         details.append(f"burst n={n}: utilities {sorted(str(v) for v in values)}")
 
@@ -212,14 +212,14 @@ def test_criterion_09_exact_reproductions():
         supply=inst.supply,
         demand={**inst.demand, ("a1", "b2"): Rational(2)},
     )
-    truthful = utility(oracle_mmf_si(inst)[0], inst, "a1")
-    misreported = utility(oracle_mmf_si(inflated)[0], inst, "a1")
+    truthful = utilities(inst, oracle_mmf_si(inst)[0])["a1"]
+    misreported = utilities(inst, oracle_mmf_si(inflated)[0])["a1"]
     ok &= truthful == Rational(3)
     ok &= misreported == Rational(4)
     details.append(f"reference rule: {truthful} -> {misreported}")
 
     allocation, _ = lexicographic_allocation(inflated)
-    after = utility(allocation, inst, "a1")
+    after = utilities(inst, allocation)["a1"]
     ok &= after == Rational(3)
     details.append(f"main mechanism under the same misreport: 3 -> {after}")
 
@@ -251,11 +251,11 @@ def test_criterion_10_scale_smoke(tmp_path):
     )
     ok = code == 0 and elapsed < 10.0
     for row in data["agents"]:
-        u = utility(allocation, inst, row["id"])
+        u = utilities(inst, allocation)[row["id"]]
         ok &= u == parse_rational(row["utility"])
         ok &= u == parse_rational(row["endowment"]) * parse_rational(row["rate"])
     total = sum(
-        (utility(allocation, inst, a) for a in inst.agents), ZERO
+        (utilities(inst, allocation)[a] for a in inst.agents), ZERO
     )
     ok &= total == sum(capped_supply(inst).values(), ZERO)
     ok &= is_frugal(inst, allocation).passed

@@ -210,6 +210,16 @@ def test_audit_rejects_empty_property_list(misreport_path, capsys, properties):
     assert "properties must list at least one of" in err
 
 
+def test_audit_runs_a_repeated_property_once(misreport_path, capsys):
+    argv = ["audit", misreport_path, "--properties", "nw,frugal,nw, frugal"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, "non-wasteful: pass\nfrugal: pass\n", "")
+    code, out, err = run(capsys, argv + ["--output", "json"])
+    assert (code, err) == (0, "")
+    names = [r["name"] for r in json.loads(out)["properties"]]
+    assert names == ["non-wasteful", "frugal"]
+
+
 def test_audit_non_frugal_output_fails_frugal_and_nw(squeeze_path, capsys, monkeypatch):
     over_demand(monkeypatch)
     code, out, err = run(capsys, ["audit", squeeze_path, "--properties", "frugal,nw"])

@@ -11,7 +11,7 @@ from leximinflow.core import (
     capped_supply,
     object_totals,
     sub_instance,
-    utility,
+    utilities,
     utility_vector,
     validate_instance,
 )
@@ -85,13 +85,13 @@ def test_capacity_is_monotone_in_the_subset(seed):
 
 def test_utility_examples():
     inst = si_bound_instance(2)
-    assert utility(Allocation({}), inst, "a1") == ZERO
+    assert utilities(inst, Allocation({}))["a1"] == ZERO
     flooded = Allocation({("a1", "b1"): 10, ("a1", "b2"): 10})
-    assert utility(flooded, inst, "a1") == Rational(2)  # capped at total demand
+    assert utilities(inst, flooded)["a1"] == Rational(2)  # capped at total demand
     mech = Allocation({("a1", "b1"): Rational(1, 2), ("a1", "b2"): 1})
-    assert utility(mech, inst, "a1") == Rational(3, 2)
+    assert utilities(inst, mech)["a1"] == Rational(3, 2)
     with pytest.raises(KeyError):
-        utility(Allocation({}), inst, "nobody")
+        utilities(inst, Allocation({}))["nobody"]
 
 
 def test_utility_vector_sorts_normalized_values():

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import breakpoint_example
-from leximinflow.core import Allocation, Instance, sub_instance, utility
+from leximinflow.core import Allocation, Instance, sub_instance, utilities
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.harness import (
     AGENT_REMOVAL,
@@ -27,11 +27,11 @@ def test_rm_hand_example():
         inst.agents, inst.endowment, inst.objects, {"b": Rational(6)}, inst.demand
     )
     before, _ = lexicographic_allocation(inst)
-    assert utility(before, inst, "a1") == ONE
-    assert utility(before, inst, "a2") == Rational(2)
+    assert utilities(inst, before)["a1"] == ONE
+    assert utilities(inst, before)["a2"] == Rational(2)
     allocation, _ = lexicographic_allocation(raised)
-    assert utility(allocation, raised, "a1") == ONE
-    assert utility(allocation, raised, "a2") == Rational(5)
+    assert utilities(raised, allocation)["a1"] == ONE
+    assert utilities(raised, allocation)["a2"] == Rational(5)
     assert check_rm(inst, trials=4).passed
 
 
@@ -49,7 +49,11 @@ def test_pm_removing_harmless_agent_changes_nothing():
     alone = Instance(("a1",), {"a1": 1}, ("b",), {"b": 2}, {("a1", "b"): 2})
     allocation, _ = lexicographic_allocation(inst)
     residual_allocation, _ = lexicographic_allocation(alone)
-    assert utility(allocation, inst, "a1") == utility(residual_allocation, alone, "a1") == Rational(2)
+    assert (
+        utilities(inst, allocation)["a1"]
+        == utilities(alone, residual_allocation)["a1"]
+        == Rational(2)
+    )
     assert check_pm(inst, AGENT_REMOVAL, trials=3).passed
 
 
@@ -60,9 +64,9 @@ def test_pm_departure_helps_the_remaining_agent():
         {k: v for k, v in inst.demand.items() if k[0] == "a1"},
     )
     before, _ = lexicographic_allocation(inst)
-    assert utility(before, inst, "a1") == Rational(3, 2)
+    assert utilities(inst, before)["a1"] == Rational(3, 2)
     allocation, _ = lexicographic_allocation(residual)
-    assert utility(allocation, residual, "a1") == Rational(2)
+    assert utilities(residual, allocation)["a1"] == Rational(2)
     assert check_pm(inst, AGENT_REMOVAL, trials=3).passed
 
 
@@ -84,7 +88,8 @@ def test_substructure_hand_example():
     allocation, _ = lexicographic_allocation(inst)
     residual = sub_instance(inst, allocation, ["a1"])
     expected = oracle_breakpoints(residual)
-    assert utility(allocation, residual, "a2") == residual.endowment["a2"] * expected.per_agent["a2"]
+    expected_u = residual.endowment["a2"] * expected.per_agent["a2"]
+    assert utilities(residual, allocation)["a2"] == expected_u
     assert check_substructure(inst, allocation, trials=8, seed=1).passed
 
 

@@ -13,7 +13,7 @@ from leximinflow.core import (
     InvalidInstanceError,
     capped_supply,
     object_totals,
-    utility,
+    utilities,
     utility_vector,
 )
 from leximinflow.generators import (
@@ -38,8 +38,7 @@ def test_build_network_single_pair():
     inst = Instance(("a",), {"a": 1}, ("b",), {"b": 5}, {("a", "b"): 2})
     net = build_network(inst, {"a": Rational(10)})
     # Source 0, agent a 1, object b 2, sink 3.
-    assert net.vertices == (0, 1, 2, 3)
-    assert (net.source, net.sink) == (0, 3)
+    assert net.n == 4
     assert net.edges == (
         (0, 1, Rational(10)),
         (1, 2, Rational(2)),
@@ -51,18 +50,17 @@ def test_build_network_omits_zero_demand_edges():
     inst = si_bound_instance(2)
     net = build_network(inst, {a: ONE for a in inst.agents})
     # Source 0, agents a1 a2 1-2, objects b1 b2 3-4, sink 5.
-    assert net.vertices == tuple(range(6))
+    assert net.n == 6
     demand_edges = [(t, h) for t, h, _ in net.edges if t in (1, 2)]
     assert demand_edges == [(1, 3), (1, 4), (2, 3)]  # a2 demands nothing of b2
-    sink_caps = {t: c for t, h, c in net.edges if h == net.sink}
+    sink_caps = {t: c for t, h, c in net.edges if h == net.n - 1}
     assert sink_caps == {3: Rational(2), 4: Rational(1)}
 
 
 def test_build_network_empty_instance():
     inst = Instance((), {}, (), {}, {})
     net = build_network(inst, {})
-    assert net.vertices == (0, 1)
-    assert (net.source, net.sink) == (0, 1)
+    assert net.n == 2  # source 0, sink 1
     assert net.edges == ()
 
 
@@ -161,8 +159,8 @@ def test_allocation_hand_example():
         ("a1", "b2"): ONE,
         ("a2", "b1"): Rational(3, 2),
     }
-    assert utility(allocation, inst, "a1") == Rational(3, 2)
-    assert utility(allocation, inst, "a2") == Rational(3, 2)
+    assert utilities(inst, allocation)["a1"] == Rational(3, 2)
+    assert utilities(inst, allocation)["a2"] == Rational(3, 2)
     assert profile.lambdas == (Rational(3, 2),)
 
 
@@ -176,7 +174,7 @@ def test_allocation_uniform_burst_family():
     inst = burst_demand_instance(3)
     allocation, profile = lexicographic_allocation(inst)
     for a in inst.agents:
-        assert utility(allocation, inst, a) == Rational(3)
+        assert utilities(inst, allocation)[a] == Rational(3)
     assert profile.lambdas == (Rational(3),)
 
 
@@ -191,11 +189,11 @@ def test_utilities_match_rates_on_random_instances(corpus):
     for inst in corpus[:80]:
         allocation, profile = lexicographic_allocation(inst)
         for a in inst.agents:
-            assert utility(allocation, inst, a) == inst.endowment[a] * profile.per_agent[a]
+            assert utilities(inst, allocation)[a] == inst.endowment[a] * profile.per_agent[a]
         for (a, b), amount in allocation.amount.items():
             assert amount <= inst.demand_between(a, b)
         total = sum(
-            (utility(allocation, inst, a) for a in inst.agents), ZERO
+            (utilities(inst, allocation)[a] for a in inst.agents), ZERO
         )
         assert total == sum(capped_supply(inst).values(), ZERO)
 
@@ -241,7 +239,7 @@ def test_multi_tier_profiles_match_the_oracle():
         expected = oracle_breakpoints(inst)
         assert profile == expected
         for a in inst.agents:
-            assert utility(allocation, inst, a) == inst.endowment[a] * expected.per_agent[a]
+            assert utilities(inst, allocation)[a] == inst.endowment[a] * expected.per_agent[a]
         tier_counts.append(profile.k)
     assert sorted(tier_counts)[len(tier_counts) // 2] >= 6
 
@@ -249,7 +247,7 @@ def test_multi_tier_profiles_match_the_oracle():
 def test_input_order_never_changes_utilities(corpus):
     for inst in corpus[:40]:
         base = {
-            a: utility(lexicographic_allocation(inst)[0], inst, a) for a in inst.agents
+            a: utilities(inst, lexicographic_allocation(inst)[0])[a] for a in inst.agents
         }
         flipped = Instance(
             agents=tuple(reversed(inst.agents)),
@@ -260,7 +258,7 @@ def test_input_order_never_changes_utilities(corpus):
         )
         allocation, _ = lexicographic_allocation(flipped)
         for a in inst.agents:
-            assert utility(allocation, flipped, a) == base[a]
+            assert utilities(flipped, allocation)[a] == base[a]
 
 
 def test_structure_check_passes_on_mechanism_output(corpus):

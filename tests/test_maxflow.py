@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -24,19 +25,17 @@ from leximinflow.rational import Rational, ZERO
 def flow_violations(network: FlowNetwork, flow: Flow) -> list[str]:
     """Check capacity and conservation constraints; empty list iff a valid flow."""
     violations = []
-    excess = {v: ZERO for v in network.vertices}
-    for (tail, head, cap), f in zip(network.edges, flow.edge_flows):
+    excess = [ZERO] * network.n
+    for (tail, head, cap), f in zip(network.edges, flow.edge_flows()):
         if f < ZERO or f > cap:
             violations.append(f"edge {tail!r} -> {head!r}: flow {f} outside [0, {cap}]")
         excess[tail] -= f
         excess[head] += f
-    for v in network.vertices:
-        if v in (network.source, network.sink):
-            continue
+    for v in range(1, network.n - 1):
         if excess[v] != ZERO:
             violations.append(f"conservation violated at {v!r}: excess {excess[v]}")
-    if excess[network.sink] != flow.value:
-        violations.append(f"stated value {flow.value} != net flow into sink {excess[network.sink]}")
+    if excess[-1] != flow.value:
+        violations.append(f"stated value {flow.value} != net flow into sink {excess[-1]}")
     return violations
 
 
@@ -46,21 +45,19 @@ class _ReferenceResidual:
     arc 2i+1 its reverse."""
 
     def __init__(self, network: FlowNetwork):
-        index = {v: i for i, v in enumerate(network.vertices)}
-        n = len(network.vertices)
+        n = network.n
         self.head: list[int] = []
         self.residual: list[Rational] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        for tail, head, cap in network.edges:
-            t, h = index[tail], index[head]
+        for t, h, cap in network.edges:
             self.adj[t].append(len(self.head))
             self.head.append(h)
             self.residual.append(cap)
             self.adj[h].append(len(self.head))
             self.head.append(t)
             self.residual.append(ZERO)
-        self.source = index[network.source]
-        self.sink = index[network.sink]
+        self.source = 0
+        self.sink = n - 1
         self.n = n
 
     def tail(self, arc: int) -> int:
@@ -117,7 +114,18 @@ class _ReferenceResidual:
             pointer[v] += 1
 
 
-def reference_max_flow(network: FlowNetwork) -> Flow:
+@dataclass(frozen=True)
+class ReferenceFlow:
+    """Rational edge flows and value, read the way a ``Flow`` is read."""
+
+    flows: tuple
+    value: Rational
+
+    def edge_flows(self) -> tuple:
+        return self.flows
+
+
+def reference_max_flow(network: FlowNetwork) -> ReferenceFlow:
     """Dinic's algorithm in exact rational arithmetic: the reference for the
     integer-scaled ``max_flow``."""
     residual = _ReferenceResidual(network)
@@ -127,7 +135,7 @@ def reference_max_flow(network: FlowNetwork) -> Flow:
         if level[residual.sink] < 0:
             break
         value += residual.blocking_flow(level)
-    return Flow(edge_flows=tuple(residual.residual[1::2]), value=value, residual=None)
+    return ReferenceFlow(tuple(residual.residual[1::2]), value)
 
 
 def reference_source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
@@ -138,21 +146,22 @@ def reference_source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResul
     # Residual arcs grouped by head: an edge below capacity gives tail -> head,
     # an edge carrying flow gives head -> tail.
     tails: dict = {}
-    for (tail, head, cap), f in zip(network.edges, flow.edge_flows):
+    for (tail, head, cap), f in zip(network.edges, flow.edge_flows()):
         if f < cap:
             tails.setdefault(head, []).append(tail)
         if f > ZERO:
             tails.setdefault(tail, []).append(head)
-    reaches_sink = {network.sink}
-    stack = [network.sink]
+    sink = network.n - 1
+    reaches_sink = {sink}
+    stack = [sink]
     while stack:
         for u in tails.get(stack.pop(), ()):
             if u not in reaches_sink:
                 reaches_sink.add(u)
                 stack.append(u)
-    if network.source in reaches_sink:
+    if 0 in reaches_sink:
         raise InternalCheckError("flow is not maximum: sink reachable in residual graph")
-    source_side = frozenset(v for v in network.vertices if v not in reaches_sink)
+    source_side = frozenset(v for v in range(network.n) if v not in reaches_sink)
     capacity = ZERO
     for tail, head, cap in network.edges:
         if tail in source_side and head not in source_side:
@@ -169,7 +178,7 @@ def assert_matches_reference(net: FlowNetwork) -> Flow:
     type, on the flow and on the source-heavy minimum cut read off it."""
     flow = max_flow(net)
     expected = reference_max_flow(net)
-    assert repr(flow) == repr(expected)
+    assert repr((flow.edge_flows(), flow.value)) == repr((expected.edge_flows(), expected.value))
     cut = source_heavy_min_cut(net, flow)
     expected_cut = reference_source_heavy_min_cut(net, expected)
     assert cut == expected_cut
@@ -178,20 +187,23 @@ def assert_matches_reference(net: FlowNetwork) -> Flow:
 
 
 def network(edges, extra_vertices=()):
-    vertices = ["s", "t"] + sorted(
+    """The network of edges between named vertices: ``s`` is 0, ``t`` is
+    n-1, and the other names take 1..n-2 in sorted order."""
+    middle = sorted(
         {v for e in edges for v in e[:2] if v not in ("s", "t")} | set(extra_vertices)
     )
-    return FlowNetwork(vertices=tuple(vertices), source="s", sink="t", edges=tuple(edges))
+    index = {"s": 0, **{v: i for i, v in enumerate(middle, 1)}, "t": len(middle) + 1}
+    return FlowNetwork(len(index), tuple((index[t], index[h], c) for t, h, c in edges))
 
 
 def brute_force_cuts(net: FlowNetwork):
     """All source/sink cuts with their capacities, by subset enumeration."""
-    others = [v for v in net.vertices if v not in (net.source, net.sink)]
+    others = range(1, net.n - 1)
     assert len(others) <= 10
     cuts = []
     for r in range(len(others) + 1):
         for chosen in itertools.combinations(others, r):
-            side = frozenset(chosen) | {net.source}
+            side = frozenset(chosen) | {0}
             cap = ZERO
             for tail, head, c in net.edges:
                 if tail in side and head not in side:
@@ -215,27 +227,27 @@ def test_series_parallel_value():
 def test_min_cut_of_single_saturated_edge():
     net = network([("s", "t", 5)])
     cut = source_heavy_min_cut(net, max_flow(net))
-    assert cut.source_side == frozenset({"s"})
+    assert cut.source_side == frozenset({0})  # s
     assert cut.capacity == Rational(5)
 
 
 def test_min_cut_when_bottleneck_is_at_the_sink():
     net = network([("s", "u", 9), ("s", "v", 9), ("u", "t", 1), ("v", "t", 2)])
     cut = source_heavy_min_cut(net, max_flow(net))
-    assert cut.source_side == frozenset({"s", "u", "v"})
+    assert cut.source_side == frozenset({0, 1, 2})  # s, u, v
     assert cut.capacity == Rational(3)
 
 
 def test_source_heavy_equals_min_cut_when_unique():
     net = network([("s", "u", 1), ("u", "t", 5)])
     flow = max_flow(net)
-    assert source_heavy_min_cut(net, flow) == CutResult(frozenset({"s"}), Rational(1))
+    assert source_heavy_min_cut(net, flow) == CutResult(frozenset({0}), Rational(1))  # s
 
 
 def test_source_heavy_takes_the_larger_of_two_min_cuts():
     net = network([("s", "v", 1), ("v", "t", 1)])
     flow = max_flow(net)
-    assert source_heavy_min_cut(net, flow).source_side == frozenset({"s", "v"})
+    assert source_heavy_min_cut(net, flow).source_side == frozenset({0, 1})  # s, v
 
 
 def test_rejects_non_maximum_flow():
@@ -250,17 +262,18 @@ def test_rejects_non_maximum_flow():
 
 
 def test_network_validation():
-    with pytest.raises(ValueError, match="source and sink must differ"):
-        FlowNetwork(("s",), "s", "s", ())
-    with pytest.raises(ValueError, match="duplicate vertex ids"):
-        FlowNetwork(("s", "t", "t"), "s", "t", ())
-    with pytest.raises(ValueError, match="source and sink must be vertices"):
-        FlowNetwork(("a", "b"), "s", "t", ())
+    # The source 0 and the sink n-1 must differ.
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"needs at least 2 vertices, got {n}"):
+            max_flow(FlowNetwork(n, ()))
     # Edges are checked where max_flow scales them.
-    with pytest.raises(ValueError, match="edge 's' -> 'x' references unknown vertex"):
-        max_flow(FlowNetwork(("s", "t"), "s", "t", (("s", "x", 1),)))
-    with pytest.raises(ValueError, match="negative capacity on edge 's' -> 't': -1"):
-        max_flow(FlowNetwork(("s", "t"), "s", "t", (("s", "t", -1),)))
+    with pytest.raises(ValueError, match=r"edge 0 -> 2 leaves the vertices 0\.\.1"):
+        max_flow(FlowNetwork(2, ((0, 2, 1),)))
+    # Without the range check, -1 would silently be the sink.
+    with pytest.raises(ValueError, match=r"edge -1 -> 1 leaves the vertices 0\.\.1"):
+        max_flow(FlowNetwork(2, ((-1, 1, 1),)))
+    with pytest.raises(ValueError, match="negative capacity on edge 0 -> 1: -1"):
+        max_flow(FlowNetwork(2, ((0, 1, -1),)))
 
 
 def test_flow_violations_reports_bad_flows():
@@ -276,20 +289,20 @@ def test_flow_violations_reports_bad_flows():
 def test_determinism():
     edges = [("s", "u", 3), ("s", "v", 2), ("u", "v", 1), ("u", "t", 1), ("v", "t", 4)]
     net = network(edges)
-    assert max_flow(net) == max_flow(net)
+    first, second = max_flow(net), max_flow(net)
+    assert repr((first.edge_flows(), first.value)) == repr((second.edge_flows(), second.value))
 
 
 def random_network(seed: int) -> FlowNetwork:
     rng = random.Random(seed)
-    middle = [f"v{i}" for i in range(rng.randint(0, 5))]
-    vertices = ["s"] + middle + ["t"]
+    n = rng.randint(0, 5) + 2
     edges = []
-    for tail, head in itertools.permutations(vertices, 2):
-        if head == "s" or tail == "t":
+    for tail, head in itertools.permutations(range(n), 2):
+        if head == 0 or tail == n - 1:
             continue
         if rng.random() < 0.45:
             edges.append((tail, head, Rational(rng.randint(0, 12), rng.randint(1, 8))))
-    return FlowNetwork(tuple(vertices), "s", "t", tuple(edges))
+    return FlowNetwork(n, edges)
 
 
 @settings(max_examples=120, deadline=None)
@@ -314,9 +327,9 @@ def test_flow_and_cuts_agree_with_brute_force(seed):
 
 
 def test_cut_result_is_plain_data():
-    cut = CutResult(source_side=frozenset({"s"}), capacity=Rational(1))
+    cut = CutResult(source_side=frozenset({0}), capacity=Rational(1))
     assert cut.capacity == 1
-    assert "s" in cut.source_side
+    assert 0 in cut.source_side
 
 
 # Denominators mixed within one network, including large coprime ones.
@@ -325,16 +338,15 @@ DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 25, 10**6 + 3, 2**31 - 1, 2**61 - 1,
 
 def mixed_denominator_network(seed: int) -> FlowNetwork:
     rng = random.Random(seed)
-    middle = [f"v{i}" for i in range(rng.randint(0, 6))]
-    vertices = ["s"] + middle + ["t"]
+    n = rng.randint(0, 6) + 2
     edges = []
-    for tail, head in itertools.permutations(vertices, 2):
-        if head == "s" or tail == "t":
+    for tail, head in itertools.permutations(range(n), 2):
+        if head == 0 or tail == n - 1:
             continue
         if rng.random() < 0.5:
             den = rng.choice(DENOMINATORS)
             edges.append((tail, head, Rational(rng.randint(0, 3 * den), den)))
-    return FlowNetwork(tuple(vertices), "s", "t", tuple(edges))
+    return FlowNetwork(n, edges)
 
 
 @settings(max_examples=150, deadline=None)

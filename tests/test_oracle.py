@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import breakpoint_example, capacity
-from leximinflow.core import Instance, utility
+from leximinflow.core import Instance, utilities
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.leximin import breakpoints
 from leximinflow.oracle import (
@@ -69,7 +69,7 @@ def test_sampler_is_deterministic_per_seed():
 
 def test_full_entitlement_maximin_truthful_value():
     allocation, worst = oracle_mmf_si(si_misreport_instance())
-    assert utility(allocation, si_misreport_instance(), "a1") == Rational(3)
+    assert utilities(si_misreport_instance(), allocation)["a1"] == Rational(3)
     assert worst == Rational(3)
 
 
@@ -80,7 +80,7 @@ def test_full_entitlement_maximin_rewards_inflation():
         supply=inst.supply, demand={**inst.demand, ("a1", "b2"): Rational(2)},
     )
     allocation, _ = oracle_mmf_si(inflated)
-    assert utility(allocation, inst, "a1") == Rational(4)  # valued at true demands
+    assert utilities(inst, allocation)["a1"] == Rational(4)  # valued at true demands
 
 
 def test_full_entitlement_maximin_saturated_case():

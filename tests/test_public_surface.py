@@ -31,7 +31,6 @@ EXPORTS = (
     "si_ratio",
     "structure_check",
     "sub_instance",
-    "utility",
     "utility_vector",
     "validate_instance",
 )
