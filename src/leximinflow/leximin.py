@@ -9,13 +9,15 @@ is endowment(a) x lambda(a), where lambda(a) is the rate its tier froze at;
 the allocation itself is any max flow of the network whose source edges are
 capped at exactly those amounts.
 
-The per-tier rate is the minimum, over nonempty subsets of the remaining
-agents, of joint residual capacity over joint endowment.  It is found without
-subset enumeration by an iterated min-ratio-cut scheme: guess lambda, solve a
-max flow, read the source-heavy minimum cut; either the cut certifies lambda
-as the minimum ratio (and its agent side is the maximal tight set), or the
-agent side yields a strictly smaller ratio to recurse on.  Each tier needs at
-most |remaining agents| + 1 max-flow solves.
+The tiers are the decomposition of a lexicographically optimal polymatroid
+base (Fujishige 1980), found by divide and conquer over a split tree (Gallo,
+Grigoriadis & Tarjan 1989) without subset enumeration.  Each node of the tree
+sets lambda to its agents' joint ratio of residual capacity to endowment,
+solves one max flow at source caps endowment x lambda and reads the
+source-heavy minimum cut: either the cut certifies the node's agents as one
+tier at rate lambda, or its agent side splits them into the agents that
+freeze at rates up to lambda and the rest.  A solve with k tiers takes
+exactly 2k - 1 split flows, plus the final allocation flow.
 
 Every network is bipartite on vertex indices: source 0, the p agents
 1..p, the q objects p+1..p+q and sink p+q+1.  Its edges are the p source
@@ -121,15 +123,18 @@ def build_network(instance: Instance, source_caps: Mapping[str, Rational]) -> Fl
 def min_ratio(
     agents: Sequence[str], caps: Mapping[str, Rational], demand: Mapping, endowments: Mapping
 ) -> tuple[Rational, frozenset]:
-    """Minimum of capacity/endowment over nonempty subsets of ``agents``, with
-    the maximal subset attaining it, given the active objects' residual
-    ``caps`` and the ``demand`` entries among them.
+    """One split of the tier decomposition, in one max flow: the joint rate
+    lambda = cap(agents) / e(agents), and the maximal minimizer T of
+    cap(X) - lambda x e(X) over the subsets X of ``agents``, given the active
+    objects' residual ``caps`` and the ``demand`` entries among them.
 
-    Iterated min-ratio-cut: starting from the full-set ratio, each round solves
-    one max flow at source caps endowment x lambda and reads the source-heavy
-    minimum cut.  A cut of capacity endowment-total x lambda certifies lambda;
-    otherwise the cut's agent side has a strictly smaller ratio, which becomes
-    the next lambda.
+    T is the agent side of the source-heavy minimum cut at source caps
+    endowment x lambda: the cut puts each object on whichever side costs
+    min(residual cap, demand of T), so its capacity is
+    cap(T) + lambda x e(agents - T).  A cut of capacity e(agents) x lambda
+    certifies the agents as one tier at rate lambda, and T is all of them.
+    Otherwise T is nonempty and proper: it holds exactly the agents whose
+    tiers freeze at rates up to lambda.
     """
     if not agents:
         raise ValueError("min_ratio needs at least one agent")
@@ -137,63 +142,94 @@ def min_ratio(
     for a in agents:
         total_e += endowments[a]
     lam = tier_capacity(caps, demand) / total_e
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > len(agents) + 1:
-            raise InternalCheckError("min-ratio iteration exceeded its bound")
-        network = _view_network(agents, caps, demand, {a: endowments[a] * lam for a in agents})
-        flow = max_flow(network)
-        cut = source_heavy_min_cut(network, flow)
-        tight = frozenset(a for i, a in enumerate(agents, 1) if i in cut.source_side)
-        if cut.capacity == total_e * lam:
-            return lam, tight
-        if not tight:
-            raise InternalCheckError("non-certifying cut with empty agent side")
-        tight_e = ZERO
-        for a in tight:
-            tight_e += endowments[a]
-        # Newton step of Dinkelbach (1967) for fractional programs: a minimum
-        # cut puts each object on whichever side costs min(residual cap,
-        # demand of T), so its capacity is cap(T) + lambda x e(A \ T), and the
-        # ratio cap(T) / e(T) needs no second pass over the demand.
-        next_lam = (cut.capacity - lam * (total_e - tight_e)) / tight_e
-        if next_lam >= lam:
-            raise InternalCheckError("min-ratio iteration failed to decrease")
-        lam = next_lam
+    network = _view_network(agents, caps, demand, {a: endowments[a] * lam for a in agents})
+    cut = source_heavy_min_cut(network, max_flow(network))
+    source_total = total_e * lam
+    if cut.capacity > source_total:
+        raise InternalCheckError(
+            f"cut capacity {cut.capacity} exceeds the source capacity {source_total}"
+        )
+    if cut.capacity == source_total:
+        return lam, frozenset(agents)
+    tight = frozenset(a for i, a in enumerate(agents, 1) if i in cut.source_side)
+    if not tight or len(tight) == len(agents):
+        raise InternalCheckError(
+            f"non-certifying cut must split the agents, got {len(tight)} of {len(agents)}"
+        )
+    return lam, tight
+
+
+def _demanded(caps: Mapping[str, Rational], demand: Mapping) -> dict[str, Rational]:
+    """The caps of the objects that some ``demand`` entry names."""
+    named = {b for _, b in demand}
+    return {b: c for b, c in caps.items() if b in named}
 
 
 def breakpoints(instance: Instance) -> BreakpointProfile:
-    """Tier structure of an instance: peel off the maximal minimum-ratio agent
-    set at each rate, mark the objects it exhausts, and recompute residual
-    capacities for the rest.
+    """Tier structure of an instance, by divide and conquer over a split tree
+    (Fujishige 1980; Gallo, Grigoriadis & Tarjan 1989).
 
-    The active demand entries and the residual caps of the active objects are
-    carried from tier to tier; each frozen tier updates them from its own
-    demand entries.
+    A node is an agent set, the residual caps of the objects it demands (the
+    root keeps every object), and its demand entries among them; it costs
+    one ``min_ratio`` flow.  A
+    certified node is one tier.  Otherwise its split T has two children: the
+    restriction, T with the same caps; and the contraction, the other agents
+    with the caps left once T has frozen: an object T over-demands is
+    exhausted, and every other object's cap falls by T's demand.  k tiers
+    take 2k - 1 nodes.  An explicit worklist walks the tree, whose depth can
+    reach k.
+
+    A last pass in rate order, with no flows, carries the residual caps from
+    tier to tier and marks the objects each tier exhausts.
     """
     violations = validate_instance(instance)
     if violations:
         raise InvalidInstanceError("; ".join(violations))
-    remaining = list(instance.agents)
-    exhausted: set = set()
-    caps = capped_supply(instance)
-    demand = instance.demand
+    if not instance.agents:
+        return BreakpointProfile(lambdas=(), agent_tiers=(), object_tiers=(), per_agent={})
+    capped = capped_supply(instance)
+    leaves: list[tuple[Rational, frozenset]] = []
+    work = [(list(instance.agents), capped, instance.demand)]
+    while work:
+        agents, caps, demand = work.pop()
+        lam, tight = min_ratio(agents, caps, demand, instance.endowment)
+        if len(tight) == len(agents):
+            leaves.append((lam, tight))
+            continue
+        tight_demand = {k: d for k, d in demand.items() if k[0] in tight}
+        tight_totals = object_totals(tight_demand)
+        rest_caps = {}
+        for b, c in caps.items():
+            d = tight_totals.get(b, ZERO)
+            if d <= c:
+                rest_caps[b] = c - d
+        rest_demand = {
+            k: d for k, d in demand.items() if k[0] not in tight and k[1] in rest_caps
+        }
+        work.append(([a for a in agents if a not in tight],
+                     _demanded(rest_caps, rest_demand), rest_demand))
+        work.append(([a for a in agents if a in tight],
+                     _demanded(caps, tight_demand), tight_demand))
+
+    leaves.sort(key=lambda leaf: leaf[0])
+    tier_index = {a: i for i, (_, tier) in enumerate(leaves) for a in tier}
+    tier_demand: list[dict[str, Rational]] = [{} for _ in leaves]
+    for (a, b), d in instance.demand.items():
+        totals = tier_demand[tier_index[a]]
+        totals[b] = totals.get(b, ZERO) + d
+    caps = dict(capped)
     fixed: set = set()
+    exhausted: set = set()
     lambdas: list[Rational] = []
     agent_tiers: list[frozenset] = []
     object_tiers: list[frozenset] = []
     per_agent: dict[str, Rational] = {}
-    while remaining:
-        lam, tier = min_ratio(remaining, caps, demand, instance.endowment)
-        if not tier:
-            raise InternalCheckError("empty tier")
+    for (lam, tier), totals in zip(leaves, tier_demand):
         if lambdas and lam <= lambdas[-1]:
             raise InternalCheckError(
                 f"rates must strictly increase, got {lambdas[-1]} then {lam}"
             )
-        tier_demand = object_totals(demand, tier)
-        newly_exhausted = {b for b, d in tier_demand.items() if d > caps[b]}
+        newly_exhausted = {b for b, d in totals.items() if b in caps and d > caps[b]}
         fixed |= tier
         exhausted |= newly_exhausted
         lambdas.append(lam)
@@ -201,16 +237,15 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
         object_tiers.append(frozenset(exhausted))
         for a in tier:
             per_agent[a] = lam
-        remaining = [a for a in remaining if a not in tier]
-        caps = {b: c for b, c in caps.items() if b not in newly_exhausted}
-        for b, d in tier_demand.items():
-            if b in caps:
+        for b, d in totals.items():
+            if b in newly_exhausted:
+                del caps[b]
+            elif b in caps:
                 caps[b] -= d
                 if caps[b] < ZERO:
                     raise InternalCheckError(
                         f"negative residual capacity for non-exhausted object {b!r}"
                     )
-        demand = {k: d for k, d in demand.items() if k[0] not in tier and k[1] in caps}
     return BreakpointProfile(
         lambdas=tuple(lambdas),
         agent_tiers=tuple(agent_tiers),

@@ -100,6 +100,19 @@ def test_allocate_short_flow_is_an_internal_error(squeeze_path, capsys, monkeypa
     assert "internal check failed: flow is not maximum" in err
 
 
+@pytest.mark.parametrize("command", ["allocate", "audit"])
+def test_solver_value_error_is_an_internal_error(squeeze_path, capsys, monkeypatch, command):
+    # The instance is already validated when the solver runs, so a
+    # ValueError there is a solver bug, not bad input.
+    def broken(network):
+        raise ValueError("flow on a broken network (injected)")
+
+    monkeypatch.setattr(leximin, "max_flow", broken)
+    code, out, err = run(capsys, [command, squeeze_path])
+    assert code == 3 and out == ""
+    assert "internal" in err and "flow on a broken network (injected)" in err
+
+
 def over_demand(monkeypatch):
     """Make the mechanism hand a1 100 units of b2 beyond its demand."""
     real = cli.lexicographic_allocation

@@ -1,15 +1,18 @@
 """The mechanism: networks, per-tier rates, tier structure, allocation, checks."""
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import breakpoint_example, staircase
+from leximinflow import leximin
 from leximinflow.core import (
     Allocation,
     Instance,
+    InternalCheckError,
     InvalidInstanceError,
     capped_supply,
     object_totals,
@@ -23,15 +26,74 @@ from leximinflow.generators import (
     si_misreport_instance,
 )
 from leximinflow.leximin import (
+    BreakpointProfile,
+    _view_network,
     breakpoints,
     build_network,
     lexicographic_allocation,
     min_ratio,
     structure_check,
+    tier_capacity,
 )
 from leximinflow.maxflow import max_flow, source_heavy_min_cut
 from leximinflow.oracle import oracle_breakpoints
 from leximinflow.rational import ONE, Rational, ZERO
+
+
+def newton_min_ratio(agents, caps, demand, endowments):
+    """Minimum of capacity/endowment over nonempty subsets of ``agents``, with
+    the maximal subset attaining it, as the solver found it before the split
+    tree: Newton rounds of Dinkelbach (1967), one max flow over all of
+    ``agents`` per round, until the source-heavy cut certifies the rate."""
+    total_e = sum((endowments[a] for a in agents), ZERO)
+    lam = tier_capacity(caps, demand) / total_e
+    for _ in range(len(agents) + 1):
+        network = _view_network(agents, caps, demand, {a: endowments[a] * lam for a in agents})
+        flow = max_flow(network)
+        cut = source_heavy_min_cut(network, flow)
+        tight = frozenset(a for i, a in enumerate(agents, 1) if i in cut.source_side)
+        if cut.capacity == total_e * lam:
+            return lam, tight
+        assert tight, "non-certifying cut with empty agent side"
+        tight_e = sum((endowments[a] for a in tight), ZERO)
+        # The cut's capacity is cap(T) + lambda x e(A \ T).
+        next_lam = (cut.capacity - lam * (total_e - tight_e)) / tight_e
+        assert next_lam < lam, "min-ratio iteration failed to decrease"
+        lam = next_lam
+    raise AssertionError("min-ratio iteration exceeded its bound")
+
+
+def newton_breakpoints(instance):
+    """The tier loop the split tree replaced: peel off the maximal
+    minimum-ratio agent set at each rate, then carry the residual caps and
+    the active demand entries to the next tier."""
+    remaining = list(instance.agents)
+    caps = capped_supply(instance)
+    demand = instance.demand
+    fixed, exhausted = set(), set()
+    lambdas, agent_tiers, object_tiers, per_agent = [], [], [], {}
+    while remaining:
+        lam, tier = newton_min_ratio(remaining, caps, demand, instance.endowment)
+        tier_demand = object_totals(demand, tier)
+        newly_exhausted = {b for b, d in tier_demand.items() if d > caps[b]}
+        fixed |= tier
+        exhausted |= newly_exhausted
+        lambdas.append(lam)
+        agent_tiers.append(frozenset(fixed))
+        object_tiers.append(frozenset(exhausted))
+        per_agent.update(dict.fromkeys(tier, lam))
+        remaining = [a for a in remaining if a not in tier]
+        caps = {b: c for b, c in caps.items() if b not in newly_exhausted}
+        for b, d in tier_demand.items():
+            if b in caps:
+                caps[b] -= d
+        demand = {k: d for k, d in demand.items() if k[0] not in tier and k[1] in caps}
+    return BreakpointProfile(
+        lambdas=tuple(lambdas),
+        agent_tiers=tuple(agent_tiers),
+        object_tiers=tuple(object_tiers),
+        per_agent=per_agent,
+    )
 
 
 def test_build_network_single_pair():
@@ -102,13 +164,16 @@ def test_min_ratio_single_agent():
 
 
 def test_min_ratio_picks_the_slowest_group():
+    # The joint rate is 3/2, the supply over both endowments; a1 alone
+    # absorbs only 1 < 3/2, so the split puts a1 below that rate.
     inst = breakpoint_example()
     lam, tight = min_ratio(inst.agents, capped_supply(inst), inst.demand, inst.endowment)
-    assert lam == ONE
+    assert lam == Rational(3, 2)
     assert tight == frozenset({"a1"})
 
 
 def test_min_ratio_returns_the_maximal_tight_set():
+    # One tier: the cut certifies the joint rate and T is every agent.
     inst = si_misreport_instance()
     lam, tight = min_ratio(inst.agents, capped_supply(inst), inst.demand, inst.endowment)
     assert lam == Rational(3)
@@ -118,6 +183,115 @@ def test_min_ratio_returns_the_maximal_tight_set():
 def test_min_ratio_rejects_empty_view():
     with pytest.raises(ValueError):
         min_ratio((), {}, {}, {})
+
+
+def test_breakpoints_match_the_newton_tier_loop(corpus, equal_corpus):
+    # The corpora mostly freeze in one or two tiers; staircases and the
+    # sparse 12x12 and 40x40 instances split deep trees.
+    instances = corpus + equal_corpus + [staircase(n) for n in range(2, 25)]
+    instances += [random_instance(seed, 12, 12, 0.2) for seed in range(150)]
+    instances += [random_instance(seed, 40, 40, 0.06) for seed in range(30)]
+    multi_tier = 0
+    for inst in instances:
+        profile = breakpoints(inst)
+        assert profile == newton_breakpoints(inst)
+        multi_tier += profile.k >= 6
+    assert multi_tier >= 100
+
+
+@pytest.mark.parametrize(
+    "make, tiers",
+    [
+        pytest.param(lambda: staircase(200), 200, id="staircase-200"),
+        pytest.param(lambda: random_instance(0, 200, 200, 0.02), 101, id="sparse-200"),
+        # More tiers than Python's recursion limit of 1000.
+        pytest.param(lambda: staircase(1100), 1100, id="staircase-1100"),
+        pytest.param(lambda: random_instance(2, 8, 8, 0.9), 1, id="dense-one-tier"),
+    ],
+)
+def test_solve_takes_exactly_two_flows_per_tier(monkeypatch, make, tiers):
+    # 2k - 1 split-tree nodes, one flow each, plus the final allocation flow.
+    inst = make()
+    calls = []
+    real = leximin.max_flow
+
+    def counting(network):
+        calls.append(None)
+        return real(network)
+
+    monkeypatch.setattr(leximin, "max_flow", counting)
+    _, profile = lexicographic_allocation(inst)
+    assert profile.k == tiers
+    assert len(calls) == 2 * tiers
+
+
+def path_tree_instance(n):
+    """Agent a_i alone demands object b_i and freezes at rate i.  Each
+    endowment outweighs the slower agents' joint pull on the mean rate, so
+    every split peels off only the fastest agent: the split tree is a path
+    of depth n - 1."""
+    agents = tuple(f"a{i}" for i in range(1, n + 1))
+    objects = tuple(f"b{i}" for i in range(1, n + 1))
+    endowments = []
+    for m in range(1, n + 1):
+        endowments.append(sum((m - 1 - i) * e for i, e in enumerate(endowments, 1)) + 1)
+    amounts = {b: i * e for i, (b, e) in enumerate(zip(objects, endowments), 1)}
+    return Instance(
+        agents, dict(zip(agents, endowments)), objects, amounts,
+        {(a, b): amounts[b] for a, b in zip(agents, objects)},
+    )
+
+
+def test_split_tree_deeper_than_the_stack_allows(monkeypatch):
+    # The worklist keeps the stack flat: a solver that recursed per tree
+    # level would exceed a limit of 100 frames above the caller.
+    inst = path_tree_instance(200)
+    sizes = []
+    real = leximin.min_ratio
+
+    def recording(agents, *args):
+        sizes.append(len(agents))
+        return real(agents, *args)
+
+    monkeypatch.setattr(leximin, "min_ratio", recording)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        profile = breakpoints(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(sizes) == [1] * 200 + list(range(2, 201))
+    assert profile.lambdas == tuple(Rational(i) for i in range(1, 201))
+
+
+def test_split_rejects_a_cut_above_the_source_capacity(monkeypatch):
+    inst = breakpoint_example()
+    real = leximin.source_heavy_min_cut
+
+    def inflated(network, flow):
+        cut = real(network, flow)
+        return dataclasses.replace(cut, capacity=cut.capacity + ONE)
+
+    monkeypatch.setattr(leximin, "source_heavy_min_cut", inflated)
+    with pytest.raises(InternalCheckError, match="exceeds the source capacity"):
+        breakpoints(inst)
+
+
+def test_split_rejects_a_non_certifying_cut_that_keeps_every_agent(monkeypatch):
+    # One tier: the real cut certifies, with every agent on the source side.
+    inst = si_misreport_instance()
+    real = leximin.source_heavy_min_cut
+
+    def deflated(network, flow):
+        cut = real(network, flow)
+        return dataclasses.replace(cut, capacity=cut.capacity - ONE)
+
+    monkeypatch.setattr(leximin, "source_heavy_min_cut", deflated)
+    with pytest.raises(InternalCheckError, match="must split the agents, got 3 of 3"):
+        breakpoints(inst)
 
 
 def test_breakpoints_hand_example():

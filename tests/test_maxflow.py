@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import hand_made_flow, staircase
 from leximinflow import leximin
 from leximinflow.core import InternalCheckError
+from leximinflow.generators import random_instance
 from leximinflow.maxflow import (
     CutResult,
     Flow,
@@ -357,8 +358,8 @@ def test_max_flow_matches_reference_on_mixed_denominators(seed):
 
 
 def test_max_flow_matches_reference_on_solver_networks(corpus, monkeypatch):
-    """Every network the solver builds, on a corpus slice and on staircases
-    with 2-24 tiers."""
+    """Every network the solver builds, on a corpus slice, on staircases
+    with 2-24 tiers and on sparse 12x12 instances with about 8 tiers."""
     networks = []
 
     def capture(network):
@@ -366,7 +367,8 @@ def test_max_flow_matches_reference_on_solver_networks(corpus, monkeypatch):
         return max_flow(network)
 
     monkeypatch.setattr(leximin, "max_flow", capture)
-    for inst in corpus[:60] + [staircase(n) for n in range(2, 25)]:
+    sparse = [random_instance(seed, 12, 12, 0.2) for seed in range(20)]
+    for inst in corpus[:60] + [staircase(n) for n in range(2, 25)] + sparse:
         leximin.lexicographic_allocation(inst)
     assert len(networks) > 1000
     for net in networks:
