@@ -150,11 +150,13 @@ def object_totals(
 ) -> dict[str, Rational]:
     """Per object, the total of sparse (agent, object) entries such as demands
     or allocated amounts: of the given agents, or of every agent when
-    ``agents`` is None.  Objects without an entry are absent."""
+    ``agents`` is None.  Objects without an entry are absent.  Each total
+    starts from the int 0, so it keeps the entries' type: int entries give
+    int totals."""
     totals: dict[str, Rational] = {}
     for (a, b), v in entries.items():
         if agents is None or a in agents:
-            totals[b] = totals.get(b, ZERO) + v
+            totals[b] = totals.get(b, 0) + v
     return totals
 
 

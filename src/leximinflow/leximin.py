@@ -19,6 +19,14 @@ tier at rate lambda, or its agent side splits them into the agents that
 freeze at rates up to lambda and the rest.  A solve with k tiers takes
 exactly 2k - 1 split flows, plus the final allocation flow.
 
+The split tree and the rate-order pass run on Python ints.  ``breakpoints``
+scales the instance once per solve: demands and capped supplies by D, the
+lcm of their denominators, and endowments by E, the lcm of theirs.  A node
+with agent set A scales its network by e(A), so every split flow is
+integral, and a ``Rational`` is built only for each node's rate; a tier's
+rate in instance units is cap(A) x E / (e(A) x D).  The final allocation
+flow runs on the instance's rationals, which ``max_flow`` scales itself.
+
 Every network is bipartite on vertex indices: source 0, the p agents
 1..p, the q objects p+1..p+q and sink p+q+1.  Its edges are the p source
 edges, one edge per demand entry in sorted (agent, object) order, and one
@@ -28,8 +36,9 @@ allocation is read off the flow by position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     Allocation,
@@ -85,8 +94,9 @@ class BreakpointProfile:
 
 def tier_capacity(caps: Mapping[str, Rational], demand: Mapping) -> Rational:
     """Joint absorbable supply of the agents behind ``demand``: per object,
-    their demand capped by residual capacity."""
-    total = ZERO
+    their demand capped by residual capacity.  The sum starts from the int
+    0, so int caps and demands give an int."""
+    total = 0
     for b, d in object_totals(demand).items():
         total += min(caps[b], d)
     return total
@@ -128,27 +138,38 @@ def min_ratio(
     cap(X) - lambda x e(X) over the subsets X of ``agents``, given the active
     objects' residual ``caps`` and the ``demand`` entries among them.
 
-    T is the agent side of the source-heavy minimum cut at source caps
-    endowment x lambda: the cut puts each object on whichever side costs
-    min(residual cap, demand of T), so its capacity is
-    cap(T) + lambda x e(agents - T).  A cut of capacity e(agents) x lambda
-    certifies the agents as one tier at rate lambda, and T is all of them.
-    Otherwise T is nonempty and proper: it holds exactly the agents whose
-    tiers freeze at rates up to lambda.
+    The flow runs at source caps endowment x lambda, with the whole network
+    scaled by the node scale e(agents): source edges carry
+    endowment x cap(agents), and demand and sink edges are multiplied by
+    e(agents).  On int caps, demands and endowments every edge is an int.
+    T is the agent side of the source-heavy minimum cut: the cut puts each
+    object on whichever side costs min(residual cap, demand of T), so its
+    capacity is e(agents) x (cap(T) + lambda x e(agents - T)).  A cut of
+    capacity e(agents) x cap(agents), the source total, certifies the agents
+    as one tier at rate lambda, and T is all of them.  Otherwise T is
+    nonempty and proper: it holds exactly the agents whose tiers freeze at
+    rates up to lambda.  Lambda is a ``Rational`` in the units of the
+    arguments.
     """
     if not agents:
         raise ValueError("min_ratio needs at least one agent")
-    total_e = ZERO
+    total_e = 0
     for a in agents:
         total_e += endowments[a]
-    lam = tier_capacity(caps, demand) / total_e
-    network = _view_network(agents, caps, demand, {a: endowments[a] * lam for a in agents})
+    cap = tier_capacity(caps, demand)
+    network = _view_network(
+        agents,
+        {b: c * total_e for b, c in caps.items()},
+        {k: d * total_e for k, d in demand.items()},
+        {a: endowments[a] * cap for a in agents},
+    )
     cut = source_heavy_min_cut(network, max_flow(network))
-    source_total = total_e * lam
+    source_total = total_e * cap
     if cut.capacity > source_total:
         raise InternalCheckError(
             f"cut capacity {cut.capacity} exceeds the source capacity {source_total}"
         )
+    lam = Rational(cap) / total_e
     if cut.capacity == source_total:
         return lam, frozenset(agents)
     tight = frozenset(a for i, a in enumerate(agents, 1) if i in cut.source_side)
@@ -157,6 +178,18 @@ def min_ratio(
             f"non-certifying cut must split the agents, got {len(tight)} of {len(agents)}"
         )
     return lam, tight
+
+
+def _common_denominator(values: Iterable[Rational]) -> int:
+    """The lcm of the values' denominators: the least scale that makes every
+    value an int."""
+    # int(): a gmpy2 denominator is an mpz.
+    return math.lcm(*(int(v.denominator) for v in values))
+
+
+def _as_ints(values: Mapping, scale: int) -> dict:
+    """The values times ``scale``, as ints."""
+    return {k: int(v.numerator) * (scale // int(v.denominator)) for k, v in values.items()}
 
 
 def _demanded(caps: Mapping[str, Rational], demand: Mapping) -> dict[str, Rational]:
@@ -169,10 +202,13 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     """Tier structure of an instance, by divide and conquer over a split tree
     (Fujishige 1980; Gallo, Grigoriadis & Tarjan 1989).
 
-    A node is an agent set, the residual caps of the objects it demands (the
-    root keeps every object), and its demand entries among them; it costs
-    one ``min_ratio`` flow.  A
-    certified node is one tier.  Otherwise its split T has two children: the
+    The solve runs on ints: demands and capped supplies times D, the lcm of
+    their denominators, and endowments times E, the lcm of theirs.  A node
+    is an agent set, the residual caps of the objects it demands (the root
+    keeps every object), and its demand entries among them; it costs one
+    ``min_ratio`` flow, scaled by the node's endowment total.  A certified
+    node is one tier, at rate cap x E / (e x D) for its int capacity cap
+    and endowment total e.  Otherwise its split T has two children: the
     restriction, T with the same caps; and the contraction, the other agents
     with the caps left once T has frozen: an object T over-demands is
     exhausted, and every other object's cap falls by T's demand.  k tiers
@@ -188,24 +224,33 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     if not instance.agents:
         return BreakpointProfile(lambdas=(), agent_tiers=(), object_tiers=(), per_agent={})
     capped = capped_supply(instance)
+    demand_scale = _common_denominator([*capped.values(), *instance.demand.values()])
+    endowment_scale = _common_denominator(instance.endowment.values())
+    capped = _as_ints(capped, demand_scale)
+    all_demand = _as_ints(instance.demand, demand_scale)
+    endowment = _as_ints(instance.endowment, endowment_scale)
+    # Rates in int units, cap / e; the instance rate is that times E / D.
     leaves: list[tuple[Rational, frozenset]] = []
-    work = [(list(instance.agents), capped, instance.demand)]
+    work = [(list(instance.agents), capped, all_demand)]
     while work:
         agents, caps, demand = work.pop()
-        lam, tight = min_ratio(agents, caps, demand, instance.endowment)
+        lam, tight = min_ratio(agents, caps, demand, endowment)
         if len(tight) == len(agents):
             leaves.append((lam, tight))
             continue
-        tight_demand = {k: d for k, d in demand.items() if k[0] in tight}
-        tight_totals = object_totals(tight_demand)
+        tight_demand, other_demand, tight_totals = {}, {}, {}
+        for k, d in demand.items():
+            if k[0] in tight:
+                tight_demand[k] = d
+                tight_totals[k[1]] = tight_totals.get(k[1], 0) + d
+            else:
+                other_demand[k] = d
         rest_caps = {}
         for b, c in caps.items():
-            d = tight_totals.get(b, ZERO)
+            d = tight_totals.get(b, 0)
             if d <= c:
                 rest_caps[b] = c - d
-        rest_demand = {
-            k: d for k, d in demand.items() if k[0] not in tight and k[1] in rest_caps
-        }
+        rest_demand = {k: d for k, d in other_demand.items() if k[1] in rest_caps}
         work.append(([a for a in agents if a not in tight],
                      _demanded(rest_caps, rest_demand), rest_demand))
         work.append(([a for a in agents if a in tight],
@@ -213,10 +258,10 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
 
     leaves.sort(key=lambda leaf: leaf[0])
     tier_index = {a: i for i, (_, tier) in enumerate(leaves) for a in tier}
-    tier_demand: list[dict[str, Rational]] = [{} for _ in leaves]
-    for (a, b), d in instance.demand.items():
+    tier_demand: list[dict[str, int]] = [{} for _ in leaves]
+    for (a, b), d in all_demand.items():
         totals = tier_demand[tier_index[a]]
-        totals[b] = totals.get(b, ZERO) + d
+        totals[b] = totals.get(b, 0) + d
     caps = dict(capped)
     fixed: set = set()
     exhausted: set = set()
@@ -225,6 +270,7 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     object_tiers: list[frozenset] = []
     per_agent: dict[str, Rational] = {}
     for (lam, tier), totals in zip(leaves, tier_demand):
+        lam = Rational(int(lam.numerator) * endowment_scale, int(lam.denominator) * demand_scale)
         if lambdas and lam <= lambdas[-1]:
             raise InternalCheckError(
                 f"rates must strictly increase, got {lambdas[-1]} then {lam}"
@@ -242,7 +288,7 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
                 del caps[b]
             elif b in caps:
                 caps[b] -= d
-                if caps[b] < ZERO:
+                if caps[b] < 0:
                     raise InternalCheckError(
                         f"negative residual capacity for non-exhausted object {b!r}"
                     )
@@ -268,7 +314,7 @@ def lexicographic_allocation(instance: Instance) -> tuple[Allocation, Breakpoint
     source_caps = {
         a: instance.endowment[a] * profile.per_agent[a] for a in instance.agents
     }
-    network = build_network(instance, source_caps)
+    network = _view_network(instance.agents, capped, instance.demand, source_caps)
     flow = max_flow(network)
     total_capped = ZERO
     for b in instance.objects:

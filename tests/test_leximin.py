@@ -1,6 +1,7 @@
 """The mechanism: networks, per-tier rates, tier structure, allocation, checks."""
 
 import dataclasses
+import random
 import sys
 
 import pytest
@@ -185,12 +186,30 @@ def test_min_ratio_rejects_empty_view():
         min_ratio((), {}, {}, {})
 
 
+def prime_denominator_instance(seed, n=10, density=0.3):
+    """Seeded n x n instance whose every number has a denominator of 97, 101
+    or 103, so the solve's int scales are products of large primes."""
+    rng = random.Random(seed)
+
+    def draw(low):
+        return Rational(rng.randint(low, 60), rng.choice((97, 101, 103)))
+
+    agents = tuple(f"a{i}" for i in range(1, n + 1))
+    objects = tuple(f"b{j}" for j in range(1, n + 1))
+    demand = {(a, b): draw(1) for a in agents for b in objects if rng.random() < density}
+    return Instance(
+        agents, {a: draw(1) for a in agents}, objects, {b: draw(0) for b in objects}, demand
+    )
+
+
 def test_breakpoints_match_the_newton_tier_loop(corpus, equal_corpus):
-    # The corpora mostly freeze in one or two tiers; staircases and the
-    # sparse 12x12 and 40x40 instances split deep trees.
+    # The corpora mostly freeze in one or two tiers and have denominators of
+    # at most 8; staircases and the sparse 12x12 and 40x40 instances split
+    # deep trees, and the prime-denominator instances scale by large lcms.
     instances = corpus + equal_corpus + [staircase(n) for n in range(2, 25)]
     instances += [random_instance(seed, 12, 12, 0.2) for seed in range(150)]
     instances += [random_instance(seed, 40, 40, 0.06) for seed in range(30)]
+    instances += [prime_denominator_instance(seed) for seed in range(40)]
     multi_tier = 0
     for inst in instances:
         profile = breakpoints(inst)
@@ -223,6 +242,54 @@ def test_solve_takes_exactly_two_flows_per_tier(monkeypatch, make, tiers):
     _, profile = lexicographic_allocation(inst)
     assert profile.k == tiers
     assert len(calls) == 2 * tiers
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: staircase(6), id="staircase-6"),
+        # Fractional endowments, supplies and demands, in four tiers.
+        pytest.param(lambda: random_instance(0), id="random-0"),
+        pytest.param(
+            lambda: Instance(
+                ("a1", "a2", "a3"),
+                {"a1": Rational(1, 7), "a2": Rational(2, 9), "a3": Rational(5, 11)},
+                ("b1", "b2"),
+                {"b1": Rational(5, 11), "b2": Rational(1, 7)},
+                {("a1", "b1"): Rational(2, 9), ("a2", "b1"): Rational(1, 7),
+                 ("a2", "b2"): Rational(5, 11), ("a3", "b2"): Rational(2, 9)},
+            ),
+            id="coprime-denominators",
+        ),
+    ],
+)
+def test_split_networks_are_integral(monkeypatch, make):
+    # The split tree runs on ints: a sum that starts from a Rational zero
+    # would turn every later capacity back into a Rational, with the same
+    # outputs.
+    inst = make()
+    inside = []  # one entry per open min_ratio call
+    capacities = []
+    real_min_ratio, real_max_flow = leximin.min_ratio, leximin.max_flow
+
+    def tracked_min_ratio(*args):
+        inside.append(None)
+        try:
+            return real_min_ratio(*args)
+        finally:
+            inside.pop()
+
+    def recording(network):
+        if inside:
+            capacities.extend(c for _, _, c in network.edges)
+        return real_max_flow(network)
+
+    monkeypatch.setattr(leximin, "min_ratio", tracked_min_ratio)
+    monkeypatch.setattr(leximin, "max_flow", recording)
+    _, profile = lexicographic_allocation(inst)
+    assert profile.k >= 2
+    assert capacities
+    assert {type(c) for c in capacities} == {int}
 
 
 def path_tree_instance(n):
@@ -268,12 +335,16 @@ def test_split_tree_deeper_than_the_stack_allows(monkeypatch):
 
 
 def test_split_rejects_a_cut_above_the_source_capacity(monkeypatch):
+    # The split network is scaled by its node's endowment total, so a fixed
+    # excess could stay under the source total.  The sum of every edge
+    # capacity exceeds it at any scale.
     inst = breakpoint_example()
     real = leximin.source_heavy_min_cut
 
     def inflated(network, flow):
         cut = real(network, flow)
-        return dataclasses.replace(cut, capacity=cut.capacity + ONE)
+        excess = sum(c for _, _, c in network.edges)
+        return dataclasses.replace(cut, capacity=cut.capacity + excess)
 
     monkeypatch.setattr(leximin, "source_heavy_min_cut", inflated)
     with pytest.raises(InternalCheckError, match="exceeds the source capacity"):
