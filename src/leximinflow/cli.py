@@ -85,12 +85,10 @@ def allocation_dict(instance: Instance, allocation: Allocation, profile: Breakpo
         ],
         "breakpoints": [format_rational(l) for l in profile.lambdas],
         "tiers": [
-            {
-                "rate": format_rational(profile.lambdas[i]),
-                "agents": sorted(profile.new_agents(i)),
-                "objects": sorted(profile.new_objects(i)),
-            }
-            for i in range(profile.k)
+            {"rate": format_rational(lam), "agents": sorted(agents), "objects": sorted(objects)}
+            for lam, agents, objects in zip(
+                profile.lambdas, profile.agent_tiers, profile.object_tiers
+            )
         ],
         "entitlements": {
             "ratio": None if entitlements.ratio is None else format_rational(entitlements.ratio),

@@ -92,6 +92,16 @@ def parse_instance(text: str) -> Instance:
 
 
 def serialize_instance(instance: Instance) -> str:
+    """The instance as versioned JSON.  Demand entries are listed by instance
+    agent order, then instance object order; an entry naming an undeclared id
+    is left out, as the parser would reject it."""
+    agent_rank = {a: r for r, a in enumerate(instance.agents)}
+    object_rank = {b: r for r, b in enumerate(instance.objects)}
+    entries = sorted(
+        (agent_rank[a], object_rank[b], a, b, d)
+        for (a, b), d in instance.demand.items()
+        if a in agent_rank and b in object_rank
+    )
     doc = {
         "version": FORMAT_VERSION,
         "agents": [
@@ -103,10 +113,8 @@ def serialize_instance(instance: Instance) -> str:
             for b in instance.objects
         ],
         "demands": [
-            {"agent": a, "object": b, "demand": format_rational(instance.demand[(a, b)])}
-            for a in instance.agents
-            for b in instance.objects
-            if (a, b) in instance.demand
+            {"agent": a, "object": b, "demand": format_rational(d)}
+            for _, _, a, b, d in entries
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -239,8 +239,8 @@ def _true_utility_floor(
     first.
     """
     i = profile.tier_of(agent)
-    own_tier_objects = profile.new_objects(i)
-    outside = [b for b in reported.objects if b not in profile.object_tiers[i]]
+    exhausted = frozenset().union(*profile.object_tiers[: i + 1])
+    outside = [b for b in reported.objects if b not in exhausted]
     floor = ZERO
     budget = reported.endowment[agent] * profile.per_agent[agent]
     for b in outside:
@@ -248,7 +248,7 @@ def _true_utility_floor(
         floor += min(d_rep, instance.demand_between(agent, b))
         budget -= d_rep
     headroom = ZERO
-    for b in own_tier_objects:
+    for b in profile.object_tiers[i]:
         d_rep = reported.demand_between(agent, b)
         headroom += d_rep - min(d_rep, instance.demand_between(agent, b))
     if budget > headroom:

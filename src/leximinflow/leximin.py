@@ -37,6 +37,7 @@ allocation is read off the flow by position.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -57,10 +58,11 @@ from .reporting import PropertyReport, failing, passing
 class BreakpointProfile:
     """Tier structure of an instance: rates, agent tiers, exhausted objects.
 
-    ``lambdas`` is strictly increasing.  ``agent_tiers[i]`` / ``object_tiers[i]``
-    are the *cumulative* sets through tier i+1 (0-based), so the last agent
-    tier is the full agent set.  ``per_agent`` maps each agent to the rate its
-    tier froze at.
+    ``lambdas`` is strictly increasing.  ``agent_tiers[i]`` holds the agents
+    that froze exactly at tier i (0-based) and ``object_tiers[i]`` the objects
+    that tier exhausted, so each tier is stored once and the agent tiers
+    partition the agents.  ``per_agent`` maps each agent to the rate its tier
+    froze at.
     """
 
     lambdas: tuple[Rational, ...]
@@ -73,23 +75,9 @@ class BreakpointProfile:
         return len(self.lambdas)
 
     def tier_of(self, agent: str) -> int:
-        """0-based index of the tier the agent froze in."""
-        for i, tier in enumerate(self.agent_tiers):
-            if agent in tier:
-                return i
-        raise KeyError(agent)
-
-    def new_agents(self, i: int) -> frozenset:
-        """Agents that froze exactly at tier i (0-based)."""
-        if i == 0:
-            return self.agent_tiers[0]
-        return self.agent_tiers[i] - self.agent_tiers[i - 1]
-
-    def new_objects(self, i: int) -> frozenset:
-        """Objects exhausted exactly at tier i (0-based)."""
-        if i == 0:
-            return self.object_tiers[0]
-        return self.object_tiers[i] - self.object_tiers[i - 1]
+        """0-based index of the tier the agent froze in: the position of its
+        rate among the strictly increasing ``lambdas``."""
+        return bisect_left(self.lambdas, self.per_agent[agent])
 
 
 def tier_capacity(caps: Mapping[str, Rational], demand: Mapping) -> Rational:
@@ -263,8 +251,6 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
         totals = tier_demand[tier_index[a]]
         totals[b] = totals.get(b, 0) + d
     caps = dict(capped)
-    fixed: set = set()
-    exhausted: set = set()
     lambdas: list[Rational] = []
     agent_tiers: list[frozenset] = []
     object_tiers: list[frozenset] = []
@@ -275,12 +261,10 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
             raise InternalCheckError(
                 f"rates must strictly increase, got {lambdas[-1]} then {lam}"
             )
-        newly_exhausted = {b for b, d in totals.items() if b in caps and d > caps[b]}
-        fixed |= tier
-        exhausted |= newly_exhausted
+        newly_exhausted = frozenset(b for b, d in totals.items() if b in caps and d > caps[b])
         lambdas.append(lam)
-        agent_tiers.append(frozenset(fixed))
-        object_tiers.append(frozenset(exhausted))
+        agent_tiers.append(tier)
+        object_tiers.append(newly_exhausted)
         for a in tier:
             per_agent[a] = lam
         for b, d in totals.items():
@@ -355,8 +339,8 @@ def structure_check(
     agent_tier = dict.fromkeys(instance.agents, k)
     object_tier = dict.fromkeys(instance.objects, k)
     for i in range(k):
-        agent_tier.update(dict.fromkeys(profile.new_agents(i), i))
-        object_tier.update(dict.fromkeys(profile.new_objects(i), i))
+        agent_tier.update(dict.fromkeys(profile.agent_tiers[i], i))
+        object_tier.update(dict.fromkeys(profile.object_tiers[i], i))
     agent_rank = {a: r for r, a in enumerate(agent_tier)}
     object_rank = {b: r for r, b in enumerate(object_tier)}
     capped = capped_supply(instance)
@@ -396,10 +380,10 @@ def structure_check(
     open_demand = object_totals(open_entries)
     absorbed = exhausted_supply = outside = ZERO
     for i in range(k):
-        for a in profile.new_agents(i):
+        for a in profile.agent_tiers[i]:
             absorbed += instance.endowment[a] * profile.lambdas[i]
         outside += open_by_tier[i]
-        for b in profile.new_objects(i):
+        for b in profile.object_tiers[i]:
             exhausted_supply += instance.supply[b]
             outside -= open_demand.get(b, ZERO)
         if absorbed != exhausted_supply + outside:

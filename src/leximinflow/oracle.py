@@ -92,8 +92,8 @@ def oracle_breakpoints(instance: Instance) -> BreakpointProfile:
         fixed |= tier
         exhausted |= newly
         lambdas.append(best)
-        agent_tiers.append(frozenset(fixed))
-        object_tiers.append(frozenset(exhausted))
+        agent_tiers.append(frozenset(tier))
+        object_tiers.append(frozenset(newly))
         for a in tier:
             per_agent[a] = best
         remaining = [a for a in remaining if a not in tier]

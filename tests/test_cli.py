@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import hand_made_flow
+from conftest import breakpoint_example, hand_made_flow
 from leximinflow import cli, leximin
 from leximinflow.core import Allocation, Instance, InternalCheckError, utility_vector
 from leximinflow.fileio import parse_instance, save_instance, serialize_instance
@@ -62,6 +62,20 @@ def test_allocate_json_is_consistent(squeeze_path, capsys):
     for row in data["allocation"]:
         s = row["amount"]
         assert format_rational(parse_rational(s)) == s
+
+
+def test_allocate_json_reports_each_tier_once(tmp_path, capsys):
+    path = tmp_path / "tiers.json"
+    save_instance(breakpoint_example(), str(path))
+    code, out, err = run(capsys, ["allocate", str(path), "--output", "json"])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["tiers"] == [
+        {"rate": "1", "agents": ["a1"], "objects": []},
+        {"rate": "2", "agents": ["a2"], "objects": ["b"]},
+    ]
+    assert {row["id"]: row["tier"] for row in data["agents"]} == {"a1": 1, "a2": 2}
+    assert data["breakpoints"] == ["1", "2"]
 
 
 def test_allocate_empty_instance(tmp_path, capsys):

@@ -61,6 +61,21 @@ def test_serialized_numbers_are_strings_in_lowest_terms():
     assert doc["demands"][0]["demand"] == "5/2"
 
 
+def test_serialize_lists_demands_in_instance_order():
+    # The demand dict is filled in reverse; the file follows the instance's
+    # agent order, then its object order.
+    agents, objects = ("z", "a", "m"), ("y", "b")
+    demand = {}
+    for a in reversed(agents):
+        for b in reversed(objects):
+            demand[(a, b)] = 1
+    inst = Instance(agents, dict.fromkeys(agents, 1), objects, dict.fromkeys(objects, 1), demand)
+    doc = json.loads(serialize_instance(inst))
+    assert [(d["agent"], d["object"]) for d in doc["demands"]] == [
+        ("z", "y"), ("z", "b"), ("a", "y"), ("a", "b"), ("m", "y"), ("m", "b"),
+    ]
+
+
 def test_serialize_ends_with_newline():
     assert serialize_instance(si_misreport_instance()).endswith("}\n")
 

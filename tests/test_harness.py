@@ -2,19 +2,20 @@
 
 import pytest
 
-from conftest import breakpoint_example
+from conftest import breakpoint_example, staircase
 from leximinflow.core import Allocation, Instance, sub_instance, utilities
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.harness import (
     AGENT_REMOVAL,
     ENDOWMENT_DECREASE,
     ManipulationReport,
+    _true_utility_floor,
     check_pm,
     check_rm,
     check_substructure,
     search_manipulation,
 )
-from leximinflow.leximin import lexicographic_allocation
+from leximinflow.leximin import breakpoints, lexicographic_allocation
 from leximinflow.oracle import oracle_breakpoints
 from leximinflow.rational import ONE, Rational, ZERO
 
@@ -167,6 +168,38 @@ def test_search_argument_errors():
         search_manipulation(inst, coalition_size=1, budget=0)
     with pytest.raises(ValueError):
         search_manipulation(inst, coalition_size=1, demand_grid=(Rational(-1),))
+
+
+def test_truthful_utility_floor_is_the_frozen_utility(corpus):
+    # Reporting the truth leaves no valueless headroom, so the floor is the
+    # agent's whole frozen utility.
+    for inst in corpus + [staircase(n) for n in range(2, 12)]:
+        profile = breakpoints(inst)
+        for a in inst.agents:
+            floor = _true_utility_floor(inst, inst, profile, a)
+            assert floor == inst.endowment[a] * profile.per_agent[a]
+
+
+def test_utility_floor_skips_objects_exhausted_by_earlier_tiers():
+    # Reported: a1 freezes alone at rate 1 and exhausts b1; a2 freezes at rate
+    # 5 and exhausts b2.  a2 reports a demand of 1 on b1, which a2 can never
+    # get, and of 6 on b2, 3 more than it values.  Only b3 is served in full
+    # (1 unit, all valued), and the rest of a2's budget of 5, 4 units, goes to
+    # b2, where 3 units may be valueless: the floor is 1 + 1.
+    objects, supply = ("b1", "b2", "b3"), {"b1": 1, "b2": 4, "b3": 10}
+    endowment = {"a1": 1, "a2": 1}
+    true = Instance(
+        ("a1", "a2"), endowment, objects, supply,
+        {("a1", "b1"): 2, ("a2", "b2"): 3, ("a2", "b3"): 2},
+    )
+    reported = Instance(
+        ("a1", "a2"), endowment, objects, supply,
+        {("a1", "b1"): 2, ("a2", "b1"): 1, ("a2", "b2"): 6, ("a2", "b3"): 1},
+    )
+    profile = breakpoints(reported)
+    assert profile.lambdas == (ONE, Rational(5))
+    assert profile.object_tiers == (frozenset({"b1"}), frozenset({"b2"}))
+    assert _true_utility_floor(true, reported, profile, "a2") == Rational(2)
 
 
 def test_main_mechanism_resists_the_inflation_play():

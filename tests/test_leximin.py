@@ -71,17 +71,14 @@ def newton_breakpoints(instance):
     remaining = list(instance.agents)
     caps = capped_supply(instance)
     demand = instance.demand
-    fixed, exhausted = set(), set()
     lambdas, agent_tiers, object_tiers, per_agent = [], [], [], {}
     while remaining:
         lam, tier = newton_min_ratio(remaining, caps, demand, instance.endowment)
         tier_demand = object_totals(demand, tier)
         newly_exhausted = {b for b, d in tier_demand.items() if d > caps[b]}
-        fixed |= tier
-        exhausted |= newly_exhausted
         lambdas.append(lam)
-        agent_tiers.append(frozenset(fixed))
-        object_tiers.append(frozenset(exhausted))
+        agent_tiers.append(tier)
+        object_tiers.append(frozenset(newly_exhausted))
         per_agent.update(dict.fromkeys(tier, lam))
         remaining = [a for a in remaining if a not in tier]
         caps = {b: c for b, c in caps.items() if b not in newly_exhausted}
@@ -369,12 +366,12 @@ def test_breakpoints_hand_example():
     profile = breakpoints(breakpoint_example())
     assert profile.k == 2
     assert profile.lambdas == (ONE, Rational(2))
-    assert profile.agent_tiers == (frozenset({"a1"}), frozenset({"a1", "a2"}))
+    assert profile.agent_tiers == (frozenset({"a1"}), frozenset({"a2"}))
     assert profile.object_tiers == (frozenset(), frozenset({"b"}))
     assert profile.per_agent == {"a1": ONE, "a2": Rational(2)}
     assert profile.tier_of("a1") == 0 and profile.tier_of("a2") == 1
-    assert profile.new_agents(1) == frozenset({"a2"})
-    assert profile.new_objects(1) == frozenset({"b"})
+    with pytest.raises(KeyError):
+        profile.tier_of("nobody")
 
 
 def test_breakpoints_single_tier_family():
@@ -449,13 +446,15 @@ def test_profile_invariants_on_random_instances(corpus):
         assert profile.lambdas[:1] == () or profile.lambdas[0] >= ZERO
         for i in range(1, profile.k):
             assert profile.lambdas[i - 1] < profile.lambdas[i]
-            assert profile.agent_tiers[i - 1] < profile.agent_tiers[i]
-            assert profile.object_tiers[i - 1] <= profile.object_tiers[i]
-        assert profile.agent_tiers[-1] == frozenset(inst.agents)
+        # The agent tiers partition the agents; the object tiers are disjoint.
+        assert all(profile.agent_tiers)
+        assert sum(map(len, profile.agent_tiers)) == len(inst.agents)
+        assert frozenset().union(*profile.agent_tiers) == frozenset(inst.agents)
+        exhausted = frozenset().union(*profile.object_tiers)
+        assert sum(map(len, profile.object_tiers)) == len(exhausted)
         capped = capped_supply(inst)
-        for i in range(profile.k):
-            previous_agents = profile.agent_tiers[i - 1] if i else frozenset()
-            previous_objects = profile.object_tiers[i - 1] if i else frozenset()
+        previous_agents, previous_objects = frozenset(), frozenset()
+        for i, (fresh, fresh_objects) in enumerate(zip(profile.agent_tiers, profile.object_tiers)):
             previous_demand = object_totals(inst.demand, previous_agents)
             caps = {
                 b: capped[b] - previous_demand.get(b, ZERO)
@@ -463,14 +462,26 @@ def test_profile_invariants_on_random_instances(corpus):
                 if b not in previous_objects
             }
             assert all(c >= ZERO for c in caps.values())
-            fresh = profile.new_agents(i)
             fresh_demand = object_totals(inst.demand, fresh)
-            expected_new_objects = {
+            expected_objects = {
                 b for b in caps if fresh_demand.get(b, ZERO) > caps[b]
             }
-            assert profile.new_objects(i) == expected_new_objects
+            assert fresh_objects == expected_objects
             for a in fresh:
                 assert profile.per_agent[a] == profile.lambdas[i]
+                assert profile.tier_of(a) == i
+            previous_agents |= fresh
+            previous_objects |= fresh_objects
+
+
+def test_profile_stores_each_tier_once():
+    # staircase(n) has n tiers; cumulative sets would hold about n^2 / 2 agents.
+    inst = staircase(1000)
+    profile = breakpoints(inst)
+    assert profile.k == 1000
+    exhausted = frozenset().union(*profile.object_tiers)
+    stored = sum(map(len, profile.agent_tiers)) + sum(map(len, profile.object_tiers))
+    assert stored == len(inst.agents) + len(exhausted)
 
 
 def test_multi_tier_profiles_match_the_oracle():

@@ -19,7 +19,8 @@ from leximinflow.rational import Rational, ZERO
 def test_oracle_breakpoints_hand_example():
     profile = oracle_breakpoints(breakpoint_example())
     assert profile.lambdas == (Rational(1), Rational(2))
-    assert profile.agent_tiers == (frozenset({"a1"}), frozenset({"a1", "a2"}))
+    assert profile.agent_tiers == (frozenset({"a1"}), frozenset({"a2"}))
+    assert profile.object_tiers == (frozenset(), frozenset({"b"}))
 
 
 def test_oracle_breakpoints_single_shared_tier():

@@ -118,9 +118,9 @@ def dense_structure_check(instance, allocation, profile):
     capped = dense_capped_supply(instance)
     all_objects = set(instance.objects)
     for i in range(profile.k):
-        cum_agents = profile.agent_tiers[i]
-        cum_objects = profile.object_tiers[i]
-        for a in profile.new_agents(i):
+        cum_agents = frozenset().union(*profile.agent_tiers[: i + 1])
+        cum_objects = frozenset().union(*profile.object_tiers[: i + 1])
+        for a in profile.agent_tiers[i]:
             for b in all_objects - cum_objects:
                 mu = allocation.amount_of(a, b)
                 d = instance.demand_between(a, b)
@@ -129,7 +129,7 @@ def dense_structure_check(instance, allocation, profile):
                         name, (a, b), mu, d,
                         note="unexhausted object must be served in full",
                     )
-        for b in profile.new_objects(i):
+        for b in profile.object_tiers[i]:
             for a in instance.agents:
                 if a not in cum_agents:
                     mu = allocation.amount_of(a, b)
@@ -150,7 +150,7 @@ def dense_structure_check(instance, allocation, profile):
         lhs = ZERO
         for j in range(i + 1):
             tier_e = ZERO
-            for a in profile.new_agents(j):
+            for a in profile.agent_tiers[j]:
                 tier_e += instance.endowment[a]
             lhs += tier_e * profile.lambdas[j]
         rhs = ZERO
