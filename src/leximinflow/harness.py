@@ -286,6 +286,8 @@ def search_manipulation(
     counted; a truthful instance it cannot allocate raises
     ``GridInfeasibleError``.
     """
+    if not instance.agents:
+        raise ValueError("the instance has no agents, so there is no coalition to search")
     if not 1 <= coalition_size <= len(instance.agents):
         raise ValueError(
             f"coalition size must lie in [1, {len(instance.agents)}], got {coalition_size}"

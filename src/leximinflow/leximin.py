@@ -19,13 +19,14 @@ tier at rate lambda, or its agent side splits them into the agents that
 freeze at rates up to lambda and the rest.  A solve with k tiers takes
 exactly 2k - 1 split flows, plus the final allocation flow.
 
-The split tree and the rate-order pass run on Python ints.  ``breakpoints``
-scales the instance once per solve: demands and capped supplies by D, the
-lcm of their denominators, and endowments by E, the lcm of theirs.  A node
-with agent set A scales its network by e(A), so every split flow is
-integral, and a ``Rational`` is built only for each node's rate; a tier's
-rate in instance units is cap(A) x E / (e(A) x D).  The final allocation
-flow runs on the instance's rationals, which ``max_flow`` scales itself.
+The split tree runs on Python ints.  ``breakpoints`` scales the instance
+once per solve: demands and capped supplies by D, the lcm of their
+denominators, and endowments by E, the lcm of theirs.  A node with agent set
+A scales its network by e(A), so every split flow is integral, and a
+``Rational`` is built only for each node's rate; a tier's rate in instance
+units is cap(A) x E / (e(A) x D).  Each leaf records its tier's exhausted
+objects, so no pass follows the tree.  The final allocation flow runs on the
+instance's rationals, which ``max_flow`` scales itself.
 
 Every network is bipartite on vertex indices: source 0, the p agents
 1..p, the q objects p+1..p+q and sink p+q+1.  Its edges are the p source
@@ -203,8 +204,11 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     take 2k - 1 nodes.  An explicit worklist walks the tree, whose depth can
     reach k.
 
-    A last pass in rate order, with no flows, carries the residual caps from
-    tier to tier and marks the objects each tier exhausts.
+    A node's caps are those left once every slower agent has frozen, so each
+    node applies one over-demand rule: T exhausts the objects on which its
+    demand exceeds the cap.  A certified node records that set as its tier's
+    exhausted objects; a split node drops it from the contraction.  The
+    leaves, sorted by rate, are the tiers.
     """
     violations = validate_instance(instance)
     if violations:
@@ -215,17 +219,13 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     demand_scale = _common_denominator([*capped.values(), *instance.demand.values()])
     endowment_scale = _common_denominator(instance.endowment.values())
     capped = _as_ints(capped, demand_scale)
-    all_demand = _as_ints(instance.demand, demand_scale)
     endowment = _as_ints(instance.endowment, endowment_scale)
     # Rates in int units, cap / e; the instance rate is that times E / D.
-    leaves: list[tuple[Rational, frozenset]] = []
-    work = [(list(instance.agents), capped, all_demand)]
+    leaves: list[tuple[Rational, frozenset, frozenset]] = []
+    work = [(list(instance.agents), capped, _as_ints(instance.demand, demand_scale))]
     while work:
         agents, caps, demand = work.pop()
         lam, tight = min_ratio(agents, caps, demand, endowment)
-        if len(tight) == len(agents):
-            leaves.append((lam, tight))
-            continue
         tight_demand, other_demand, tight_totals = {}, {}, {}
         for k, d in demand.items():
             if k[0] in tight:
@@ -233,53 +233,32 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
                 tight_totals[k[1]] = tight_totals.get(k[1], 0) + d
             else:
                 other_demand[k] = d
-        rest_caps = {}
-        for b, c in caps.items():
-            d = tight_totals.get(b, 0)
-            if d <= c:
-                rest_caps[b] = c - d
+        exhausted = frozenset(b for b, d in tight_totals.items() if d > caps[b])
+        if len(tight) == len(agents):
+            leaves.append((lam, tight, exhausted))
+            continue
+        rest_caps = {b: c - tight_totals.get(b, 0) for b, c in caps.items() if b not in exhausted}
         rest_demand = {k: d for k, d in other_demand.items() if k[1] in rest_caps}
         work.append(([a for a in agents if a not in tight],
                      _demanded(rest_caps, rest_demand), rest_demand))
         work.append(([a for a in agents if a in tight],
-                     _demanded(caps, tight_demand), tight_demand))
+                     {b: caps[b] for b in tight_totals}, tight_demand))
 
     leaves.sort(key=lambda leaf: leaf[0])
-    tier_index = {a: i for i, (_, tier) in enumerate(leaves) for a in tier}
-    tier_demand: list[dict[str, int]] = [{} for _ in leaves]
-    for (a, b), d in all_demand.items():
-        totals = tier_demand[tier_index[a]]
-        totals[b] = totals.get(b, 0) + d
-    caps = dict(capped)
     lambdas: list[Rational] = []
-    agent_tiers: list[frozenset] = []
-    object_tiers: list[frozenset] = []
     per_agent: dict[str, Rational] = {}
-    for (lam, tier), totals in zip(leaves, tier_demand):
+    for lam, tier, _ in leaves:
         lam = Rational(int(lam.numerator) * endowment_scale, int(lam.denominator) * demand_scale)
         if lambdas and lam <= lambdas[-1]:
             raise InternalCheckError(
                 f"rates must strictly increase, got {lambdas[-1]} then {lam}"
             )
-        newly_exhausted = frozenset(b for b, d in totals.items() if b in caps and d > caps[b])
         lambdas.append(lam)
-        agent_tiers.append(tier)
-        object_tiers.append(newly_exhausted)
-        for a in tier:
-            per_agent[a] = lam
-        for b, d in totals.items():
-            if b in newly_exhausted:
-                del caps[b]
-            elif b in caps:
-                caps[b] -= d
-                if caps[b] < 0:
-                    raise InternalCheckError(
-                        f"negative residual capacity for non-exhausted object {b!r}"
-                    )
+        per_agent.update(dict.fromkeys(tier, lam))
     return BreakpointProfile(
         lambdas=tuple(lambdas),
-        agent_tiers=tuple(agent_tiers),
-        object_tiers=tuple(object_tiers),
+        agent_tiers=tuple(tier for _, tier, _ in leaves),
+        object_tiers=tuple(exhausted for *_, exhausted in leaves),
         per_agent=per_agent,
     )
 

@@ -465,6 +465,15 @@ def test_manipulate_argument_errors(misreport_path, capsys):
     assert code == 2 and "zero denominator" in err
 
 
+def test_manipulate_rejects_an_instance_without_agents(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"version": 1, "agents": [], "objects": [], "demands": []}\n')
+    code, out, err = run(capsys, ["manipulate", str(path)])
+    assert code == 2 and out == ""
+    assert "the instance has no agents" in err
+    assert "coalition size" not in err
+
+
 # ---------------------------------------------------------------- generate
 
 

@@ -199,6 +199,23 @@ def prime_denominator_instance(seed, n=10, density=0.3):
     )
 
 
+def path_tree_instance(n):
+    """Agent a_i alone demands object b_i and freezes at rate i.  Each
+    endowment outweighs the slower agents' joint pull on the mean rate, so
+    every split peels off only the fastest agent: the split tree is a path
+    of depth n - 1."""
+    agents = tuple(f"a{i}" for i in range(1, n + 1))
+    objects = tuple(f"b{i}" for i in range(1, n + 1))
+    endowments = []
+    for m in range(1, n + 1):
+        endowments.append(sum((m - 1 - i) * e for i, e in enumerate(endowments, 1)) + 1)
+    amounts = {b: i * e for i, (b, e) in enumerate(zip(objects, endowments), 1)}
+    return Instance(
+        agents, dict(zip(agents, endowments)), objects, amounts,
+        {(a, b): amounts[b] for a, b in zip(agents, objects)},
+    )
+
+
 def test_breakpoints_match_the_newton_tier_loop(corpus, equal_corpus):
     # The corpora mostly freeze in one or two tiers and have denominators of
     # at most 8; staircases and the sparse 12x12 and 40x40 instances split
@@ -207,6 +224,9 @@ def test_breakpoints_match_the_newton_tier_loop(corpus, equal_corpus):
     instances += [random_instance(seed, 12, 12, 0.2) for seed in range(150)]
     instances += [random_instance(seed, 40, 40, 0.06) for seed in range(30)]
     instances += [prime_denominator_instance(seed) for seed in range(40)]
+    # Path-shaped split trees carry caps through n - 1 contractions, and
+    # every object's demand equals its cap.
+    instances += [path_tree_instance(n) for n in range(2, 31)]
     multi_tier = 0
     for inst in instances:
         profile = breakpoints(inst)
@@ -289,23 +309,6 @@ def test_split_networks_are_integral(monkeypatch, make):
     assert {type(c) for c in capacities} == {int}
 
 
-def path_tree_instance(n):
-    """Agent a_i alone demands object b_i and freezes at rate i.  Each
-    endowment outweighs the slower agents' joint pull on the mean rate, so
-    every split peels off only the fastest agent: the split tree is a path
-    of depth n - 1."""
-    agents = tuple(f"a{i}" for i in range(1, n + 1))
-    objects = tuple(f"b{i}" for i in range(1, n + 1))
-    endowments = []
-    for m in range(1, n + 1):
-        endowments.append(sum((m - 1 - i) * e for i, e in enumerate(endowments, 1)) + 1)
-    amounts = {b: i * e for i, (b, e) in enumerate(zip(objects, endowments), 1)}
-    return Instance(
-        agents, dict(zip(agents, endowments)), objects, amounts,
-        {(a, b): amounts[b] for a, b in zip(agents, objects)},
-    )
-
-
 def test_split_tree_deeper_than_the_stack_allows(monkeypatch):
     # The worklist keeps the stack flat: a solver that recursed per tree
     # level would exceed a limit of 100 frames above the caller.
@@ -386,6 +389,52 @@ def test_breakpoints_all_zero_demands():
     profile = breakpoints(inst)
     assert profile.lambdas == (ZERO,)
     assert profile.agent_tiers == (frozenset({"a", "b"}),)
+
+
+@pytest.mark.parametrize(
+    "inst, lambdas, agent_tiers, object_tiers",
+    [
+        pytest.param(
+            # a1's demand on b equals its cap: b stays open at cap 0, and
+            # a2, demanding b later, exhausts it.
+            Instance(
+                ("a1", "a2"), {"a1": 1, "a2": 1}, ("b", "c"), {"b": 1, "c": 5},
+                {("a1", "b"): 1, ("a2", "b"): 1, ("a2", "c"): 5},
+            ),
+            (1, 5), [{"a1"}, {"a2"}], [set(), {"b"}],
+            id="demand-equals-cap",
+        ),
+        pytest.param(
+            # z has no supply: a1 freezes at rate 0 and exhausts it.
+            Instance(
+                ("a1", "a2"), {"a1": 1, "a2": 1}, ("z", "c"), {"z": 0, "c": 2},
+                {("a1", "z"): 1, ("a2", "c"): 2},
+            ),
+            (0, 2), [{"a1"}, {"a2"}], [{"z"}, set()],
+            id="zero-supply",
+        ),
+        pytest.param(
+            # The root splits at rate 5 into T = {a1, a2}, whose joint demand
+            # 4 on b exceeds its cap 3, and {a3}, which never sees b.  T then
+            # splits: a1 takes 2 of b at rate 2, and a2's 2 overruns the 1
+            # left, so a2's tier exhausts b.
+            Instance(
+                ("a1", "a2", "a3"), {"a1": 1, "a2": 1, "a3": 1}, ("b", "p2", "p3"),
+                {"b": 3, "p2": 2, "p3": 10},
+                {("a1", "b"): 2, ("a2", "b"): 2, ("a2", "p2"): 2,
+                 ("a3", "b"): 1, ("a3", "p3"): 10},
+            ),
+            (2, 3, 10), [{"a1"}, {"a2"}, {"a3"}], [set(), {"b"}, set()],
+            id="joint-over-demand",
+        ),
+    ],
+)
+def test_over_demand_boundaries(inst, lambdas, agent_tiers, object_tiers):
+    profile = breakpoints(inst)
+    assert profile.lambdas == tuple(Rational(lam) for lam in lambdas)
+    assert profile.agent_tiers == tuple(frozenset(t) for t in agent_tiers)
+    assert profile.object_tiers == tuple(frozenset(t) for t in object_tiers)
+    assert profile == oracle_breakpoints(inst)
 
 
 def test_breakpoints_rejects_invalid_instance():
