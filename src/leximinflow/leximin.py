@@ -25,8 +25,9 @@ denominators, and endowments by E, the lcm of theirs.  A node with agent set
 A scales its network by e(A), so every split flow is integral, and a
 ``Rational`` is built only for each node's rate; a tier's rate in instance
 units is cap(A) x E / (e(A) x D).  Each leaf records its tier's exhausted
-objects, so no pass follows the tree.  The final allocation flow runs on the
-instance's rationals, which ``max_flow`` scales itself.
+objects, so no pass follows the tree.  ``max_flow`` takes integral
+networks only, so the final allocation flow is scaled here too, by S, the
+lcm of its capacities' denominators; a nonzero edge flow f is amount f / S.
 
 Every network is bipartite on vertex indices: source 0, the p agents
 1..p, the q objects p+1..p+q and sink p+q+1.  Its edges are the p source
@@ -130,14 +131,15 @@ def min_ratio(
     The flow runs at source caps endowment x lambda, with the whole network
     scaled by the node scale e(agents): source edges carry
     endowment x cap(agents), and demand and sink edges are multiplied by
-    e(agents).  On int caps, demands and endowments every edge is an int.
+    e(agents).  The caps, demands and endowments must be integral, so that
+    every edge is an int.
     T is the agent side of the source-heavy minimum cut: the cut puts each
     object on whichever side costs min(residual cap, demand of T), so its
-    capacity is e(agents) x (cap(T) + lambda x e(agents - T)).  A cut of
-    capacity e(agents) x cap(agents), the source total, certifies the agents
-    as one tier at rate lambda, and T is all of them.  Otherwise T is
-    nonempty and proper: it holds exactly the agents whose tiers freeze at
-    rates up to lambda.  Lambda is a ``Rational`` in the units of the
+    capacity, the flow value, is e(agents) x (cap(T) + lambda x e(agents - T)).
+    A cut of capacity e(agents) x cap(agents), the source total, certifies
+    the agents as one tier at rate lambda, and T is all of them.  Otherwise
+    T is nonempty and proper: it holds exactly the agents whose tiers freeze
+    at rates up to lambda.  Lambda is a ``Rational`` in the units of the
     arguments.
     """
     if not agents:
@@ -152,16 +154,17 @@ def min_ratio(
         {k: d * total_e for k, d in demand.items()},
         {a: endowments[a] * cap for a in agents},
     )
-    cut = source_heavy_min_cut(network, max_flow(network))
+    flow = max_flow(network)
+    source_side = source_heavy_min_cut(network, flow)
     source_total = total_e * cap
-    if cut.capacity > source_total:
+    if flow.value > source_total:
         raise InternalCheckError(
-            f"cut capacity {cut.capacity} exceeds the source capacity {source_total}"
+            f"cut capacity {flow.value} exceeds the source capacity {source_total}"
         )
     lam = Rational(cap) / total_e
-    if cut.capacity == source_total:
+    if flow.value == source_total:
         return lam, frozenset(agents)
-    tight = frozenset(a for i, a in enumerate(agents, 1) if i in cut.source_side)
+    tight = frozenset(a for i, a in enumerate(agents, 1) if i in source_side)
     if not tight or len(tight) == len(agents):
         raise InternalCheckError(
             f"non-certifying cut must split the agents, got {len(tight)} of {len(agents)}"
@@ -266,7 +269,8 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
 def lexicographic_allocation(instance: Instance) -> tuple[Allocation, BreakpointProfile]:
     """Run the mechanism: compute the tier structure, then a max flow with
     source edges capped at endowment x frozen-rate, and read the allocation off
-    the agent-to-object flow.
+    the agent-to-object flow.  The flow runs on ints: every capacity times
+    S, the lcm of their denominators.
 
     Self-checks (fatal on failure): the flow saturates every source edge and
     every capped-supply edge, i.e. its value equals both the total of
@@ -277,22 +281,23 @@ def lexicographic_allocation(instance: Instance) -> tuple[Allocation, Breakpoint
     source_caps = {
         a: instance.endowment[a] * profile.per_agent[a] for a in instance.agents
     }
-    network = _view_network(instance.agents, capped, instance.demand, source_caps)
+    scale = _common_denominator(
+        [*capped.values(), *instance.demand.values(), *source_caps.values()]
+    )
+    capped = _as_ints(capped, scale)
+    source_caps = _as_ints(source_caps, scale)
+    network = _view_network(instance.agents, capped, _as_ints(instance.demand, scale), source_caps)
     flow = max_flow(network)
-    total_capped = ZERO
-    for b in instance.objects:
-        total_capped += capped[b]
-    total_source = ZERO
-    for a in instance.agents:
-        total_source += source_caps[a]
+    total_capped = sum(capped.values())
+    total_source = sum(source_caps.values())
     if flow.value != total_capped or flow.value != total_source:
         raise InternalCheckError(
             f"lexicographic flow value {flow.value} != capped supply {total_capped}"
-            f" or != endowment-rate total {total_source}"
+            f" or != endowment-rate total {total_source} (all times {scale})"
         )
     # The demand edges follow the source edges, in sorted demand order.
     demand_flows = flow.edge_flows()[len(instance.agents):]
-    amounts = {key: f for key, f in zip(sorted(instance.demand), demand_flows) if f != ZERO}
+    amounts = {k: Rational(f, scale) for k, f in zip(sorted(instance.demand), demand_flows) if f}
     return Allocation(amounts), profile
 
 

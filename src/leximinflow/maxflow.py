@@ -1,19 +1,15 @@
-"""Exact maximum flow and minimum cuts on rational-capacitated networks.
+"""Exact maximum flow and minimum cuts on integral networks.
 
 A network's vertices are the indices 0..n-1, with source 0 and sink n-1.
-Dinic's algorithm runs on Python ints: ``max_flow`` scales every capacity by
-the lcm of their denominators, so the residual graph is integral, and the
-``Flow`` it returns is that residual graph.  ``max_flow`` divides only the
-value back by the scale; ``Flow.edge_flows`` divides the edge flows back
-when it is called.  Scaling by a positive constant preserves
-every comparison, so the augmentations are the ones exact rational
-arithmetic would make, and flow values, cut capacities, and the max-flow =
-min-cut identity can all be asserted with zero tolerance.
+Every capacity is an integer (an int, or an integral rational): callers
+scale their networks, so Dinic's algorithm runs on Python ints and the
+``Flow`` it returns is that residual graph.  Flow values, edge flows and cut
+capacities are ints, so the max-flow = min-cut identity is asserted exactly.
 The cut this module reads off a maximum flow is the *source-heavy* minimum
 cut — the unique minimum cut whose source side contains the source side of
 every other minimum cut — which the breakpoint solver needs to pick maximal
-tight agent sets.  It is read off the flow's integer residual graph, so the
-cut costs one walk from the sink and one integer sum.
+tight agent sets.  It is read off the flow's residual graph, so the cut
+costs one walk from the sink and one integer sum.
 
 All procedures are deterministic: edge input order fixes the augmentation
 order, so identical input yields an identical flow.
@@ -21,54 +17,44 @@ order, so identical input yields an identical flow.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 from .core import InternalCheckError
-from .rational import Rational, ZERO
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
     """Directed graph on the vertices 0..n-1, with source 0, sink n-1 and
-    exact (rational or integer) capacities, kept as given."""
+    integral capacities (ints, or rationals of denominator 1), kept as given."""
 
     n: int
-    edges: tuple[tuple[int, int, Rational], ...]
+    edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"a flow network needs at least 2 vertices, got {self.n}")
-        # Edges are checked where max_flow scales them, one comparison each.
+        # Edges are checked where Flow reads them, one comparison each.
         object.__setattr__(self, "edges", tuple(self.edges))
-
-
-@dataclass(frozen=True)
-class CutResult:
-    """A source/sink cut: the vertex set containing the source, and its capacity."""
-
-    source_side: frozenset
-    capacity: Rational
 
 
 class Flow:
     """A flow as the arc-pair residual graph Dinic ran on: arc 2i is edge i
-    forward, arc 2i+1 its reverse.  Capacities are the network's times
-    ``scale``, the lcm of their denominators, so the residual of arc 2i+1 is
-    edge i's scaled flow.  ``value`` is the unscaled flow value, set by
-    ``max_flow``; a fresh ``Flow(network)`` is the zero flow."""
+    forward, arc 2i+1 its reverse, so the residual of arc 2i+1 is edge i's
+    flow.  ``value`` is the int flow value, set by ``max_flow``; a fresh
+    ``Flow(network)`` is the zero flow."""
 
     def __init__(self, network: FlowNetwork):
         n = network.n
-        # int(): a gmpy2 denominator is an mpz.
-        self.scale = scale = math.lcm(*(int(c.denominator) for _, _, c in network.edges))
         self.head: list[int] = []
         self.residual: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
         for t, h, cap in network.edges:
-            scaled = int(cap.numerator) * (scale // int(cap.denominator))
-            if scaled < 0:
+            if cap.denominator != 1:
+                raise ValueError(f"non-integral capacity on edge {t!r} -> {h!r}: {cap}")
+            # int(): an integral Fraction or mpq becomes a Python int.
+            cap = int(cap)
+            if cap < 0:
                 raise ValueError(f"negative capacity on edge {t!r} -> {h!r}: {cap}")
             # Explicit: the lists below would read a negative index from
             # their end, so -1 would silently be the sink.
@@ -76,17 +62,16 @@ class Flow:
                 raise ValueError(f"edge {t!r} -> {h!r} leaves the vertices 0..{n - 1}")
             self.adj[t].append(len(self.head))
             self.head.append(h)
-            self.residual.append(scaled)
+            self.residual.append(cap)
             self.adj[h].append(len(self.head))
             self.head.append(t)
             self.residual.append(0)
         self.n = n
-        self.value: Rational = ZERO
+        self.value = 0
 
-    def edge_flows(self) -> tuple[Rational, ...]:
+    def edge_flows(self) -> tuple[int, ...]:
         """Per-edge flow values aligned with ``FlowNetwork.edges``."""
-        scale = self.scale
-        return tuple(Rational(f, scale) for f in self.residual[1::2])
+        return tuple(self.residual[1::2])
 
     def levels_from_source(self) -> list[int]:
         head, residual, adj = self.head, self.residual, self.adj
@@ -145,7 +130,7 @@ class Flow:
 
 
 def max_flow(network: FlowNetwork) -> Flow:
-    """Compute a maximum flow (Dinic's algorithm on the integer-scaled network)."""
+    """Compute a maximum flow (Dinic's algorithm on the integral network)."""
     flow = Flow(network)
     sink = network.n - 1
     value = 0
@@ -154,14 +139,15 @@ def max_flow(network: FlowNetwork) -> Flow:
         if level[sink] < 0:
             break
         value += flow.blocking_flow(level)
-    flow.value = Rational(value, flow.scale)
+    flow.value = value
     return flow
 
 
-def source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
-    """The unique minimum cut whose source side contains every minimum cut's
-    source side: the complement of the vertices that can still reach the sink
-    in the flow's residual graph.
+def source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> frozenset:
+    """Source side of the unique minimum cut whose source side contains every
+    minimum cut's source side: the complement of the vertices that can still
+    reach the sink in the flow's residual graph.  A minimum cut's capacity is
+    the flow value.
 
     Self-checks (fatal on failure): the source cannot reach the sink, and the
     cut capacity equals the flow value."""
@@ -181,15 +167,13 @@ def source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
     if reaches_sink[0]:
         raise InternalCheckError("flow is not maximum: sink reachable in residual graph")
     # Arc 2i runs tail -> head of edge i; its two residuals sum to the
-    # edge's scaled capacity.
-    scaled = 0
+    # edge's capacity.
+    capacity = 0
     for arc in range(0, len(head), 2):
         if reaches_sink[head[arc]] and not reaches_sink[head[arc + 1]]:
-            scaled += residual[arc] + residual[arc + 1]
-    capacity = Rational(scaled, flow.scale)
+            capacity += residual[arc] + residual[arc + 1]
     if capacity != flow.value:
         raise InternalCheckError(
             f"flow is not maximum: cut capacity {capacity} != flow value {flow.value}"
         )
-    source_side = frozenset(v for v, r in enumerate(reaches_sink) if not r)
-    return CutResult(source_side, capacity)
+    return frozenset(v for v, r in enumerate(reaches_sink) if not r)

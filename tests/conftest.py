@@ -11,6 +11,8 @@ corpus, which exercises the endowment-weighted machinery harder.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from leximinflow.core import Allocation, Instance, UtilityVector, capped_supply
@@ -84,18 +86,23 @@ def vec(*normalized) -> UtilityVector:
     )
 
 
+def scaled(network: FlowNetwork) -> tuple[FlowNetwork, int]:
+    """The network with every capacity times the lcm of their denominators,
+    so that each is integral, and that lcm."""
+    # int(): a gmpy2 denominator is an mpz.
+    scale = math.lcm(*(int(c.denominator) for _, _, c in network.edges))
+    return FlowNetwork(network.n, tuple((t, h, c * scale) for t, h, c in network.edges)), scale
+
+
 def hand_made_flow(network: FlowNetwork, edge_flows, value) -> Flow:
-    """A flow with the given edge flows and stated value, maximum or not:
-    each edge's scaled flow moves from its forward arc to its reverse arc of
-    the zero flow's residual graph."""
+    """A flow with the given int edge flows and stated value, maximum or not:
+    each edge's flow moves from its forward arc to its reverse arc of the
+    zero flow's residual graph."""
     flow = Flow(network)
     for i, f in enumerate(edge_flows):
-        scaled = Rational(f) * flow.scale
-        if scaled.denominator != 1:
-            raise ValueError(f"edge flow {f} is not a multiple of 1/{flow.scale}")
-        flow.residual[2 * i] -= int(scaled)
-        flow.residual[2 * i + 1] += int(scaled)
-    flow.value = Rational(value)
+        flow.residual[2 * i] -= f
+        flow.residual[2 * i + 1] += f
+    flow.value = value
     return flow
 
 

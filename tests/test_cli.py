@@ -106,7 +106,7 @@ def test_allocate_missing_file(tmp_path, capsys):
 
 def test_allocate_short_flow_is_an_internal_error(squeeze_path, capsys, monkeypatch):
     def short(network):
-        return hand_made_flow(network, [Rational(0)] * len(network.edges), Rational(0))
+        return hand_made_flow(network, [0] * len(network.edges), 0)
 
     monkeypatch.setattr(leximin, "max_flow", short)
     code, out, err = run(capsys, ["allocate", squeeze_path])

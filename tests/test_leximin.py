@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import breakpoint_example, staircase
+from conftest import breakpoint_example, scaled, staircase
 from leximinflow import leximin
 from leximinflow.core import (
     Allocation,
@@ -38,6 +38,7 @@ from leximinflow.leximin import (
 )
 from leximinflow.maxflow import max_flow, source_heavy_min_cut
 from leximinflow.oracle import oracle_breakpoints
+from leximinflow.properties import is_frugal, is_nw
 from leximinflow.rational import ONE, Rational, ZERO
 
 
@@ -45,20 +46,25 @@ def newton_min_ratio(agents, caps, demand, endowments):
     """Minimum of capacity/endowment over nonempty subsets of ``agents``, with
     the maximal subset attaining it, as the solver found it before the split
     tree: Newton rounds of Dinkelbach (1967), one max flow over all of
-    ``agents`` per round, until the source-heavy cut certifies the rate."""
+    ``agents`` per round, until the source-heavy cut certifies the rate.
+    Each round's network is scaled to ints, and the cut capacity, the flow
+    value, is divided back."""
     total_e = sum((endowments[a] for a in agents), ZERO)
     lam = tier_capacity(caps, demand) / total_e
     for _ in range(len(agents) + 1):
-        network = _view_network(agents, caps, demand, {a: endowments[a] * lam for a in agents})
+        network, scale = scaled(
+            _view_network(agents, caps, demand, {a: endowments[a] * lam for a in agents})
+        )
         flow = max_flow(network)
-        cut = source_heavy_min_cut(network, flow)
-        tight = frozenset(a for i, a in enumerate(agents, 1) if i in cut.source_side)
-        if cut.capacity == total_e * lam:
+        source_side = source_heavy_min_cut(network, flow)
+        capacity = Rational(flow.value, scale)
+        tight = frozenset(a for i, a in enumerate(agents, 1) if i in source_side)
+        if capacity == total_e * lam:
             return lam, tight
         assert tight, "non-certifying cut with empty agent side"
         tight_e = sum((endowments[a] for a in tight), ZERO)
         # The cut's capacity is cap(T) + lambda x e(A \ T).
-        next_lam = (cut.capacity - lam * (total_e - tight_e)) / tight_e
+        next_lam = (capacity - lam * (total_e - tight_e)) / tight_e
         assert next_lam < lam, "min-ratio iteration failed to decrease"
         lam = next_lam
     raise AssertionError("min-ratio iteration exceeded its bound")
@@ -138,16 +144,17 @@ def test_min_cut_capacity_at_the_shared_rate():
     net = build_network(inst, {a: Rational(3) * inst.endowment[a] for a in inst.agents})
     flow = max_flow(net)
     assert flow.value == Rational(9)
-    assert source_heavy_min_cut(net, flow).capacity == Rational(9)
+    # The sink edges, from every vertex but the sink, are the cut.
+    assert source_heavy_min_cut(net, flow) == frozenset(range(6))
 
 
 def test_source_heavy_cut_separates_the_slower_agent():
     inst = breakpoint_example()
     net = build_network(inst, {a: ONE for a in inst.agents})
-    cut = source_heavy_min_cut(net, max_flow(net))
+    source_side = source_heavy_min_cut(net, max_flow(net))
     # Agents a1 and a2 are vertices 1 and 2.
-    assert 1 in cut.source_side
-    assert 2 not in cut.source_side
+    assert 1 in source_side
+    assert 2 not in source_side
 
 
 def single_object_view(caps, demand):
@@ -342,9 +349,9 @@ def test_split_rejects_a_cut_above_the_source_capacity(monkeypatch):
     real = leximin.source_heavy_min_cut
 
     def inflated(network, flow):
-        cut = real(network, flow)
-        excess = sum(c for _, _, c in network.edges)
-        return dataclasses.replace(cut, capacity=cut.capacity + excess)
+        source_side = real(network, flow)
+        flow.value += sum(c for _, _, c in network.edges)
+        return source_side
 
     monkeypatch.setattr(leximin, "source_heavy_min_cut", inflated)
     with pytest.raises(InternalCheckError, match="exceeds the source capacity"):
@@ -357,8 +364,9 @@ def test_split_rejects_a_non_certifying_cut_that_keeps_every_agent(monkeypatch):
     real = leximin.source_heavy_min_cut
 
     def deflated(network, flow):
-        cut = real(network, flow)
-        return dataclasses.replace(cut, capacity=cut.capacity - ONE)
+        source_side = real(network, flow)
+        flow.value -= 1
+        return source_side
 
     monkeypatch.setattr(leximin, "source_heavy_min_cut", deflated)
     with pytest.raises(InternalCheckError, match="must split the agents, got 3 of 3"):
@@ -547,6 +555,42 @@ def test_multi_tier_profiles_match_the_oracle():
             assert utilities(inst, allocation)[a] == inst.endowment[a] * expected.per_agent[a]
         tier_counts.append(profile.k)
     assert sorted(tier_counts)[len(tier_counts) // 2] >= 6
+
+
+LARGE_DENOMINATORS = (2**61 - 1, 10**30, 10**6 + 3)
+
+
+def large_denominator_instance(seed):
+    """Seeded instance of 2-8 agents whose supplies, demands and endowments
+    mix the coprime denominators 2^61 - 1, 10^30 and 10^6 + 3, so the final
+    allocation flow's scale is their product."""
+    rng = random.Random(seed)
+
+    def draw(low):
+        den = rng.choice(LARGE_DENOMINATORS)
+        return Rational(rng.randint(low * den, 9 * den), den)
+
+    agents = tuple(f"a{i}" for i in range(1, rng.randint(2, 8) + 1))
+    objects = tuple(f"b{j}" for j in range(1, rng.randint(1, 6) + 1))
+    demand = {(a, b): draw(1) for a in agents for b in objects if rng.random() < 0.4}
+    return Instance(
+        agents, {a: draw(1) for a in agents}, objects, {b: draw(0) for b in objects}, demand
+    )
+
+
+def test_allocation_scales_large_coprime_denominators():
+    tier_counts = []
+    for seed in range(40):
+        inst = large_denominator_instance(seed)
+        allocation, profile = lexicographic_allocation(inst)
+        expected = oracle_breakpoints(inst)
+        for a in inst.agents:
+            assert utilities(inst, allocation)[a] == inst.endowment[a] * expected.per_agent[a]
+        assert structure_check(inst, allocation, profile).passed
+        assert is_frugal(inst, allocation).passed
+        assert is_nw(inst, allocation).passed
+        tier_counts.append(profile.k)
+    assert max(tier_counts) >= 3
 
 
 def test_input_order_never_changes_utilities(corpus):

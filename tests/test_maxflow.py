@@ -9,17 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hand_made_flow, staircase
+from conftest import hand_made_flow, scaled, staircase
 from leximinflow import leximin
 from leximinflow.core import InternalCheckError
 from leximinflow.generators import random_instance
-from leximinflow.maxflow import (
-    CutResult,
-    Flow,
-    FlowNetwork,
-    max_flow,
-    source_heavy_min_cut,
-)
+from leximinflow.maxflow import Flow, FlowNetwork, max_flow, source_heavy_min_cut
 from leximinflow.rational import Rational, ZERO
 
 
@@ -127,8 +121,8 @@ class ReferenceFlow:
 
 
 def reference_max_flow(network: FlowNetwork) -> ReferenceFlow:
-    """Dinic's algorithm in exact rational arithmetic: the reference for the
-    integer-scaled ``max_flow``."""
+    """Dinic's algorithm in exact rational arithmetic: the reference for
+    ``max_flow`` on the integer-scaled network."""
     residual = _ReferenceResidual(network)
     value = ZERO
     while True:
@@ -139,11 +133,11 @@ def reference_max_flow(network: FlowNetwork) -> ReferenceFlow:
     return ReferenceFlow(tuple(residual.residual[1::2]), value)
 
 
-def reference_source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResult:
+def reference_source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> tuple:
     """The source-heavy minimum cut as the solver read it before it kept the
     integer residual graph: a walk over the rational edge flows and a
     rational sum of the cut, with both self-checks.  The reference for
-    ``source_heavy_min_cut``."""
+    ``source_heavy_min_cut``, as (source side, capacity)."""
     # Residual arcs grouped by head: an edge below capacity gives tail -> head,
     # an edge carrying flow gives head -> tail.
     tails: dict = {}
@@ -171,20 +165,27 @@ def reference_source_heavy_min_cut(network: FlowNetwork, flow: Flow) -> CutResul
         raise InternalCheckError(
             f"flow is not maximum: cut capacity {capacity} != flow value {flow.value}"
         )
-    return CutResult(source_side, capacity)
+    return source_side, capacity
 
 
-def assert_matches_reference(net: FlowNetwork) -> Flow:
-    """``max_flow`` and the reference agree exactly, down to the number
-    type, on the flow and on the source-heavy minimum cut read off it."""
-    flow = max_flow(net)
+def assert_matches_reference(net: FlowNetwork) -> Rational:
+    """``max_flow`` on the integer-scaled network returns ints, a valid flow
+    there, and, divided back by the scale, agrees exactly with the rational
+    reference, down to the number type, on the flow and on the source-heavy
+    minimum cut read off it.  Returns the flow value in ``net``'s units."""
+    integral, scale = scaled(net)
+    flow = max_flow(integral)
+    assert {type(f) for f in (flow.value, *flow.edge_flows())} == {int}
+    assert flow_violations(integral, flow) == []
+    value = Rational(flow.value, scale)
     expected = reference_max_flow(net)
-    assert repr((flow.edge_flows(), flow.value)) == repr((expected.edge_flows(), expected.value))
-    cut = source_heavy_min_cut(net, flow)
+    edge_flows = tuple(Rational(f, scale) for f in flow.edge_flows())
+    assert repr((edge_flows, value)) == repr((expected.edge_flows(), expected.value))
+    cut = source_heavy_min_cut(integral, flow), value
     expected_cut = reference_source_heavy_min_cut(net, expected)
     assert cut == expected_cut
-    assert repr(cut.capacity) == repr(expected_cut.capacity)
-    return flow
+    assert repr(cut) == repr(expected_cut)
+    return value
 
 
 def network(edges, extra_vertices=()):
@@ -227,34 +228,34 @@ def test_series_parallel_value():
 
 def test_min_cut_of_single_saturated_edge():
     net = network([("s", "t", 5)])
-    cut = source_heavy_min_cut(net, max_flow(net))
-    assert cut.source_side == frozenset({0})  # s
-    assert cut.capacity == Rational(5)
+    flow = max_flow(net)
+    assert source_heavy_min_cut(net, flow) == frozenset({0})  # s
+    assert flow.value == Rational(5)
 
 
 def test_min_cut_when_bottleneck_is_at_the_sink():
     net = network([("s", "u", 9), ("s", "v", 9), ("u", "t", 1), ("v", "t", 2)])
-    cut = source_heavy_min_cut(net, max_flow(net))
-    assert cut.source_side == frozenset({0, 1, 2})  # s, u, v
-    assert cut.capacity == Rational(3)
+    flow = max_flow(net)
+    assert source_heavy_min_cut(net, flow) == frozenset({0, 1, 2})  # s, u, v
+    assert flow.value == Rational(3)
 
 
 def test_source_heavy_equals_min_cut_when_unique():
     net = network([("s", "u", 1), ("u", "t", 5)])
     flow = max_flow(net)
-    assert source_heavy_min_cut(net, flow) == CutResult(frozenset({0}), Rational(1))  # s
+    assert (source_heavy_min_cut(net, flow), flow.value) == (frozenset({0}), Rational(1))  # s
 
 
 def test_source_heavy_takes_the_larger_of_two_min_cuts():
     net = network([("s", "v", 1), ("v", "t", 1)])
     flow = max_flow(net)
-    assert source_heavy_min_cut(net, flow).source_side == frozenset({0, 1})  # s, v
+    assert source_heavy_min_cut(net, flow) == frozenset({0, 1})  # s, v
 
 
 def test_rejects_non_maximum_flow():
     net = network([("s", "t", 5)])
-    short = hand_made_flow(net, (ZERO,), ZERO)
-    mislabeled = hand_made_flow(net, (Rational(5),), Rational(3))
+    short = hand_made_flow(net, (0,), 0)
+    mislabeled = hand_made_flow(net, (5,), 3)
     for cut in (source_heavy_min_cut, reference_source_heavy_min_cut):
         with pytest.raises(InternalCheckError, match="not maximum: sink reachable"):
             cut(net, short)
@@ -267,7 +268,7 @@ def test_network_validation():
     for n in (0, 1):
         with pytest.raises(ValueError, match=f"needs at least 2 vertices, got {n}"):
             max_flow(FlowNetwork(n, ()))
-    # Edges are checked where max_flow scales them.
+    # Edges are checked where Flow reads them.
     with pytest.raises(ValueError, match=r"edge 0 -> 2 leaves the vertices 0\.\.1"):
         max_flow(FlowNetwork(2, ((0, 2, 1),)))
     # Without the range check, -1 would silently be the sink.
@@ -275,6 +276,9 @@ def test_network_validation():
         max_flow(FlowNetwork(2, ((-1, 1, 1),)))
     with pytest.raises(ValueError, match="negative capacity on edge 0 -> 1: -1"):
         max_flow(FlowNetwork(2, ((0, 1, -1),)))
+    # Callers scale their networks to integers; max_flow does not.
+    with pytest.raises(ValueError, match="non-integral capacity on edge 0 -> 1: 1/2"):
+        max_flow(FlowNetwork(2, ((0, 1, Rational(1, 2)),)))
 
 
 def test_flow_violations_reports_bad_flows():
@@ -310,27 +314,22 @@ def random_network(seed: int) -> FlowNetwork:
 @given(seed=st.integers(0, 10**6))
 def test_flow_and_cuts_agree_with_brute_force(seed):
     net = random_network(seed)
-    flow = max_flow(net)
-    assert flow_violations(net, flow) == []
+    integral, scale = scaled(net)
+    flow = max_flow(integral)
+    assert flow_violations(integral, flow) == []
 
     cuts = brute_force_cuts(net)
     best = min(cap for _, cap in cuts)
-    assert flow.value == best
+    value = Rational(flow.value, scale)
+    assert value == best
 
-    heavy = source_heavy_min_cut(net, flow)
-    assert heavy == reference_source_heavy_min_cut(net, flow)
-    assert heavy.capacity == flow.value
-    assert (heavy.source_side, heavy.capacity) in cuts
+    heavy = source_heavy_min_cut(integral, flow)
+    assert (heavy, flow.value) == reference_source_heavy_min_cut(integral, flow)
+    assert (heavy, value) in cuts
     for side, cap in cuts:
         if cap == best:
             # The source-heavy cut contains every minimum cut's source side.
-            assert side <= heavy.source_side
-
-
-def test_cut_result_is_plain_data():
-    cut = CutResult(source_side=frozenset({0}), capacity=Rational(1))
-    assert cut.capacity == 1
-    assert 0 in cut.source_side
+            assert side <= heavy
 
 
 # Denominators mixed within one network, including large coprime ones.
@@ -353,8 +352,7 @@ def mixed_denominator_network(seed: int) -> FlowNetwork:
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_max_flow_matches_reference_on_mixed_denominators(seed):
-    net = mixed_denominator_network(seed)
-    assert flow_violations(net, assert_matches_reference(net)) == []
+    assert_matches_reference(mixed_denominator_network(seed))
 
 
 def test_max_flow_matches_reference_on_solver_networks(corpus, monkeypatch):
@@ -371,6 +369,8 @@ def test_max_flow_matches_reference_on_solver_networks(corpus, monkeypatch):
     for inst in corpus[:60] + [staircase(n) for n in range(2, 25)] + sparse:
         leximin.lexicographic_allocation(inst)
     assert len(networks) > 1000
+    # The solver scales every network to ints itself.
+    assert {type(c) for net in networks for _, _, c in net.edges} == {int}
     for net in networks:
         assert_matches_reference(net)
 
@@ -400,6 +400,4 @@ P61 = 2**61 - 1
 )
 def test_max_flow_exact_edge_cases(edges, value):
     net = network(edges, extra_vertices=("u", "v"))
-    flow = assert_matches_reference(net)
-    assert flow.value == value
-    assert flow_violations(net, flow) == []
+    assert assert_matches_reference(net) == value
