@@ -8,12 +8,19 @@ residual instance, and no small coalition should profit from misreporting
 demands.  The manipulation search enumerates a finite misreport grid, so
 absence of a counterexample is evidence within the declared coverage, not a
 proof.
+
+The search scales the truthful instance to ints once and runs the main
+mechanism's split tree and final flow on that int view for every misreport:
+a reported value is 0, a supply or a grid multiple of a demand, so each
+reported instance is valid by construction, and its ``Instance`` and
+``Allocation`` are built only for a candidate counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -21,11 +28,21 @@ from .core import (
     Allocation,
     Instance,
     InternalCheckError,
+    InvalidInstanceError,
     object_totals,
     sub_instance,
     utilities,
 )
-from .leximin import BreakpointProfile, lexicographic_allocation, structure_check
+from .leximin import (
+    BreakpointProfile,
+    _as_ints,
+    _common_denominator,
+    _final_flow,
+    _profile,
+    _split_tree,
+    lexicographic_allocation,
+    structure_check,
+)
 from .oracle import GRID_RESOLUTION, GridInfeasibleError, oracle_breakpoints, oracle_mmf_si
 from .rational import ONE, Rational, ZERO
 from .reporting import PropertyReport, failing, passing
@@ -214,15 +231,6 @@ class SearchResult:
     skipped: int
 
 
-def _run_mechanism(instance: Instance, mechanism: str):
-    if mechanism == "lmmf":
-        return lexicographic_allocation(instance)
-    if mechanism == "mmf-si":
-        allocation, _ = oracle_mmf_si(instance)
-        return allocation, None
-    raise ValueError(f"unknown mechanism {mechanism!r}")
-
-
 def _true_utility_floor(
     instance: Instance,
     reported: Instance,
@@ -256,13 +264,145 @@ def _true_utility_floor(
     return floor
 
 
-def _entry_values(instance: Instance, pair: tuple[str, str], grid, absolute: bool):
-    a, b = pair
-    true_value = instance.demand_between(a, b)
+def _entry_values(true_value: Rational, supply: Rational, grid, absolute: bool) -> list:
+    """The sorted values one entry may report: the true value times each grid
+    multiplier, and with absolute reports also 0 and the object's supply."""
     values = {m * true_value for m in grid}
     if absolute:
-        values |= {ZERO, instance.supply[b]}
+        values |= {ZERO, supply}
     return sorted(values)
+
+
+def _search_space(instance: Instance, coalition_size: int, grid, absolute: bool) -> int:
+    """Distinct non-identity misreports over every coalition of the given
+    size: per coalition, the product of its entries' value counts, less one
+    when every true value is on the grid.
+
+    The counts come per agent, in closed form, from its sparse demand
+    entries.  Absolute reports come only with the default grid, which holds
+    0 and 1, so an agent's true values are all on the grid when 1 is a
+    multiplier or it demands nothing.  A demand d > 0 reports one value per distinct multiplier, plus with
+    absolute reports the supply s when s > 0 and s / d is no multiplier.  An
+    undemanded object reports 0, and with absolute reports also its supply,
+    so all of an agent's undemanded objects together contribute one
+    factor."""
+    multipliers = set(grid)
+    open_count = {
+        b: (1 if multipliers else 0) + (1 if absolute and s != ZERO else 0)
+        for b, s in ((b, instance.supply[b]) for b in instance.objects)
+    }
+    open_counts = Counter(open_count.values())
+    entries: dict[str, list] = {a: [] for a in instance.agents}
+    for (a, b), d in instance.demand.items():
+        entries[a].append((b, d))
+    factors = {}
+    for a, own in entries.items():
+        factor = 1
+        undemanded = open_counts.copy()
+        for b, d in own:
+            s = instance.supply[b]
+            factor *= len(multipliers) + (absolute and s != ZERO and s / d not in multipliers)
+            undemanded[open_count[b]] -= 1
+        for count, objects in undemanded.items():
+            factor *= count ** objects
+        # An empty value list leaves no misreport, the identity included.
+        factors[a] = (factor, (ONE in multipliers or not own) and factor > 0)
+    space = 0
+    for coalition in itertools.combinations(instance.agents, coalition_size):
+        product, identity = 1, True
+        for a in coalition:
+            product *= factors[a][0]
+            identity = identity and factors[a][1]
+        space += product - identity
+    return space
+
+
+class _ScaledRuns:
+    """The ``lmmf`` runs of one search, on the truthful instance scaled once.
+
+    Supplies and demands are scaled by X, the lcm of their denominators times
+    the lcm of the grid's, so every value the grid can report (0, a supply, or
+    a multiple of a demand) is an int; endowments by E, the lcm of theirs.  A
+    run adds the coalition's nonzero reported ints to the other agents'
+    entries, caps each object's supply by its reported total, and runs the
+    solver's split tree and final flow on that int view.  The truthful
+    instance is valid, and every reported value is 0, one of its supplies or
+    a nonnegative multiple of one of its demands, so each reported instance is
+    valid by construction and no run validates it.
+    """
+
+    def __init__(self, instance: Instance, grid):
+        self.instance = instance
+        self.scale = _common_denominator(
+            [*instance.supply.values(), *instance.demand.values()]
+        ) * _common_denominator(grid)
+        self.supply = _as_ints({b: instance.supply[b] for b in instance.objects}, self.scale)
+        self.demand = _as_ints(instance.demand, self.scale)
+        self.endowment_scale = _common_denominator(instance.endowment.values())
+        self.endowment = _as_ints(instance.endowment, self.endowment_scale)
+
+    def runner(self, coalition: Sequence[str]):
+        """The run function for one coalition, over the other agents' int
+        entries and their per-object totals, fixed once.  A run takes the
+        coalition's reported entries and returns the members' true
+        utilities, and the tiers, flows and flow unit that ``allocation``
+        turns into the run's output."""
+        others = {k: d for k, d in self.demand.items() if k[0] not in coalition}
+        other_totals = object_totals(others)
+        true_entries: dict[str, list] = {a: [] for a in coalition}
+        for k, d in self.demand.items():
+            if k[0] in true_entries:
+                true_entries[k[0]].append((k, d))
+        agents, supply, scale, endowment = (
+            self.instance.agents, self.supply, self.scale, self.endowment
+        )
+
+        def run(reported: Mapping[tuple[str, str], Rational]):
+            demand = dict(others)
+            totals = dict(other_totals)
+            for k, v in reported.items():
+                if v:
+                    d = int(v.numerator) * (scale // int(v.denominator))
+                    demand[k] = d
+                    totals[k[1]] = totals.get(k[1], 0) + d
+            capped = {b: min(s, totals.get(b, 0)) for b, s in supply.items()}
+            try:
+                leaves = _split_tree(agents, capped, demand, endowment)
+                flows, flow_scale = _final_flow(agents, capped, demand, endowment, leaves)
+            except ValueError as exc:
+                raise InternalCheckError(
+                    f"solver raised ValueError on valid input: {exc}"
+                ) from exc
+            unit = scale * flow_scale
+            misreport = {
+                a: Rational(sum(min(flows.get(k, 0), d * flow_scale) for k, d in own), unit)
+                for a, own in true_entries.items()
+            }
+            return misreport, (leaves, flows, unit)
+
+        return run
+
+    def allocation(self, solved) -> tuple[Allocation, BreakpointProfile]:
+        """A run's rational allocation and breakpoint profile, in instance
+        units, as ``lexicographic_allocation`` returns them."""
+        leaves, flows, unit = solved
+        amounts = {k: Rational(f, unit) for k, f in flows.items()}
+        return Allocation(amounts), _profile(leaves, self.scale, self.endowment_scale)
+
+
+def _reported_instance(
+    instance: Instance, coalition: Sequence[str], reported_entries: Mapping
+) -> Instance:
+    return Instance(
+        agents=instance.agents,
+        endowment=instance.endowment,
+        objects=instance.objects,
+        supply=instance.supply,
+        demand={
+            **{k: v for k, v in instance.demand.items() if k[0] not in coalition},
+            **reported_entries,
+        },
+    )
 
 
 def search_manipulation(
@@ -285,6 +425,16 @@ def search_manipulation(
     spent.  A misreport the reference rule cannot allocate is skipped and
     counted; a truthful instance it cannot allocate raises
     ``GridInfeasibleError``.
+
+    The main mechanism's truthful run validates the instance.  Its misreport
+    runs then share one scaling of the instance (see ``_ScaledRuns``): each
+    reported instance is valid by construction, so no run validates or
+    rescales it, and the reported ``Instance`` and its ``Allocation`` are
+    built only for a candidate hit.  Every solver self-check still runs on
+    every run, and a ``ValueError`` from any of its runs, truthful or
+    misreported, is a solver bug raised as ``InternalCheckError``.  A
+    coalition's report grids are built when the search reaches it, and
+    ``space`` is counted from the sparse demand entries.
     """
     if not instance.agents:
         raise ValueError("the instance has no agents, so there is no coalition to search")
@@ -304,62 +454,59 @@ def search_manipulation(
         if m < ZERO:
             raise ValueError(f"grid multipliers must be nonnegative, got {m}")
 
-    try:
-        truthful_alloc, _ = _run_mechanism(instance, mechanism)
-    except GridInfeasibleError as exc:
-        raise GridInfeasibleError(
-            "the truthful instance lies outside the mmf-si reference rule's domain"
-            " (at most 3 agents and 2 objects, and a full-entitlement allocation"
-            f" on the {GRID_RESOLUTION} grid): {exc}"
-        ) from exc
+    if mechanism == "lmmf":
+        try:
+            truthful_alloc, _ = lexicographic_allocation(instance)
+        except InvalidInstanceError:
+            raise
+        except ValueError as exc:
+            raise InternalCheckError(f"solver raised ValueError on valid input: {exc}") from exc
+        scaled = _ScaledRuns(instance, grid)
+    elif mechanism == "mmf-si":
+        try:
+            truthful_alloc, _ = oracle_mmf_si(instance)
+        except GridInfeasibleError as exc:
+            raise GridInfeasibleError(
+                "the truthful instance lies outside the mmf-si reference rule's domain"
+                " (at most 3 agents and 2 objects, and a full-entitlement allocation"
+                f" on the {GRID_RESOLUTION} grid): {exc}"
+            ) from exc
+    else:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
     baseline = utilities(instance, truthful_alloc)
+    space = _search_space(instance, coalition_size, grid, absolute)
 
-    # Per coalition: its entries, their true values and their report grids.
-    searches = []
-    space = 0
+    runs = 0
+    skipped = 0
     for coalition in itertools.combinations(instance.agents, coalition_size):
         pairs = [(a, b) for a in coalition for b in instance.objects]
         truth = tuple(instance.demand_between(*p) for p in pairs)
-        value_lists = [_entry_values(instance, p, grid, absolute) for p in pairs]
-        coalition_space = 1
-        for values in value_lists:
-            coalition_space *= len(values)
-        if all(t in values for t, values in zip(truth, value_lists)):
-            coalition_space -= 1
-        space += coalition_space
-        searches.append((coalition, pairs, truth, value_lists))
-    runs = 0
-    skipped = 0
-    truncated = False
-    for coalition, pairs, truth, value_lists in searches:
+        value_lists = [
+            _entry_values(t, instance.supply[b], grid, absolute) for t, (_, b) in zip(truth, pairs)
+        ]
+        if mechanism == "lmmf":
+            run = scaled.runner(coalition)
         for combo in itertools.product(*value_lists):
             if combo == truth:
                 continue
             if runs >= budget:
-                truncated = True
-                break
+                return SearchResult(
+                    counterexample=None, runs=runs, space=space, truncated=True,
+                    skipped=skipped,
+                )
             runs += 1
             reported_entries = dict(zip(pairs, combo))
-            reported = Instance(
-                agents=instance.agents,
-                endowment=instance.endowment,
-                objects=instance.objects,
-                supply=instance.supply,
-                demand={
-                    **{
-                        k: v
-                        for k, v in instance.demand.items()
-                        if k[0] not in coalition
-                    },
-                    **reported_entries,
-                },
-            )
-            try:
-                misreport_alloc, misreport_profile = _run_mechanism(reported, mechanism)
-            except GridInfeasibleError:
-                skipped += 1
-                continue
-            misreport = utilities(instance, misreport_alloc)
+            if mechanism == "lmmf":
+                misreport, solved = run(reported_entries)
+            else:
+                try:
+                    misreport_alloc, _ = oracle_mmf_si(
+                        _reported_instance(instance, coalition, reported_entries)
+                    )
+                except GridInfeasibleError:
+                    skipped += 1
+                    continue
+                misreport = utilities(instance, misreport_alloc)
             report = ManipulationReport(
                 coalition=coalition,
                 true_demands=dict(zip(pairs, truth)),
@@ -370,6 +517,8 @@ def search_manipulation(
             if not report.is_counterexample:
                 continue
             if mechanism == "lmmf":
+                reported = _reported_instance(instance, coalition, reported_entries)
+                misreport_alloc, misreport_profile = scaled.allocation(solved)
                 verdict = structure_check(reported, misreport_alloc, misreport_profile)
                 if not verdict.passed:
                     raise InternalCheckError(
@@ -384,11 +533,9 @@ def search_manipulation(
                 if not (robust_win and no_robust_loss):
                     continue
             return SearchResult(
-                counterexample=report, runs=runs, space=space, truncated=truncated,
+                counterexample=report, runs=runs, space=space, truncated=False,
                 skipped=skipped,
             )
-        if truncated:
-            break
     return SearchResult(
-        counterexample=None, runs=runs, space=space, truncated=truncated, skipped=skipped
+        counterexample=None, runs=runs, space=space, truncated=False, skipped=skipped
     )

@@ -26,8 +26,14 @@ A scales its network by e(A), so every split flow is integral, and a
 ``Rational`` is built only for each node's rate; a tier's rate in instance
 units is cap(A) x E / (e(A) x D).  Each leaf records its tier's exhausted
 objects, so no pass follows the tree.  ``max_flow`` takes integral
-networks only, so the final allocation flow is scaled here too, by S, the
-lcm of its capacities' denominators; a nonzero edge flow f is amount f / S.
+networks only, so the final allocation flow reuses the same int view: agent
+a's source edge carries its int endowment x its int-unit rate x L, where L
+is the lcm of those rates' denominators, demand and sink edges are
+multiplied by L, and a nonzero edge flow f is amount f / (D x L).  That
+network is a positive multiple of the instance's, so Dinic makes the same
+augmentations at any such scale.  The split tree and the final flow take an
+int view directly (``_split_tree``, ``_final_flow``), so the manipulation
+search runs them on misreports it scales itself.
 
 Every network is bipartite on vertex indices: source 0, the p agents
 1..p, the q objects p+1..p+q and sink p+q+1.  Its edges are the p source
@@ -190,6 +196,117 @@ def _demanded(caps: Mapping[str, Rational], demand: Mapping) -> dict[str, Ration
     return {b: c for b, c in caps.items() if b in named}
 
 
+def _scaled(instance: Instance) -> tuple[dict, dict, dict, int, int]:
+    """A valid instance's int view: its capped supplies, in object order, and
+    its demands, both times D, the lcm of their denominators; its endowments
+    times E, the lcm of theirs; and D and E."""
+    violations = validate_instance(instance)
+    if violations:
+        raise InvalidInstanceError("; ".join(violations))
+    capped = capped_supply(instance)
+    demand_scale = _common_denominator([*capped.values(), *instance.demand.values()])
+    endowment_scale = _common_denominator(instance.endowment.values())
+    return (
+        _as_ints(capped, demand_scale),
+        _as_ints(instance.demand, demand_scale),
+        _as_ints(instance.endowment, endowment_scale),
+        demand_scale,
+        endowment_scale,
+    )
+
+
+def _split_tree(
+    agents: Sequence[str], capped: Mapping[str, int], demand: Mapping, endowment: Mapping
+) -> list[tuple[Rational, frozenset, frozenset]]:
+    """The tiers of an int view, as (int-unit rate, agents, exhausted objects)
+    sorted by rate: the split tree of ``breakpoints``, rooted at every agent
+    and every object of ``capped``.
+
+    Self-check (fatal on failure): the rates strictly increase.
+    """
+    leaves: list[tuple[Rational, frozenset, frozenset]] = []
+    work = [(list(agents), capped, demand)] if agents else []
+    while work:
+        agents, caps, demand = work.pop()
+        lam, tight = min_ratio(agents, caps, demand, endowment)
+        tight_demand, other_demand, tight_totals = {}, {}, {}
+        for k, d in demand.items():
+            if k[0] in tight:
+                tight_demand[k] = d
+                tight_totals[k[1]] = tight_totals.get(k[1], 0) + d
+            else:
+                other_demand[k] = d
+        exhausted = frozenset(b for b, d in tight_totals.items() if d > caps[b])
+        if len(tight) == len(agents):
+            leaves.append((lam, tight, exhausted))
+            continue
+        rest_caps = {b: c - tight_totals.get(b, 0) for b, c in caps.items() if b not in exhausted}
+        rest_demand = {k: d for k, d in other_demand.items() if k[1] in rest_caps}
+        work.append(([a for a in agents if a not in tight],
+                     _demanded(rest_caps, rest_demand), rest_demand))
+        work.append(([a for a in agents if a in tight],
+                     {b: caps[b] for b in tight_totals}, tight_demand))
+    leaves.sort(key=lambda leaf: leaf[0])
+    for (slower, *_), (faster, *_) in zip(leaves, leaves[1:]):
+        if faster <= slower:
+            raise InternalCheckError(
+                f"rates must strictly increase, got {slower} then {faster} (int units)"
+            )
+    return leaves
+
+
+def _final_flow(
+    agents: Sequence[str], capped: Mapping[str, int], demand: Mapping, endowment: Mapping,
+    leaves: Sequence[tuple[Rational, frozenset, frozenset]],
+) -> tuple[dict, int]:
+    """The allocation flow of an int view and its tiers: the nonzero flow on
+    each demand entry, and L, the lcm of the int-unit rates' denominators.
+    The network is the view times L, with agent a's source edge at
+    endowment[a] x rate x L, so a flow f is the amount f / (D x L) for the
+    view's demand scale D.
+
+    Self-checks (fatal on failure): the flow saturates every source edge and
+    every capped-supply edge.
+    """
+    scale = _common_denominator(lam for lam, *_ in leaves)
+    source_caps = {}
+    for lam, tier, _ in leaves:
+        rate = int(lam.numerator) * (scale // int(lam.denominator))
+        for a in tier:
+            source_caps[a] = endowment[a] * rate
+    if scale != 1:
+        capped = {b: c * scale for b, c in capped.items()}
+        demand = {k: d * scale for k, d in demand.items()}
+    flow = max_flow(_view_network(agents, capped, demand, source_caps))
+    total_capped = sum(capped.values())
+    total_source = sum(source_caps.values())
+    if flow.value != total_capped or flow.value != total_source:
+        raise InternalCheckError(
+            f"lexicographic flow value {flow.value} != capped supply {total_capped}"
+            f" or != endowment-rate total {total_source} (int units times {scale})"
+        )
+    # The demand edges follow the source edges, in sorted demand order.
+    demand_flows = flow.edge_flows()[len(agents):]
+    return {k: f for k, f in zip(sorted(demand), demand_flows) if f}, scale
+
+
+def _profile(leaves, demand_scale: int, endowment_scale: int) -> BreakpointProfile:
+    """The breakpoint profile of sorted tiers whose rates are in the int units
+    of demand scale D and endowment scale E: each rate times E / D."""
+    lambdas: list[Rational] = []
+    per_agent: dict[str, Rational] = {}
+    for lam, tier, _ in leaves:
+        lam = Rational(int(lam.numerator) * endowment_scale, int(lam.denominator) * demand_scale)
+        lambdas.append(lam)
+        per_agent.update(dict.fromkeys(tier, lam))
+    return BreakpointProfile(
+        lambdas=tuple(lambdas),
+        agent_tiers=tuple(tier for _, tier, _ in leaves),
+        object_tiers=tuple(exhausted for *_, exhausted in leaves),
+        per_agent=per_agent,
+    )
+
+
 def breakpoints(instance: Instance) -> BreakpointProfile:
     """Tier structure of an instance, by divide and conquer over a split tree
     (Fujishige 1980; Gallo, Grigoriadis & Tarjan 1989).
@@ -213,92 +330,27 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     exhausted objects; a split node drops it from the contraction.  The
     leaves, sorted by rate, are the tiers.
     """
-    violations = validate_instance(instance)
-    if violations:
-        raise InvalidInstanceError("; ".join(violations))
-    if not instance.agents:
-        return BreakpointProfile(lambdas=(), agent_tiers=(), object_tiers=(), per_agent={})
-    capped = capped_supply(instance)
-    demand_scale = _common_denominator([*capped.values(), *instance.demand.values()])
-    endowment_scale = _common_denominator(instance.endowment.values())
-    capped = _as_ints(capped, demand_scale)
-    endowment = _as_ints(instance.endowment, endowment_scale)
-    # Rates in int units, cap / e; the instance rate is that times E / D.
-    leaves: list[tuple[Rational, frozenset, frozenset]] = []
-    work = [(list(instance.agents), capped, _as_ints(instance.demand, demand_scale))]
-    while work:
-        agents, caps, demand = work.pop()
-        lam, tight = min_ratio(agents, caps, demand, endowment)
-        tight_demand, other_demand, tight_totals = {}, {}, {}
-        for k, d in demand.items():
-            if k[0] in tight:
-                tight_demand[k] = d
-                tight_totals[k[1]] = tight_totals.get(k[1], 0) + d
-            else:
-                other_demand[k] = d
-        exhausted = frozenset(b for b, d in tight_totals.items() if d > caps[b])
-        if len(tight) == len(agents):
-            leaves.append((lam, tight, exhausted))
-            continue
-        rest_caps = {b: c - tight_totals.get(b, 0) for b, c in caps.items() if b not in exhausted}
-        rest_demand = {k: d for k, d in other_demand.items() if k[1] in rest_caps}
-        work.append(([a for a in agents if a not in tight],
-                     _demanded(rest_caps, rest_demand), rest_demand))
-        work.append(([a for a in agents if a in tight],
-                     {b: caps[b] for b in tight_totals}, tight_demand))
-
-    leaves.sort(key=lambda leaf: leaf[0])
-    lambdas: list[Rational] = []
-    per_agent: dict[str, Rational] = {}
-    for lam, tier, _ in leaves:
-        lam = Rational(int(lam.numerator) * endowment_scale, int(lam.denominator) * demand_scale)
-        if lambdas and lam <= lambdas[-1]:
-            raise InternalCheckError(
-                f"rates must strictly increase, got {lambdas[-1]} then {lam}"
-            )
-        lambdas.append(lam)
-        per_agent.update(dict.fromkeys(tier, lam))
-    return BreakpointProfile(
-        lambdas=tuple(lambdas),
-        agent_tiers=tuple(tier for _, tier, _ in leaves),
-        object_tiers=tuple(exhausted for *_, exhausted in leaves),
-        per_agent=per_agent,
-    )
+    capped, demand, endowment, demand_scale, endowment_scale = _scaled(instance)
+    leaves = _split_tree(instance.agents, capped, demand, endowment)
+    return _profile(leaves, demand_scale, endowment_scale)
 
 
 def lexicographic_allocation(instance: Instance) -> tuple[Allocation, BreakpointProfile]:
     """Run the mechanism: compute the tier structure, then a max flow with
     source edges capped at endowment x frozen-rate, and read the allocation off
-    the agent-to-object flow.  The flow runs on ints: every capacity times
-    S, the lcm of their denominators.
+    the agent-to-object flow.  Both run on one int view of the instance: the
+    final network is that view times L, the lcm of the int-unit rates'
+    denominators, so every capacity is an int.
 
     Self-checks (fatal on failure): the flow saturates every source edge and
     every capped-supply edge, i.e. its value equals both the total of
     endowment x rate and the total demand-capped supply.
     """
-    profile = breakpoints(instance)
-    capped = capped_supply(instance)
-    source_caps = {
-        a: instance.endowment[a] * profile.per_agent[a] for a in instance.agents
-    }
-    scale = _common_denominator(
-        [*capped.values(), *instance.demand.values(), *source_caps.values()]
-    )
-    capped = _as_ints(capped, scale)
-    source_caps = _as_ints(source_caps, scale)
-    network = _view_network(instance.agents, capped, _as_ints(instance.demand, scale), source_caps)
-    flow = max_flow(network)
-    total_capped = sum(capped.values())
-    total_source = sum(source_caps.values())
-    if flow.value != total_capped or flow.value != total_source:
-        raise InternalCheckError(
-            f"lexicographic flow value {flow.value} != capped supply {total_capped}"
-            f" or != endowment-rate total {total_source} (all times {scale})"
-        )
-    # The demand edges follow the source edges, in sorted demand order.
-    demand_flows = flow.edge_flows()[len(instance.agents):]
-    amounts = {k: Rational(f, scale) for k, f in zip(sorted(instance.demand), demand_flows) if f}
-    return Allocation(amounts), profile
+    capped, demand, endowment, demand_scale, endowment_scale = _scaled(instance)
+    leaves = _split_tree(instance.agents, capped, demand, endowment)
+    flows, scale = _final_flow(instance.agents, capped, demand, endowment, leaves)
+    amounts = {k: Rational(f, demand_scale * scale) for k, f in flows.items()}
+    return Allocation(amounts), _profile(leaves, demand_scale, endowment_scale)
 
 
 def structure_check(

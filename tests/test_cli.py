@@ -114,7 +114,7 @@ def test_allocate_short_flow_is_an_internal_error(squeeze_path, capsys, monkeypa
     assert "internal check failed: flow is not maximum" in err
 
 
-@pytest.mark.parametrize("command", ["allocate", "audit"])
+@pytest.mark.parametrize("command", ["allocate", "audit", "manipulate"])
 def test_solver_value_error_is_an_internal_error(squeeze_path, capsys, monkeypatch, command):
     # The instance is already validated when the solver runs, so a
     # ValueError there is a solver bug, not bad input.
@@ -443,6 +443,29 @@ def test_manipulate_reference_rule_skips_infeasible_misreports(tmp_path, capsys)
     assert code == 0
     data = json.loads(out)
     assert (data["runs"], data["space"], data["skipped"]) == (7, 7, 1)
+
+
+def test_manipulate_misreport_value_error_is_an_internal_error(squeeze_path, capsys, monkeypatch):
+    # The truthful run's flows succeed and the first misreport run's fails:
+    # a reported instance is valid by construction, so that is a solver bug.
+    flows = []
+    real = leximin.max_flow
+    lexicographic_allocation = leximin.lexicographic_allocation
+    monkeypatch.setattr(leximin, "max_flow", lambda network: flows.append(1) or real(network))
+    lexicographic_allocation(si_bound_instance(2))
+    truthful = len(flows)
+    flows.clear()
+
+    def fails_after_the_truthful_run(network):
+        flows.append(1)
+        if len(flows) > truthful:
+            raise ValueError("flow on a broken network (injected)")
+        return real(network)
+
+    monkeypatch.setattr(leximin, "max_flow", fails_after_the_truthful_run)
+    code, out, err = run(capsys, ["manipulate", squeeze_path])
+    assert code == 3 and out == ""
+    assert "internal check failed" in err and "flow on a broken network (injected)" in err
 
 
 def test_manipulate_has_no_seed(misreport_path, capsys):
