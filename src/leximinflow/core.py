@@ -67,14 +67,19 @@ class Instance:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Sparse map (agent, object) -> amount received.  Absent means zero."""
+    """Sparse map (agent, object) -> amount received.  Absent means zero.
+
+    An amount that is already a ``Rational`` is kept as given; any other,
+    such as an int, is converted.  Negative amounts are rejected and zero
+    amounts dropped."""
 
     amount: Mapping[tuple[str, str], Rational]
 
     def __post_init__(self):
         amount = {}
         for key, v in self.amount.items():
-            v = Rational(v)
+            if not isinstance(v, Rational):
+                v = Rational(v)
             if v < ZERO:
                 raise ValueError(f"negative allocation amount for {key}: {v}")
             if v != ZERO:

@@ -9,11 +9,13 @@ demands.  The manipulation search enumerates a finite misreport grid, so
 absence of a counterexample is evidence within the declared coverage, not a
 proof.
 
-The search scales the truthful instance to ints once and runs the main
-mechanism's split tree and final flow on that int view for every misreport:
-a reported value is 0, a supply or a grid multiple of a demand, so each
-reported instance is valid by construction, and its ``Instance`` and
-``Allocation`` are built only for a candidate counterexample.
+The search validates the truthful instance and scales it to ints once, and
+runs the main mechanism's split tree and final flow on that int view for the
+truthful run and for every misreport: a reported value is 0, a supply or a
+grid multiple of a demand, so each reported instance is valid by
+construction.  Utilities are compared as ints, and the rational utilities,
+the reported ``Instance`` and its ``Allocation`` are built only for a
+candidate counterexample.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .core import (
     Allocation,
     Instance,
     InternalCheckError,
-    InvalidInstanceError,
     object_totals,
     sub_instance,
     utilities,
@@ -39,6 +40,7 @@ from .leximin import (
     _common_denominator,
     _final_flow,
     _profile,
+    _require_valid,
     _split_tree,
     lexicographic_allocation,
     structure_check,
@@ -318,17 +320,25 @@ def _search_space(instance: Instance, coalition_size: int, grid, absolute: bool)
 
 
 class _ScaledRuns:
-    """The ``lmmf`` runs of one search, on the truthful instance scaled once.
+    """The ``lmmf`` runs of one search, truthful and misreported, on the
+    truthful instance scaled once.
 
     Supplies and demands are scaled by X, the lcm of their denominators times
     the lcm of the grid's, so every value the grid can report (0, a supply, or
     a multiple of a demand) is an int; endowments by E, the lcm of theirs.  A
-    run adds the coalition's nonzero reported ints to the other agents'
-    entries, caps each object's supply by its reported total, and runs the
-    solver's split tree and final flow on that int view.  The truthful
-    instance is valid, and every reported value is 0, one of its supplies or
-    a nonnegative multiple of one of its demands, so each reported instance is
-    valid by construction and no run validates it.
+    run caps each object's supply by its total demand and runs the solver's
+    split tree and final flow on that int view, with every self-check.  The
+    truthful run takes the instance's own demands: its view is a positive
+    multiple of ``lexicographic_allocation``'s, so its utilities are the
+    mechanism's.  A misreport run adds the coalition's nonzero reported ints
+    to the other agents' entries.  The truthful instance is validated once,
+    and every reported value is 0, one of its supplies or a nonnegative
+    multiple of one of its demands, so each reported instance is valid by
+    construction and no run validates it.
+
+    A run's utilities are ints over the unit X x L, for its flow scale L, so
+    runs compare with the truthful baseline by cross-multiplication, and a
+    ``Rational`` is built only for a candidate counterexample.
     """
 
     def __init__(self, instance: Instance, grid):
@@ -340,54 +350,109 @@ class _ScaledRuns:
         self.demand = _as_ints(instance.demand, self.scale)
         self.endowment_scale = _common_denominator(instance.endowment.values())
         self.endowment = _as_ints(instance.endowment, self.endowment_scale)
+        self.baseline, self.baseline_unit = self.truthful()
 
-    def runner(self, coalition: Sequence[str]):
+    def as_int(self, value: Rational) -> int:
+        """A value in instance units, times X."""
+        return int(value.numerator) * (self.scale // int(value.denominator))
+
+    def _solve(self, demand: Mapping, totals: Mapping) -> tuple[list, dict, int]:
+        """The tiers and nonzero flows of the view with these int demands and
+        their per-object totals, and the unit X x L of the flows."""
+        capped = {b: min(s, totals.get(b, 0)) for b, s in self.supply.items()}
+        try:
+            leaves = _split_tree(self.instance.agents, capped, demand, self.endowment)
+            flows, flow_scale = _final_flow(
+                self.instance.agents, capped, demand, self.endowment, leaves
+            )
+        except ValueError as exc:
+            raise InternalCheckError(f"solver raised ValueError on valid input: {exc}") from exc
+        return leaves, flows, self.scale * flow_scale
+
+    def truthful(self) -> tuple[dict[str, int], int]:
+        """Every agent's truthful utility, as an int over the returned unit.
+        A demand edge's flow never exceeds its demand, so a utility is the
+        sum of the agent's flows."""
+        _, flows, unit = self._solve(self.demand, object_totals(self.demand))
+        utilities = dict.fromkeys(self.instance.agents, 0)
+        for (a, _), f in flows.items():
+            utilities[a] += f
+        return utilities, unit
+
+    def runner(self, coalition: Sequence[str], pairs: Sequence, truth: Sequence[Rational]):
         """The run function for one coalition, over the other agents' int
         entries and their per-object totals, fixed once.  A run takes the
-        coalition's reported entries and returns the members' true
-        utilities, and the tiers, flows and flow unit that ``allocation``
-        turns into the run's output."""
+        coalition's reported ints, one per entry of ``pairs``, and returns the
+        counterexample they make, or None.
+
+        The members' true utilities are compared with the baseline as ints.
+        Only a run in which some member strictly gains and none loses becomes
+        a ``ManipulationReport``; it is a counterexample if the run passes
+        ``structure_check`` and the gain survives every allocation the
+        reported instance admits (``_true_utility_floor``).
+        """
         others = {k: d for k, d in self.demand.items() if k[0] not in coalition}
         other_totals = object_totals(others)
         true_entries: dict[str, list] = {a: [] for a in coalition}
         for k, d in self.demand.items():
             if k[0] in true_entries:
                 true_entries[k[0]].append((k, d))
-        agents, supply, scale, endowment = (
-            self.instance.agents, self.supply, self.scale, self.endowment
-        )
+        members = [(own, self.baseline[a]) for a, own in true_entries.items()]
+        scale, baseline_unit = self.scale, self.baseline_unit
 
-        def run(reported: Mapping[tuple[str, str], Rational]):
+        def run(combo: Sequence[int]) -> Optional[ManipulationReport]:
             demand = dict(others)
             totals = dict(other_totals)
-            for k, v in reported.items():
-                if v:
-                    d = int(v.numerator) * (scale // int(v.denominator))
+            for k, d in zip(pairs, combo):
+                if d:
                     demand[k] = d
                     totals[k[1]] = totals.get(k[1], 0) + d
-            capped = {b: min(s, totals.get(b, 0)) for b, s in supply.items()}
-            try:
-                leaves = _split_tree(agents, capped, demand, endowment)
-                flows, flow_scale = _final_flow(agents, capped, demand, endowment, leaves)
-            except ValueError as exc:
-                raise InternalCheckError(
-                    f"solver raised ValueError on valid input: {exc}"
-                ) from exc
-            unit = scale * flow_scale
-            misreport = {
-                a: Rational(sum(min(flows.get(k, 0), d * flow_scale) for k, d in own), unit)
-                for a, own in true_entries.items()
-            }
-            return misreport, (leaves, flows, unit)
+            solved = self._solve(demand, totals)
+            _, flows, unit = solved
+            flow_scale = unit // scale
+            misreport = []
+            gain = False
+            for own, base in members:
+                u = sum(min(flows.get(k, 0), d * flow_scale) for k, d in own)
+                lhs, rhs = u * baseline_unit, base * unit
+                if lhs < rhs:
+                    return None
+                gain = gain or lhs > rhs
+                misreport.append(u)
+            if not gain:
+                return None
+            return self._candidate(coalition, pairs, truth, combo, misreport, solved)
 
         return run
 
-    def allocation(self, solved) -> tuple[Allocation, BreakpointProfile]:
-        """A run's rational allocation and breakpoint profile, in instance
-        units, as ``lexicographic_allocation`` returns them."""
+    def _candidate(self, coalition, pairs, truth, combo, misreport, solved):
+        """The report of a run in which some member gains and none loses, if
+        it survives ``structure_check`` and the floors; otherwise None.
+        ``combo`` holds the reported ints and ``misreport`` the members'
+        utilities over the run's unit."""
+        instance = self.instance
         leaves, flows, unit = solved
-        amounts = {k: Rational(f, unit) for k, f in flows.items()}
-        return Allocation(amounts), _profile(leaves, self.scale, self.endowment_scale)
+        reported_entries = {k: Rational(d, self.scale) for k, d in zip(pairs, combo)}
+        truthful = {a: Rational(self.baseline[a], self.baseline_unit) for a in coalition}
+        report = ManipulationReport(
+            coalition=coalition,
+            true_demands=dict(zip(pairs, truth)),
+            reported_demands=reported_entries,
+            truthful_utilities=truthful,
+            misreport_utilities={a: Rational(u, unit) for a, u in zip(coalition, misreport)},
+        )
+        allocation = Allocation({k: Rational(f, unit) for k, f in flows.items()})
+        profile = _profile(leaves, self.scale, self.endowment_scale)
+        reported = _reported_instance(instance, coalition, reported_entries)
+        verdict = structure_check(reported, allocation, profile)
+        if not verdict.passed:
+            raise InternalCheckError(
+                f"misreport run violated its own structure: {verdict.witness}"
+            )
+        floors = {a: _true_utility_floor(instance, reported, profile, a) for a in coalition}
+        robust_win = any(floors[a] > truthful[a] for a in coalition)
+        no_robust_loss = all(floors[a] >= truthful[a] for a in coalition)
+        return report if robust_win and no_robust_loss else None
 
 
 def _reported_instance(
@@ -426,14 +491,17 @@ def search_manipulation(
     counted; a truthful instance it cannot allocate raises
     ``GridInfeasibleError``.
 
-    The main mechanism's truthful run validates the instance.  Its misreport
-    runs then share one scaling of the instance (see ``_ScaledRuns``): each
-    reported instance is valid by construction, so no run validates or
-    rescales it, and the reported ``Instance`` and its ``Allocation`` are
-    built only for a candidate hit.  Every solver self-check still runs on
+    The main mechanism validates the instance once, raising
+    ``InvalidInstanceError`` before any run.  Its truthful run and every
+    misreport run then share one int view of the instance (see
+    ``_ScaledRuns``): each reported instance is valid by construction, so no
+    run validates or rescales it, utilities are compared as ints, and the
+    ``Rational`` utilities, the ``ManipulationReport``, the reported
+    ``Instance`` and its ``Allocation`` are built only for a run in which
+    some member gains and none loses.  Every solver self-check still runs on
     every run, and a ``ValueError`` from any of its runs, truthful or
-    misreported, is a solver bug raised as ``InternalCheckError``.  A
-    coalition's report grids are built when the search reaches it, and
+    misreported, is a solver bug raised as ``InternalCheckError``.  Each
+    coalition's report grid is built once, when the search reaches it, and
     ``space`` is counted from the sparse demand entries.
     """
     if not instance.agents:
@@ -455,12 +523,7 @@ def search_manipulation(
             raise ValueError(f"grid multipliers must be nonnegative, got {m}")
 
     if mechanism == "lmmf":
-        try:
-            truthful_alloc, _ = lexicographic_allocation(instance)
-        except InvalidInstanceError:
-            raise
-        except ValueError as exc:
-            raise InternalCheckError(f"solver raised ValueError on valid input: {exc}") from exc
+        _require_valid(instance)
         scaled = _ScaledRuns(instance, grid)
     elif mechanism == "mmf-si":
         try:
@@ -471,9 +534,9 @@ def search_manipulation(
                 " (at most 3 agents and 2 objects, and a full-entitlement allocation"
                 f" on the {GRID_RESOLUTION} grid): {exc}"
             ) from exc
+        baseline = utilities(instance, truthful_alloc)
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    baseline = utilities(instance, truthful_alloc)
     space = _search_space(instance, coalition_size, grid, absolute)
 
     runs = 0
@@ -484,10 +547,14 @@ def search_manipulation(
         value_lists = [
             _entry_values(t, instance.supply[b], grid, absolute) for t, (_, b) in zip(truth, pairs)
         ]
+        identity = truth
         if mechanism == "lmmf":
-            run = scaled.runner(coalition)
+            # The lmmf grid holds ints in the view's units.
+            value_lists = [[scaled.as_int(v) for v in values] for values in value_lists]
+            identity = tuple(scaled.as_int(t) for t in truth)
+            run = scaled.runner(coalition, pairs, truth)
         for combo in itertools.product(*value_lists):
-            if combo == truth:
+            if combo == identity:
                 continue
             if runs >= budget:
                 return SearchResult(
@@ -495,10 +562,10 @@ def search_manipulation(
                     skipped=skipped,
                 )
             runs += 1
-            reported_entries = dict(zip(pairs, combo))
             if mechanism == "lmmf":
-                misreport, solved = run(reported_entries)
+                report = run(combo)
             else:
+                reported_entries = dict(zip(pairs, combo))
                 try:
                     misreport_alloc, _ = oracle_mmf_si(
                         _reported_instance(instance, coalition, reported_entries)
@@ -507,35 +574,18 @@ def search_manipulation(
                     skipped += 1
                     continue
                 misreport = utilities(instance, misreport_alloc)
-            report = ManipulationReport(
-                coalition=coalition,
-                true_demands=dict(zip(pairs, truth)),
-                reported_demands=reported_entries,
-                truthful_utilities={a: baseline[a] for a in coalition},
-                misreport_utilities={a: misreport[a] for a in coalition},
-            )
-            if not report.is_counterexample:
-                continue
-            if mechanism == "lmmf":
-                reported = _reported_instance(instance, coalition, reported_entries)
-                misreport_alloc, misreport_profile = scaled.allocation(solved)
-                verdict = structure_check(reported, misreport_alloc, misreport_profile)
-                if not verdict.passed:
-                    raise InternalCheckError(
-                        f"misreport run violated its own structure: {verdict.witness}"
-                    )
-                floors = {
-                    a: _true_utility_floor(instance, reported, misreport_profile, a)
-                    for a in coalition
-                }
-                robust_win = any(floors[a] > baseline[a] for a in coalition)
-                no_robust_loss = all(floors[a] >= baseline[a] for a in coalition)
-                if not (robust_win and no_robust_loss):
-                    continue
-            return SearchResult(
-                counterexample=report, runs=runs, space=space, truncated=False,
-                skipped=skipped,
-            )
+                report = ManipulationReport(
+                    coalition=coalition,
+                    true_demands=dict(zip(pairs, truth)),
+                    reported_demands=reported_entries,
+                    truthful_utilities={a: baseline[a] for a in coalition},
+                    misreport_utilities={a: misreport[a] for a in coalition},
+                )
+            if report is not None and report.is_counterexample:
+                return SearchResult(
+                    counterexample=report, runs=runs, space=space, truncated=False,
+                    skipped=skipped,
+                )
     return SearchResult(
         counterexample=None, runs=runs, space=space, truncated=False, skipped=skipped
     )

@@ -16,8 +16,10 @@ sets lambda to its agents' joint ratio of residual capacity to endowment,
 solves one max flow at source caps endowment x lambda and reads the
 source-heavy minimum cut: either the cut certifies the node's agents as one
 tier at rate lambda, or its agent side splits them into the agents that
-freeze at rates up to lambda and the rest.  A solve with k tiers takes
-exactly 2k - 1 split flows, plus the final allocation flow.
+freeze at rates up to lambda and the rest.  A node with one agent is a tier
+by identity, since its network's only cut is the source edge, so it records
+its rate without a flow.  A solve with k tiers, s of them single-agent,
+takes exactly 2k - 1 - s split flows, plus the final allocation flow.
 
 The split tree runs on Python ints.  ``breakpoints`` scales the instance
 once per solve: demands and capped supplies by D, the lcm of their
@@ -196,13 +198,19 @@ def _demanded(caps: Mapping[str, Rational], demand: Mapping) -> dict[str, Ration
     return {b: c for b, c in caps.items() if b in named}
 
 
+def _require_valid(instance: Instance) -> None:
+    """Raise ``InvalidInstanceError`` naming every violation of an invalid
+    instance."""
+    violations = validate_instance(instance)
+    if violations:
+        raise InvalidInstanceError("; ".join(violations))
+
+
 def _scaled(instance: Instance) -> tuple[dict, dict, dict, int, int]:
     """A valid instance's int view: its capped supplies, in object order, and
     its demands, both times D, the lcm of their denominators; its endowments
     times E, the lcm of theirs; and D and E."""
-    violations = validate_instance(instance)
-    if violations:
-        raise InvalidInstanceError("; ".join(violations))
+    _require_valid(instance)
     capped = capped_supply(instance)
     demand_scale = _common_denominator([*capped.values(), *instance.demand.values()])
     endowment_scale = _common_denominator(instance.endowment.values())
@@ -213,6 +221,26 @@ def _scaled(instance: Instance) -> tuple[dict, dict, dict, int, int]:
         demand_scale,
         endowment_scale,
     )
+
+
+def _single_agent_tier(
+    agent: str, caps: Mapping[str, int], demand: Mapping, endowment: Mapping
+) -> tuple[Rational, frozenset, frozenset]:
+    """The tier of a split node with one agent a, in closed form: its
+    network's only cut is the source edge, since cap = sum of
+    min(cap_b, d_ab) over a's demand entries, so the node certifies at rate
+    cap / e_a without a flow.  The tier exhausts the objects a over-demands.
+    """
+    cap = 0
+    exhausted = []
+    for (_, b), d in demand.items():
+        c = caps[b]
+        if d > c:
+            cap += c
+            exhausted.append(b)
+        else:
+            cap += d
+    return Rational(cap, endowment[agent]), frozenset((agent,)), frozenset(exhausted)
 
 
 def _split_tree(
@@ -228,6 +256,9 @@ def _split_tree(
     work = [(list(agents), capped, demand)] if agents else []
     while work:
         agents, caps, demand = work.pop()
+        if len(agents) == 1:
+            leaves.append(_single_agent_tier(agents[0], caps, demand, endowment))
+            continue
         lam, tight = min_ratio(agents, caps, demand, endowment)
         tight_demand, other_demand, tight_totals = {}, {}, {}
         for k, d in demand.items():
@@ -321,8 +352,10 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     restriction, T with the same caps; and the contraction, the other agents
     with the caps left once T has frozen: an object T over-demands is
     exhausted, and every other object's cap falls by T's demand.  k tiers
-    take 2k - 1 nodes.  An explicit worklist walks the tree, whose depth can
-    reach k.
+    take 2k - 1 nodes.  A node with one agent always certifies, so it takes
+    no flow (``_single_agent_tier``): k tiers, s of them single-agent, take
+    exactly 2k - 1 - s flows.  An explicit worklist walks the tree, whose
+    depth can reach k.
 
     A node's caps are those left once every slower agent has frozen, so each
     node applies one over-demand rule: T exhausts the objects on which its

@@ -445,6 +445,30 @@ def test_manipulate_reference_rule_skips_infeasible_misreports(tmp_path, capsys)
     assert (data["runs"], data["space"], data["skipped"]) == (7, 7, 1)
 
 
+def test_manipulate_truthful_value_error_is_an_internal_error(squeeze_path, capsys, monkeypatch):
+    # The truthful run's split flows succeed and its final flow fails: the
+    # instance is validated before that run, so that is a solver bug.
+    flows = []
+    real = leximin.max_flow
+    lexicographic_allocation = leximin.lexicographic_allocation
+    monkeypatch.setattr(leximin, "max_flow", lambda network: flows.append(1) or real(network))
+    lexicographic_allocation(si_bound_instance(2))
+    truthful = len(flows)
+    flows.clear()
+
+    def fails_at_the_truthful_final_flow(network):
+        flows.append(1)
+        if len(flows) == truthful:
+            raise ValueError("flow on a broken network (injected)")
+        return real(network)
+
+    monkeypatch.setattr(leximin, "max_flow", fails_at_the_truthful_final_flow)
+    code, out, err = run(capsys, ["manipulate", squeeze_path])
+    assert code == 3 and out == ""
+    assert "internal check failed" in err and "flow on a broken network (injected)" in err
+    assert len(flows) == truthful
+
+
 def test_manipulate_misreport_value_error_is_an_internal_error(squeeze_path, capsys, monkeypatch):
     # The truthful run's flows succeed and the first misreport run's fails:
     # a reported instance is valid by construction, so that is a solver bug.

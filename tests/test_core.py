@@ -178,3 +178,26 @@ def test_computed_quantities_survive_text_round_trips(seed, k):
     total = sum(values, ZERO) + Rational(k, 7)
     for value in values + [total]:
         assert parse_rational(format_rational(value)) == value
+
+
+def test_allocation_keeps_rational_amounts_as_given():
+    half = Rational(1, 2)
+    allocation = Allocation({("a", "b"): half})
+    assert allocation.amount[("a", "b")] is half
+
+
+def test_allocation_converts_int_amounts():
+    allocation = Allocation({("a", "b"): 3})
+    amount = allocation.amount[("a", "b")]
+    assert type(amount) is Rational and amount == 3
+
+
+@pytest.mark.parametrize("value", [-1, Rational(-1, 3)], ids=["int", "rational"])
+def test_allocation_rejects_negative_amounts(value):
+    with pytest.raises(ValueError, match="negative allocation amount"):
+        Allocation({("a", "b"): 1, ("a", "c"): value})
+
+
+def test_allocation_drops_zero_amounts():
+    allocation = Allocation({("a", "b"): 0, ("a", "c"): ZERO, ("a", "d"): Rational(1, 4)})
+    assert allocation.amount == {("a", "d"): Rational(1, 4)}

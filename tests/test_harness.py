@@ -3,7 +3,15 @@
 import pytest
 
 from conftest import breakpoint_example, staircase
-from leximinflow.core import Allocation, Instance, sub_instance, utilities
+from leximinflow import harness
+from leximinflow.core import (
+    Allocation,
+    Instance,
+    InternalCheckError,
+    InvalidInstanceError,
+    sub_instance,
+    utilities,
+)
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.harness import (
     AGENT_REMOVAL,
@@ -168,6 +176,37 @@ def test_search_argument_errors():
         search_manipulation(inst, coalition_size=1, budget=0)
     with pytest.raises(ValueError):
         search_manipulation(inst, coalition_size=1, demand_grid=(Rational(-1),))
+
+
+def test_search_rejects_an_invalid_instance_before_any_run(monkeypatch):
+    inst = si_misreport_instance()
+    a, b = next(iter(inst.demand))
+    invalid = Instance(inst.agents, inst.endowment, inst.objects, inst.supply,
+                       {**inst.demand, (a, b): Rational(-1)})
+    solves = []
+    monkeypatch.setattr(harness, "_split_tree", lambda *args: solves.append(args))
+    with pytest.raises(InvalidInstanceError, match="demand must be nonnegative"):
+        search_manipulation(invalid, coalition_size=1)
+    assert solves == []
+
+
+def test_search_truthful_value_error_is_an_internal_error(monkeypatch):
+    # The truthful run is the search's first solve; a ValueError there is a
+    # solver bug on a validated instance.
+    real = harness._final_flow
+    calls = []
+
+    def broken(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ValueError("final flow on a broken network (injected)")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_final_flow", broken)
+    with pytest.raises(InternalCheckError, match="solver raised ValueError on valid input"
+                       ": final flow on a broken network"):
+        search_manipulation(si_misreport_instance(), coalition_size=1)
+    assert calls == [1]
 
 
 def test_truthful_utility_floor_is_the_frozen_utility(corpus):

@@ -242,18 +242,46 @@ def test_breakpoints_match_the_newton_tier_loop(corpus, equal_corpus):
     assert multi_tier >= 100
 
 
+def test_single_agent_tiers_match_the_flow(monkeypatch, corpus):
+    # Every one-agent node the split tree reaches certifies in closed form;
+    # min_ratio's flow must give the same rate and the same tier there.
+    instances = corpus + [staircase(n) for n in range(2, 25)]
+    instances += [random_instance(seed, 12, 12, 0.2) for seed in range(150)]
+    instances += [path_tree_instance(n) for n in range(2, 31)]
+    real = leximin._single_agent_tier
+    nodes = []
+
+    def compared(agent, caps, demand, endowment):
+        lam, tier, exhausted = real(agent, caps, demand, endowment)
+        assert (lam, tier) == min_ratio([agent], caps, demand, endowment)
+        nodes.append((len(demand), bool(exhausted)))
+        return lam, tier, exhausted
+
+    monkeypatch.setattr(leximin, "_single_agent_tier", compared)
+    for inst in instances:
+        breakpoints(inst)
+    # Leaves without demand, with several entries, and with and without
+    # exhausted objects were all reached.
+    assert len(nodes) >= 1000
+    assert {(0, False), (1, True), (1, False)} <= set(nodes)
+    assert max(entries for entries, _ in nodes) >= 3
+
+
 @pytest.mark.parametrize(
-    "make, tiers",
+    "make, tiers, flows",
     [
-        pytest.param(lambda: staircase(200), 200, id="staircase-200"),
-        pytest.param(lambda: random_instance(0, 200, 200, 0.02), 101, id="sparse-200"),
+        # Every staircase tier is one agent, so only the n - 1 splits flow.
+        pytest.param(lambda: staircase(200), 200, 200, id="staircase-200"),
+        pytest.param(lambda: random_instance(0, 200, 200, 0.02), 101, 141, id="sparse-200"),
         # More tiers than Python's recursion limit of 1000.
-        pytest.param(lambda: staircase(1100), 1100, id="staircase-1100"),
-        pytest.param(lambda: random_instance(2, 8, 8, 0.9), 1, id="dense-one-tier"),
+        pytest.param(lambda: staircase(1100), 1100, 1100, id="staircase-1100"),
+        pytest.param(lambda: random_instance(2, 8, 8, 0.9), 1, 2, id="dense-one-tier"),
     ],
 )
-def test_solve_takes_exactly_two_flows_per_tier(monkeypatch, make, tiers):
-    # 2k - 1 split-tree nodes, one flow each, plus the final allocation flow.
+def test_solve_takes_exactly_two_flows_per_tier(monkeypatch, make, tiers, flows):
+    # 2k - 1 split-tree nodes, one flow each except the s single-agent
+    # leaves, which certify in closed form, plus the final allocation flow:
+    # 2k - s flows.
     inst = make()
     calls = []
     real = leximin.max_flow
@@ -265,7 +293,8 @@ def test_solve_takes_exactly_two_flows_per_tier(monkeypatch, make, tiers):
     monkeypatch.setattr(leximin, "max_flow", counting)
     _, profile = lexicographic_allocation(inst)
     assert profile.k == tiers
-    assert len(calls) == 2 * tiers
+    single = sum(len(tier) == 1 for tier in profile.agent_tiers)
+    assert len(calls) == 2 * tiers - single == flows
 
 
 @pytest.mark.parametrize(
@@ -337,7 +366,8 @@ def test_split_tree_deeper_than_the_stack_allows(monkeypatch):
         profile = breakpoints(inst)
     finally:
         sys.setrecursionlimit(limit)
-    assert sorted(sizes) == [1] * 200 + list(range(2, 201))
+    # Only the 199 splits flow: each peels off one agent, a flow-free leaf.
+    assert sorted(sizes) == list(range(2, 201))
     assert profile.lambdas == tuple(Rational(i) for i in range(1, 201))
 
 

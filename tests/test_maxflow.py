@@ -365,7 +365,9 @@ def test_max_flow_matches_reference_on_solver_networks(corpus, monkeypatch):
         return max_flow(network)
 
     monkeypatch.setattr(leximin, "max_flow", capture)
-    sparse = [random_instance(seed, 12, 12, 0.2) for seed in range(20)]
+    # Single-agent tiers take no flow, so 60 sparse instances keep the
+    # networks above 1000.
+    sparse = [random_instance(seed, 12, 12, 0.2) for seed in range(60)]
     for inst in corpus[:60] + [staircase(n) for n in range(2, 25)] + sparse:
         leximin.lexicographic_allocation(inst)
     assert len(networks) > 1000

@@ -62,8 +62,8 @@ def reference_run(instance, mechanism):
 
 def reference_search(instance, coalition_size, demand_grid=None, budget=100_000, mechanism="lmmf"):
     """The search with one validated Instance and one Allocation per run.
-    The truthful utilities are read through ``harness.utilities``, as the
-    search reads them, so that a test can shift both."""
+    The truthful utilities are read through ``harness.utilities``, so that a
+    test can shift them as it shifts the search's int baseline."""
     absolute = demand_grid is None
     grid = DEFAULT_GRID if absolute else tuple(Rational(m) for m in demand_grid)
     truthful_alloc, _ = reference_run(instance, mechanism)
@@ -183,6 +183,9 @@ def test_search_matches_the_reference_on_candidates(corpus, monkeypatch):
     # 1/1000 makes candidates: a run is one when no member falls below its
     # lowered utility and one exceeds it.  Both searches then check the same
     # structure and floors, and must accept and reject the same candidates.
+    # The reference reads its baseline through ``harness.utilities``; the
+    # search's baseline is ints u over a unit U, lowered to 1000u - U over
+    # 1000U.
     real = harness.utilities
     monkeypatch.setattr(
         harness, "utilities",
@@ -190,6 +193,13 @@ def test_search_matches_the_reference_on_candidates(corpus, monkeypatch):
             a: u - Rational(1, 1000) for a, u in real(instance, allocation).items()
         },
     )
+    real_truthful = harness._ScaledRuns.truthful
+
+    def lowered(self):
+        baseline, unit = real_truthful(self)
+        return {a: 1000 * u - unit for a, u in baseline.items()}, 1000 * unit
+
+    monkeypatch.setattr(harness._ScaledRuns, "truthful", lowered)
     checks = []
     real_check = harness.structure_check
     monkeypatch.setattr(
@@ -202,6 +212,66 @@ def test_search_matches_the_reference_on_candidates(corpus, monkeypatch):
         found += got.counterexample is not None
     # Some candidates were accepted and some rejected by their floors.
     assert 0 < found < len(checks)
+
+
+def test_int_classification_matches_the_rational_reports(corpus, monkeypatch):
+    # The search classifies each run by comparing int utilities; a run goes
+    # on to the candidate checks exactly when its rational report has a
+    # winner and no loser.  Lowering only the first agent's truthful utility
+    # by 1/1000 gives runs in which that member gains while the other ties.
+    real_truthful = harness._ScaledRuns.truthful
+
+    def lowered(self):
+        baseline, unit = real_truthful(self)
+        first = self.instance.agents[0]
+        return {a: 1000 * u - (unit if a == first else 0) for a, u in baseline.items()}, 1000 * unit
+
+    got = []
+
+    def recorded(self, coalition, pairs, truth, combo, misreport, solved):
+        got.append((coalition, tuple(Rational(d, self.scale) for d in combo)))
+
+    monkeypatch.setattr(harness._ScaledRuns, "truthful", lowered)
+    monkeypatch.setattr(harness._ScaledRuns, "_candidate", recorded)
+    ties = 0
+    for inst, size, grid, budget in search_cases(corpus[:40], 12):
+        got.clear()
+        search_manipulation(inst, size, grid, budget=budget)
+        absolute = grid is None
+        values = DEFAULT_GRID if absolute else grid
+        truthful_alloc, _ = lexicographic_allocation(inst)
+        baseline = utilities(inst, truthful_alloc)
+        baseline[inst.agents[0]] -= Rational(1, 1000)
+        runs = itertools.islice(
+            (
+                (coalition, pairs, truth, combo)
+                for coalition, pairs, truth, value_lists in
+                reference_grids(inst, size, values, absolute)[0]
+                for combo in itertools.product(*value_lists)
+                if combo != truth
+            ),
+            budget,
+        )
+        want = []
+        for coalition, pairs, truth, combo in runs:
+            reported = Instance(
+                inst.agents, inst.endowment, inst.objects, inst.supply,
+                {**{k: v for k, v in inst.demand.items() if k[0] not in coalition},
+                 **dict(zip(pairs, combo))},
+            )
+            misreport = utilities(inst, lexicographic_allocation(reported)[0])
+            report = ManipulationReport(
+                coalition=coalition,
+                true_demands=dict(zip(pairs, truth)),
+                reported_demands=dict(zip(pairs, combo)),
+                truthful_utilities={a: baseline[a] for a in coalition},
+                misreport_utilities={a: misreport[a] for a in coalition},
+            )
+            if report.is_counterexample:
+                want.append((coalition, combo))
+                ties += len(report.winners) < len(coalition)
+        assert got == want, (inst, size, grid)
+    assert ties
 
 
 def eager_space(instance, coalition_size, grid):

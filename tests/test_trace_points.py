@@ -84,4 +84,5 @@ def test_flow_calls_keep_the_tracer_contract(monkeypatch):
 
     assert ("max_flow", True) in calls and ("source_heavy_min_cut", True) in calls
     flows = sum(1 for name, _ in calls if name == "max_flow")
-    assert flows == labels["s5"]["max_flow_solves"] > len(instance.agents)
+    # Four splits and the final flow; the five one-agent tiers take none.
+    assert flows == labels["s5"]["max_flow_solves"] == 5
