@@ -336,7 +336,7 @@ class _ScaledRuns:
     multiple of one of its demands, so each reported instance is valid by
     construction and no run validates it.
 
-    A run's utilities are ints over the unit X x L, for its flow scale L, so
+    A run's utilities are ints over the unit X x L, for its rate unit L, so
     runs compare with the truthful baseline by cross-multiplication, and a
     ``Rational`` is built only for a candidate counterexample.
     """
@@ -358,16 +358,15 @@ class _ScaledRuns:
 
     def _solve(self, demand: Mapping, totals: Mapping) -> tuple[list, dict, int]:
         """The tiers and nonzero flows of the view with these int demands and
-        their per-object totals, and the unit X x L of the flows."""
+        their per-object totals, and X x L, the unit of both, for the tiers'
+        rate unit L."""
         capped = {b: min(s, totals.get(b, 0)) for b, s in self.supply.items()}
         try:
-            leaves = _split_tree(self.instance.agents, capped, demand, self.endowment)
-            flows, flow_scale = _final_flow(
-                self.instance.agents, capped, demand, self.endowment, leaves
-            )
+            tiers, unit = _split_tree(self.instance.agents, capped, demand, self.endowment)
+            flows = _final_flow(self.instance.agents, capped, demand, self.endowment, tiers, unit)
         except ValueError as exc:
             raise InternalCheckError(f"solver raised ValueError on valid input: {exc}") from exc
-        return leaves, flows, self.scale * flow_scale
+        return tiers, flows, self.scale * unit
 
     def truthful(self) -> tuple[dict[str, int], int]:
         """Every agent's truthful utility, as an int over the returned unit.
@@ -431,7 +430,7 @@ class _ScaledRuns:
         ``combo`` holds the reported ints and ``misreport`` the members'
         utilities over the run's unit."""
         instance = self.instance
-        leaves, flows, unit = solved
+        tiers, flows, unit = solved
         reported_entries = {k: Rational(d, self.scale) for k, d in zip(pairs, combo)}
         truthful = {a: Rational(self.baseline[a], self.baseline_unit) for a in coalition}
         report = ManipulationReport(
@@ -442,7 +441,7 @@ class _ScaledRuns:
             misreport_utilities={a: Rational(u, unit) for a, u in zip(coalition, misreport)},
         )
         allocation = Allocation({k: Rational(f, unit) for k, f in flows.items()})
-        profile = _profile(leaves, self.scale, self.endowment_scale)
+        profile = _profile(tiers, unit, self.endowment_scale)
         reported = _reported_instance(instance, coalition, reported_entries)
         verdict = structure_check(reported, allocation, profile)
         if not verdict.passed:

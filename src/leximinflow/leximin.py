@@ -24,18 +24,20 @@ takes exactly 2k - 1 - s split flows, plus the final allocation flow.
 The split tree runs on Python ints.  ``breakpoints`` scales the instance
 once per solve: demands and capped supplies by D, the lcm of their
 denominators, and endowments by E, the lcm of theirs.  A node with agent set
-A scales its network by e(A), so every split flow is integral, and a
-``Rational`` is built only for each node's rate; a tier's rate in instance
-units is cap(A) x E / (e(A) x D).  Each leaf records its tier's exhausted
-objects, so no pass follows the tree.  ``max_flow`` takes integral
-networks only, so the final allocation flow reuses the same int view: agent
-a's source edge carries its int endowment x its int-unit rate x L, where L
-is the lcm of those rates' denominators, demand and sink edges are
-multiplied by L, and a nonzero edge flow f is amount f / (D x L).  That
-network is a positive multiple of the instance's, so Dinic makes the same
-augmentations at any such scale.  The split tree and the final flow take an
-int view directly (``_split_tree``, ``_final_flow``), so the manipulation
-search runs them on misreports it scales itself.
+A scales its network by e(A), so every split flow is integral, and it keeps
+its rate as the int pair (cap(A), e(A)).  Once the tree is done, each rate
+becomes the int cap(A) x L / e(A) over one unit L, the lcm of the pairs'
+reduced denominators, and a ``Rational`` is built only once per tier: its
+rate in instance units is cap(A) x E / (e(A) x D).  Each leaf records its
+tier's exhausted objects, so no pass follows the tree.  ``max_flow`` takes
+integral networks only, so the final allocation flow reuses the same int
+view: agent a's source edge carries its int endowment x its int rate,
+demand and sink edges are multiplied by L, and a nonzero edge flow f is
+amount f / (D x L).  That network is a positive multiple of the instance's,
+so Dinic makes the same augmentations at any such scale.  The split tree
+and the final flow take an int view directly (``_split_tree``,
+``_final_flow``), so the manipulation search runs them on misreports it
+scales itself.
 
 Every network is bipartite on vertex indices: source 0, the p agents
 1..p, the q objects p+1..p+q and sink p+q+1.  Its edges are the p source
@@ -129,26 +131,26 @@ def build_network(instance: Instance, source_caps: Mapping[str, Rational]) -> Fl
 
 
 def min_ratio(
-    agents: Sequence[str], caps: Mapping[str, Rational], demand: Mapping, endowments: Mapping
-) -> tuple[Rational, frozenset]:
+    agents: Sequence[str], caps: Mapping[str, int], demand: Mapping, endowments: Mapping
+) -> tuple[int, int, frozenset]:
     """One split of the tier decomposition, in one max flow: the joint rate
-    lambda = cap(agents) / e(agents), and the maximal minimizer T of
-    cap(X) - lambda x e(X) over the subsets X of ``agents``, given the active
-    objects' residual ``caps`` and the ``demand`` entries among them.
+    lambda = cap / e, returned as the int pair (cap, e) of the agents' joint
+    capacity cap(agents) and endowment total e(agents), and the maximal
+    minimizer T of cap(X) - lambda x e(X) over the subsets X of ``agents``,
+    given the active objects' residual ``caps`` and the ``demand`` entries
+    among them.
 
     The flow runs at source caps endowment x lambda, with the whole network
-    scaled by the node scale e(agents): source edges carry
-    endowment x cap(agents), and demand and sink edges are multiplied by
-    e(agents).  The caps, demands and endowments must be integral, so that
-    every edge is an int.
+    scaled by the node scale e: source edges carry endowment x cap, and
+    demand and sink edges are multiplied by e.  The caps, demands and
+    endowments must be integral, so that every edge is an int.
     T is the agent side of the source-heavy minimum cut: the cut puts each
     object on whichever side costs min(residual cap, demand of T), so its
-    capacity, the flow value, is e(agents) x (cap(T) + lambda x e(agents - T)).
-    A cut of capacity e(agents) x cap(agents), the source total, certifies
-    the agents as one tier at rate lambda, and T is all of them.  Otherwise
-    T is nonempty and proper: it holds exactly the agents whose tiers freeze
-    at rates up to lambda.  Lambda is a ``Rational`` in the units of the
-    arguments.
+    capacity, the flow value, is e x (cap(T) + lambda x e(agents - T)).
+    A cut of capacity e x cap, the source total, certifies the agents as one
+    tier at rate lambda, and T is all of them.  Otherwise T is nonempty and
+    proper: it holds exactly the agents whose tiers freeze at rates up to
+    lambda.
     """
     if not agents:
         raise ValueError("min_ratio needs at least one agent")
@@ -169,15 +171,14 @@ def min_ratio(
         raise InternalCheckError(
             f"cut capacity {flow.value} exceeds the source capacity {source_total}"
         )
-    lam = Rational(cap) / total_e
     if flow.value == source_total:
-        return lam, frozenset(agents)
+        return cap, total_e, frozenset(agents)
     tight = frozenset(a for i, a in enumerate(agents, 1) if i in source_side)
     if not tight or len(tight) == len(agents):
         raise InternalCheckError(
             f"non-certifying cut must split the agents, got {len(tight)} of {len(agents)}"
         )
-    return lam, tight
+    return cap, total_e, tight
 
 
 def _common_denominator(values: Iterable[Rational]) -> int:
@@ -223,43 +224,28 @@ def _scaled(instance: Instance) -> tuple[dict, dict, dict, int, int]:
     )
 
 
-def _single_agent_tier(
-    agent: str, caps: Mapping[str, int], demand: Mapping, endowment: Mapping
-) -> tuple[Rational, frozenset, frozenset]:
-    """The tier of a split node with one agent a, in closed form: its
-    network's only cut is the source edge, since cap = sum of
-    min(cap_b, d_ab) over a's demand entries, so the node certifies at rate
-    cap / e_a without a flow.  The tier exhausts the objects a over-demands.
-    """
-    cap = 0
-    exhausted = []
-    for (_, b), d in demand.items():
-        c = caps[b]
-        if d > c:
-            cap += c
-            exhausted.append(b)
-        else:
-            cap += d
-    return Rational(cap, endowment[agent]), frozenset((agent,)), frozenset(exhausted)
-
-
 def _split_tree(
     agents: Sequence[str], capped: Mapping[str, int], demand: Mapping, endowment: Mapping
-) -> list[tuple[Rational, frozenset, frozenset]]:
-    """The tiers of an int view, as (int-unit rate, agents, exhausted objects)
-    sorted by rate: the split tree of ``breakpoints``, rooted at every agent
-    and every object of ``capped``.
+) -> tuple[list[tuple[int, frozenset, frozenset]], int]:
+    """The tiers of an int view, as (rate, agents, exhausted objects) sorted
+    by rate, and their rate unit L: the split tree of ``breakpoints``, rooted
+    at every agent and every object of ``capped``.  A tier certified at the
+    int pair (cap, e) has the int rate cap x L / e, where L, the lcm of the
+    tiers' e / gcd(cap, e), is the least unit that makes every rate an int.
 
     Self-check (fatal on failure): the rates strictly increase.
     """
-    leaves: list[tuple[Rational, frozenset, frozenset]] = []
+    leaves: list[tuple[int, int, frozenset, frozenset]] = []
     work = [(list(agents), capped, demand)] if agents else []
     while work:
         agents, caps, demand = work.pop()
         if len(agents) == 1:
-            leaves.append(_single_agent_tier(agents[0], caps, demand, endowment))
-            continue
-        lam, tight = min_ratio(agents, caps, demand, endowment)
+            # Its network's only cut is the source edge, since cap is the sum
+            # of min(cap_b, d_ab) over a's entries: the node certifies at rate
+            # cap / e_a without a flow.
+            cap, e, tight = tier_capacity(caps, demand), endowment[agents[0]], frozenset(agents)
+        else:
+            cap, e, tight = min_ratio(agents, caps, demand, endowment)
         tight_demand, other_demand, tight_totals = {}, {}, {}
         for k, d in demand.items():
             if k[0] in tight:
@@ -269,7 +255,7 @@ def _split_tree(
                 other_demand[k] = d
         exhausted = frozenset(b for b, d in tight_totals.items() if d > caps[b])
         if len(tight) == len(agents):
-            leaves.append((lam, tight, exhausted))
+            leaves.append((cap, e, tight, exhausted))
             continue
         rest_caps = {b: c - tight_totals.get(b, 0) for b, c in caps.items() if b not in exhausted}
         rest_demand = {k: d for k, d in other_demand.items() if k[1] in rest_caps}
@@ -277,63 +263,65 @@ def _split_tree(
                      _demanded(rest_caps, rest_demand), rest_demand))
         work.append(([a for a in agents if a in tight],
                      {b: caps[b] for b in tight_totals}, tight_demand))
-    leaves.sort(key=lambda leaf: leaf[0])
-    for (slower, *_), (faster, *_) in zip(leaves, leaves[1:]):
+    unit = math.lcm(*(e // math.gcd(cap, e) for cap, e, *_ in leaves))
+    tiers = sorted(
+        ((cap * unit // e, tight, exhausted) for cap, e, tight, exhausted in leaves),
+        key=lambda tier: tier[0],
+    )
+    for (slower, *_), (faster, *_) in zip(tiers, tiers[1:]):
         if faster <= slower:
             raise InternalCheckError(
-                f"rates must strictly increase, got {slower} then {faster} (int units)"
+                f"rates must strictly increase, got {slower} then {faster} (int units over {unit})"
             )
-    return leaves
+    return tiers, unit
 
 
 def _final_flow(
     agents: Sequence[str], capped: Mapping[str, int], demand: Mapping, endowment: Mapping,
-    leaves: Sequence[tuple[Rational, frozenset, frozenset]],
-) -> tuple[dict, int]:
-    """The allocation flow of an int view and its tiers: the nonzero flow on
-    each demand entry, and L, the lcm of the int-unit rates' denominators.
-    The network is the view times L, with agent a's source edge at
-    endowment[a] x rate x L, so a flow f is the amount f / (D x L) for the
-    view's demand scale D.
+    tiers: Sequence[tuple[int, frozenset, frozenset]], unit: int,
+) -> dict:
+    """The allocation flow of an int view and its tiers over the rate unit
+    L: the nonzero flow on each demand entry.  The network is the view times
+    L, with agent a's source edge at endowment[a] x rate, so a flow f is the
+    amount f / (D x L) for the view's demand scale D.
 
     Self-checks (fatal on failure): the flow saturates every source edge and
     every capped-supply edge.
     """
-    scale = _common_denominator(lam for lam, *_ in leaves)
     source_caps = {}
-    for lam, tier, _ in leaves:
-        rate = int(lam.numerator) * (scale // int(lam.denominator))
+    for rate, tier, _ in tiers:
         for a in tier:
             source_caps[a] = endowment[a] * rate
-    if scale != 1:
-        capped = {b: c * scale for b, c in capped.items()}
-        demand = {k: d * scale for k, d in demand.items()}
+    if unit != 1:
+        capped = {b: c * unit for b, c in capped.items()}
+        demand = {k: d * unit for k, d in demand.items()}
     flow = max_flow(_view_network(agents, capped, demand, source_caps))
     total_capped = sum(capped.values())
     total_source = sum(source_caps.values())
     if flow.value != total_capped or flow.value != total_source:
         raise InternalCheckError(
             f"lexicographic flow value {flow.value} != capped supply {total_capped}"
-            f" or != endowment-rate total {total_source} (int units times {scale})"
+            f" or != endowment-rate total {total_source} (int units times {unit})"
         )
     # The demand edges follow the source edges, in sorted demand order.
     demand_flows = flow.edge_flows()[len(agents):]
-    return {k: f for k, f in zip(sorted(demand), demand_flows) if f}, scale
+    return {k: f for k, f in zip(sorted(demand), demand_flows) if f}
 
 
-def _profile(leaves, demand_scale: int, endowment_scale: int) -> BreakpointProfile:
-    """The breakpoint profile of sorted tiers whose rates are in the int units
-    of demand scale D and endowment scale E: each rate times E / D."""
+def _profile(tiers, unit: int, endowment_scale: int) -> BreakpointProfile:
+    """The breakpoint profile of sorted tiers whose int rates are over the
+    unit D x L, for demand scale D, rate unit L and endowment scale E: each
+    rate times E / (D x L), the only ``Rational`` built per tier."""
     lambdas: list[Rational] = []
     per_agent: dict[str, Rational] = {}
-    for lam, tier, _ in leaves:
-        lam = Rational(int(lam.numerator) * endowment_scale, int(lam.denominator) * demand_scale)
+    for rate, tier, _ in tiers:
+        lam = Rational(rate * endowment_scale, unit)
         lambdas.append(lam)
         per_agent.update(dict.fromkeys(tier, lam))
     return BreakpointProfile(
         lambdas=tuple(lambdas),
-        agent_tiers=tuple(tier for _, tier, _ in leaves),
-        object_tiers=tuple(exhausted for *_, exhausted in leaves),
+        agent_tiers=tuple(tier for _, tier, _ in tiers),
+        object_tiers=tuple(exhausted for *_, exhausted in tiers),
         per_agent=per_agent,
     )
 
@@ -347,13 +335,13 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     is an agent set, the residual caps of the objects it demands (the root
     keeps every object), and its demand entries among them; it costs one
     ``min_ratio`` flow, scaled by the node's endowment total.  A certified
-    node is one tier, at rate cap x E / (e x D) for its int capacity cap
-    and endowment total e.  Otherwise its split T has two children: the
-    restriction, T with the same caps; and the contraction, the other agents
-    with the caps left once T has frozen: an object T over-demands is
-    exhausted, and every other object's cap falls by T's demand.  k tiers
-    take 2k - 1 nodes.  A node with one agent always certifies, so it takes
-    no flow (``_single_agent_tier``): k tiers, s of them single-agent, take
+    node is one tier, at the int pair (cap, e) of its capacity and endowment
+    total, which is the rate cap x E / (e x D).  Otherwise its split T has
+    two children: the restriction, T with the same caps; and the
+    contraction, the other agents with the caps left once T has frozen: an
+    object T over-demands is exhausted, and every other object's cap falls
+    by T's demand.  k tiers take 2k - 1 nodes.  A node with one agent always
+    certifies, so it takes no flow: k tiers, s of them single-agent, take
     exactly 2k - 1 - s flows.  An explicit worklist walks the tree, whose
     depth can reach k.
 
@@ -361,29 +349,30 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     node applies one over-demand rule: T exhausts the objects on which its
     demand exceeds the cap.  A certified node records that set as its tier's
     exhausted objects; a split node drops it from the contraction.  The
-    leaves, sorted by rate, are the tiers.
+    leaves, sorted by their int rates over one unit L, are the tiers.
     """
     capped, demand, endowment, demand_scale, endowment_scale = _scaled(instance)
-    leaves = _split_tree(instance.agents, capped, demand, endowment)
-    return _profile(leaves, demand_scale, endowment_scale)
+    tiers, unit = _split_tree(instance.agents, capped, demand, endowment)
+    return _profile(tiers, demand_scale * unit, endowment_scale)
 
 
 def lexicographic_allocation(instance: Instance) -> tuple[Allocation, BreakpointProfile]:
     """Run the mechanism: compute the tier structure, then a max flow with
     source edges capped at endowment x frozen-rate, and read the allocation off
     the agent-to-object flow.  Both run on one int view of the instance: the
-    final network is that view times L, the lcm of the int-unit rates'
-    denominators, so every capacity is an int.
+    final network is that view times L, the tiers' rate unit, so every
+    capacity is an int.
 
     Self-checks (fatal on failure): the flow saturates every source edge and
     every capped-supply edge, i.e. its value equals both the total of
     endowment x rate and the total demand-capped supply.
     """
     capped, demand, endowment, demand_scale, endowment_scale = _scaled(instance)
-    leaves = _split_tree(instance.agents, capped, demand, endowment)
-    flows, scale = _final_flow(instance.agents, capped, demand, endowment, leaves)
-    amounts = {k: Rational(f, demand_scale * scale) for k, f in flows.items()}
-    return Allocation(amounts), _profile(leaves, demand_scale, endowment_scale)
+    tiers, unit = _split_tree(instance.agents, capped, demand, endowment)
+    flows = _final_flow(instance.agents, capped, demand, endowment, tiers, unit)
+    unit *= demand_scale
+    amounts = {k: Rational(f, unit) for k, f in flows.items()}
+    return Allocation(amounts), _profile(tiers, unit, endowment_scale)
 
 
 def structure_check(

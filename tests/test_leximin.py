@@ -1,6 +1,7 @@
 """The mechanism: networks, per-tier rates, tier structure, allocation, checks."""
 
 import dataclasses
+import math
 import random
 import sys
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import breakpoint_example, scaled, staircase
-from leximinflow import leximin
+from leximinflow import cli, leximin
 from leximinflow.core import (
     Allocation,
     Instance,
@@ -20,6 +21,7 @@ from leximinflow.core import (
     utilities,
     utility_vector,
 )
+from leximinflow.fileio import save_instance
 from leximinflow.generators import (
     burst_demand_instance,
     random_instance,
@@ -165,23 +167,23 @@ def single_object_view(caps, demand):
 
 def test_min_ratio_single_agent():
     view = single_object_view(3, {("a", "b"): 1})
-    assert min_ratio(*view, {"a": ONE}) == (ONE, frozenset({"a"}))
+    assert min_ratio(*view, {"a": ONE}) == (1, 1, frozenset({"a"}))
 
 
 def test_min_ratio_picks_the_slowest_group():
     # The joint rate is 3/2, the supply over both endowments; a1 alone
     # absorbs only 1 < 3/2, so the split puts a1 below that rate.
     inst = breakpoint_example()
-    lam, tight = min_ratio(inst.agents, capped_supply(inst), inst.demand, inst.endowment)
-    assert lam == Rational(3, 2)
+    cap, e, tight = min_ratio(inst.agents, capped_supply(inst), inst.demand, inst.endowment)
+    assert (cap, e) == (3, 2)
     assert tight == frozenset({"a1"})
 
 
 def test_min_ratio_returns_the_maximal_tight_set():
     # One tier: the cut certifies the joint rate and T is every agent.
     inst = si_misreport_instance()
-    lam, tight = min_ratio(inst.agents, capped_supply(inst), inst.demand, inst.endowment)
-    assert lam == Rational(3)
+    cap, e, tight = min_ratio(inst.agents, capped_supply(inst), inst.demand, inst.endowment)
+    assert Rational(cap, e) == Rational(3)
     assert tight == frozenset(inst.agents)
 
 
@@ -243,28 +245,94 @@ def test_breakpoints_match_the_newton_tier_loop(corpus, equal_corpus):
 
 
 def test_single_agent_tiers_match_the_flow(monkeypatch, corpus):
-    # Every one-agent node the split tree reaches certifies in closed form;
-    # min_ratio's flow must give the same rate and the same tier there.
+    # Every one-agent node the split tree reaches certifies in closed form,
+    # the only tier_capacity call made outside min_ratio; min_ratio's flow
+    # must certify the same agent with the same capacity there.
     instances = corpus + [staircase(n) for n in range(2, 25)]
     instances += [random_instance(seed, 12, 12, 0.2) for seed in range(150)]
     instances += [path_tree_instance(n) for n in range(2, 31)]
-    real = leximin._single_agent_tier
+    real_capacity, real_min_ratio = leximin.tier_capacity, leximin.min_ratio
+    inside = []  # one entry per open min_ratio call
     nodes = []
 
-    def compared(agent, caps, demand, endowment):
-        lam, tier, exhausted = real(agent, caps, demand, endowment)
-        assert (lam, tier) == min_ratio([agent], caps, demand, endowment)
-        nodes.append((len(demand), bool(exhausted)))
-        return lam, tier, exhausted
+    def tracked_min_ratio(*args):
+        inside.append(None)
+        try:
+            return real_min_ratio(*args)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(leximin, "_single_agent_tier", compared)
+    def compared(caps, demand):
+        cap = real_capacity(caps, demand)
+        if inside:
+            return cap
+        named = {a for a, _ in demand}
+        assert len(named) <= 1
+        # A node without demand entries has capacity 0 whichever agent it
+        # holds.
+        agent = named.pop() if named else inst.agents[0]
+        assert tracked_min_ratio([agent], caps, demand, endowment) == (
+            cap, endowment[agent], frozenset({agent})
+        )
+        exhausted = any(d > caps[b] for (_, b), d in demand.items())
+        nodes.append((len(demand), exhausted))
+        return cap
+
+    monkeypatch.setattr(leximin, "min_ratio", tracked_min_ratio)
+    monkeypatch.setattr(leximin, "tier_capacity", compared)
     for inst in instances:
+        endowment = leximin._scaled(inst)[2]
         breakpoints(inst)
     # Leaves without demand, with several entries, and with and without
     # exhausted objects were all reached.
     assert len(nodes) >= 1000
     assert {(0, False), (1, True), (1, False)} <= set(nodes)
     assert max(entries for entries, _ in nodes) >= 3
+
+
+def test_split_tree_builds_no_rational(monkeypatch, corpus):
+    # The split tree and the final flow run on ints alone: each tier's rate
+    # is an int over one unit L, and L is the least such unit.
+    instances = corpus + [staircase(n) for n in range(2, 25)]
+    instances += [path_tree_instance(n) for n in range(2, 31)]
+    instances += [prime_denominator_instance(seed) for seed in range(40)]
+    views = [leximin._scaled(inst) for inst in instances]
+
+    def forbidden(*args):
+        raise AssertionError("the split tree built a Rational")
+
+    solved = []
+    monkeypatch.setattr(leximin, "Rational", forbidden)
+    for inst, (capped, demand, endowment, _, _) in zip(instances, views):
+        tiers, unit = leximin._split_tree(inst.agents, capped, demand, endowment)
+        leximin._final_flow(inst.agents, capped, demand, endowment, tiers, unit)
+        solved.append((tiers, unit))
+    monkeypatch.undo()
+    for tiers, unit in solved:
+        assert all(type(rate) is int for rate, *_ in tiers)
+        assert math.lcm(*(int(Rational(rate, unit).denominator) for rate, *_ in tiers)) == unit
+    assert max(unit for _, unit in solved) > 1
+
+
+def test_split_tree_rejects_rates_that_do_not_increase(monkeypatch, tmp_path, capsys):
+    # Two identical agents freeze together.  A false split of the first
+    # gives both the same rate, which the rate-order self-check must catch.
+    inst = Instance(("a1", "a2"), {"a1": 1, "a2": 1}, ("b",), {"b": 4},
+                    {("a1", "b"): 2, ("a2", "b"): 2})
+    real = leximin.min_ratio
+
+    def false_split(agents, *args):
+        cap, e, _ = real(agents, *args)
+        return cap, e, frozenset({agents[0]})
+
+    monkeypatch.setattr(leximin, "min_ratio", false_split)
+    with pytest.raises(InternalCheckError, match="rates must strictly increase"):
+        breakpoints(inst)
+    path = tmp_path / "twins.json"
+    save_instance(inst, path)
+    assert cli.main(["allocate", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "rates must strictly increase" in err
 
 
 @pytest.mark.parametrize(
