@@ -9,13 +9,14 @@ demands.  The manipulation search enumerates a finite misreport grid, so
 absence of a counterexample is evidence within the declared coverage, not a
 proof.
 
-The search validates the truthful instance and scales it to ints once, and
-runs the main mechanism's split tree and final flow on that int view for the
+The ``lmmf`` search validates the truthful instance and scales it to ints
+once, and runs the main mechanism's split tree on that int view for the
 truthful run and for every misreport: a reported value is 0, a supply or a
 grid multiple of a demand, so each reported instance is valid by
-construction.  Utilities are compared as ints, and the rational utilities,
-the reported ``Instance`` and its ``Allocation`` are built only for a
-candidate counterexample.
+construction.  A truthful utility is endowment x rate, and a misreport run
+is decided by its members' tier floors alone, on ints.  The final flow, the
+rational utilities, the reported ``Instance``, its ``Allocation`` and
+``structure_check`` run only for the run the search reports.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .core import (
     utilities,
 )
 from .leximin import (
-    BreakpointProfile,
     _as_ints,
     _common_denominator,
     _final_flow,
@@ -233,37 +233,33 @@ class SearchResult:
     skipped: int
 
 
-def _true_utility_floor(
-    instance: Instance,
-    reported: Instance,
-    profile: BreakpointProfile,
-    agent: str,
-) -> Rational:
+def _utility_floor(tiers: Sequence, unit: int, endowment: int, agent: str, entries) -> int:
     """Lower bound on the agent's true utility over every allocation the
-    mechanism could return for the reported instance.
+    mechanism could return for an int view with these ``tiers`` over the rate
+    unit L, as an int over the view's unit D x L.  ``entries`` holds the
+    agent's (object, reported int demand, true int demand).
 
     The tier structure forces full service on objects never exhausted by the
     agent's tier and forbids service from earlier tiers' objects; only the
     split across the agent's own tier objects is free, and its total is fixed
-    by the agent's frozen rate.  The worst split fills valueless headroom
-    first.
+    by the agent's frozen utility, endowment x rate.  The worst split fills
+    valueless headroom first.
     """
-    i = profile.tier_of(agent)
-    exhausted = frozenset().union(*profile.object_tiers[: i + 1])
-    outside = [b for b in reported.objects if b not in exhausted]
-    floor = ZERO
-    budget = reported.endowment[agent] * profile.per_agent[agent]
-    for b in outside:
-        d_rep = reported.demand_between(agent, b)
-        floor += min(d_rep, instance.demand_between(agent, b))
-        budget -= d_rep
-    headroom = ZERO
-    for b in profile.object_tiers[i]:
-        d_rep = reported.demand_between(agent, b)
-        headroom += d_rep - min(d_rep, instance.demand_between(agent, b))
-    if budget > headroom:
-        floor += budget - headroom
-    return floor
+    earlier: set = set()
+    for rate, tier, exhausted in tiers:
+        if agent in tier:
+            break
+        earlier |= exhausted
+    served = headroom = 0
+    budget = endowment * rate
+    for b, reported, true in entries:
+        kept = min(reported, true)
+        if b in exhausted:
+            headroom += reported - kept
+        elif b not in earlier:
+            served += kept
+            budget -= reported * unit
+    return served * unit + max(0, budget - headroom * unit)
 
 
 def _entry_values(true_value: Rational, supply: Rational, grid, absolute: bool) -> list:
@@ -319,6 +315,14 @@ def _search_space(instance: Instance, coalition_size: int, grid, absolute: bool)
     return space
 
 
+def _checked(solver, *args):
+    """``solver(*args)`` on a valid int view: a ``ValueError`` is a solver bug."""
+    try:
+        return solver(*args)
+    except ValueError as exc:
+        raise InternalCheckError(f"solver raised ValueError on valid input: {exc}") from exc
+
+
 class _ScaledRuns:
     """The ``lmmf`` runs of one search, truthful and misreported, on the
     truthful instance scaled once.
@@ -327,18 +331,21 @@ class _ScaledRuns:
     the lcm of the grid's, so every value the grid can report (0, a supply, or
     a multiple of a demand) is an int; endowments by E, the lcm of theirs.  A
     run caps each object's supply by its total demand and runs the solver's
-    split tree and final flow on that int view, with every self-check.  The
-    truthful run takes the instance's own demands: its view is a positive
-    multiple of ``lexicographic_allocation``'s, so its utilities are the
-    mechanism's.  A misreport run adds the coalition's nonzero reported ints
-    to the other agents' entries.  The truthful instance is validated once,
-    and every reported value is 0, one of its supplies or a nonnegative
-    multiple of one of its demands, so each reported instance is valid by
-    construction and no run validates it.
+    split tree, with its self-checks, on that int view: the truthful run on
+    the instance's own demands, a misreport run with the coalition's nonzero
+    reported ints in place of its entries.  The truthful instance is
+    validated once, and every reported value is 0, one of its supplies or a
+    nonnegative multiple of one of its demands, so each reported instance is
+    valid by construction and no run validates it.
 
-    A run's utilities are ints over the unit X x L, for its rate unit L, so
-    runs compare with the truthful baseline by cross-multiplication, and a
-    ``Rational`` is built only for a candidate counterexample.
+    Every max flow of the final network saturates every source edge, so a
+    truthful utility is endowment x rate, with no flow.  A misreport run is
+    reported iff some member's tier floor (``_utility_floor``) beats its
+    truthful utility and none falls below it: the mechanism's allocation
+    obeys the tier structure, so its utilities are at least the floors.
+    Floors and utilities are ints over X x L, for the run's rate unit L, and
+    compare by cross-multiplication.  Only the reported run takes the final
+    flow and ``structure_check``, and builds an ``Allocation``.
     """
 
     def __init__(self, instance: Instance, grid):
@@ -356,102 +363,79 @@ class _ScaledRuns:
         """A value in instance units, times X."""
         return int(value.numerator) * (self.scale // int(value.denominator))
 
-    def _solve(self, demand: Mapping, totals: Mapping) -> tuple[list, dict, int]:
-        """The tiers and nonzero flows of the view with these int demands and
-        their per-object totals, and X x L, the unit of both, for the tiers'
-        rate unit L."""
+    def _tiers(self, demand: Mapping, totals: Mapping) -> tuple[dict, list, int]:
+        """The capped supplies of the view with these int demands and their
+        per-object totals, its tiers, and their rate unit L."""
         capped = {b: min(s, totals.get(b, 0)) for b, s in self.supply.items()}
-        try:
-            tiers, unit = _split_tree(self.instance.agents, capped, demand, self.endowment)
-            flows = _final_flow(self.instance.agents, capped, demand, self.endowment, tiers, unit)
-        except ValueError as exc:
-            raise InternalCheckError(f"solver raised ValueError on valid input: {exc}") from exc
-        return tiers, flows, self.scale * unit
+        tiers, unit = _checked(_split_tree, self.instance.agents, capped, demand, self.endowment)
+        return capped, tiers, unit
 
     def truthful(self) -> tuple[dict[str, int], int]:
-        """Every agent's truthful utility, as an int over the returned unit.
-        A demand edge's flow never exceeds its demand, so a utility is the
-        sum of the agent's flows."""
-        _, flows, unit = self._solve(self.demand, object_totals(self.demand))
-        utilities = dict.fromkeys(self.instance.agents, 0)
-        for (a, _), f in flows.items():
-            utilities[a] += f
-        return utilities, unit
+        """Every agent's truthful utility, endowment x rate, as an int over
+        the returned unit X x L."""
+        _, tiers, unit = self._tiers(self.demand, object_totals(self.demand))
+        utilities = {a: self.endowment[a] * rate for rate, tier, _ in tiers for a in tier}
+        return utilities, self.scale * unit
 
-    def runner(self, coalition: Sequence[str], pairs: Sequence, truth: Sequence[Rational]):
+    def runner(self, coalition: Sequence[str], pairs: Sequence, identity: Sequence[int]):
         """The run function for one coalition, over the other agents' int
-        entries and their per-object totals, fixed once.  A run takes the
-        coalition's reported ints, one per entry of ``pairs``, and returns the
-        counterexample they make, or None.
-
-        The members' true utilities are compared with the baseline as ints.
-        Only a run in which some member strictly gains and none loses becomes
-        a ``ManipulationReport``; it is a counterexample if the run passes
-        ``structure_check`` and the gain survives every allocation the
-        reported instance admits (``_true_utility_floor``).
-        """
+        entries and their per-object totals, fixed once; ``identity`` holds
+        the true ints of ``pairs``.  A run takes the coalition's reported
+        ints, one per entry of ``pairs``, and returns None, or for the run the
+        search reports, its reported entries and allocation."""
         others = {k: d for k, d in self.demand.items() if k[0] not in coalition}
         other_totals = object_totals(others)
-        true_entries: dict[str, list] = {a: [] for a in coalition}
-        for k, d in self.demand.items():
-            if k[0] in true_entries:
-                true_entries[k[0]].append((k, d))
-        members = [(own, self.baseline[a]) for a, own in true_entries.items()]
+        members = [
+            (a, [(i, b, identity[i]) for i, (x, b) in enumerate(pairs) if x == a],
+             self.endowment[a], self.baseline[a])
+            for a in coalition
+        ]
         scale, baseline_unit = self.scale, self.baseline_unit
 
-        def run(combo: Sequence[int]) -> Optional[ManipulationReport]:
+        def run(combo: Sequence[int]) -> Optional[tuple[dict, Allocation]]:
             demand = dict(others)
             totals = dict(other_totals)
             for k, d in zip(pairs, combo):
                 if d:
                     demand[k] = d
                     totals[k[1]] = totals.get(k[1], 0) + d
-            solved = self._solve(demand, totals)
-            _, flows, unit = solved
-            flow_scale = unit // scale
-            misreport = []
+            capped, tiers, unit = self._tiers(demand, totals)
+            run_unit = scale * unit
             gain = False
-            for own, base in members:
-                u = sum(min(flows.get(k, 0), d * flow_scale) for k, d in own)
-                lhs, rhs = u * baseline_unit, base * unit
+            for a, own, endowment, base in members:
+                entries = [(b, combo[i], t) for i, b, t in own]
+                lhs = _utility_floor(tiers, unit, endowment, a, entries) * baseline_unit
+                rhs = base * run_unit
                 if lhs < rhs:
                     return None
                 gain = gain or lhs > rhs
-                misreport.append(u)
             if not gain:
                 return None
-            return self._candidate(coalition, pairs, truth, combo, misreport, solved)
+            return self._reported_run(coalition, pairs, combo, demand, capped, tiers, unit)
 
         return run
 
-    def _candidate(self, coalition, pairs, truth, combo, misreport, solved):
-        """The report of a run in which some member gains and none loses, if
-        it survives ``structure_check`` and the floors; otherwise None.
-        ``combo`` holds the reported ints and ``misreport`` the members'
-        utilities over the run's unit."""
-        instance = self.instance
-        tiers, flows, unit = solved
-        reported_entries = {k: Rational(d, self.scale) for k, d in zip(pairs, combo)}
-        truthful = {a: Rational(self.baseline[a], self.baseline_unit) for a in coalition}
-        report = ManipulationReport(
-            coalition=coalition,
-            true_demands=dict(zip(pairs, truth)),
-            reported_demands=reported_entries,
-            truthful_utilities=truthful,
-            misreport_utilities={a: Rational(u, unit) for a, u in zip(coalition, misreport)},
+    def _reported_run(self, coalition, pairs, combo, demand, capped, tiers, unit):
+        """The reported entries and allocation of the run the search reports,
+        from its final flow, once the run passes ``structure_check``.
+        ``combo`` holds the reported ints and ``demand`` the run's int
+        demands."""
+        flows = _checked(
+            _final_flow, self.instance.agents, capped, demand, self.endowment, tiers, unit
         )
-        allocation = Allocation({k: Rational(f, unit) for k, f in flows.items()})
-        profile = _profile(tiers, unit, self.endowment_scale)
-        reported = _reported_instance(instance, coalition, reported_entries)
-        verdict = structure_check(reported, allocation, profile)
+        run_unit = self.scale * unit
+        allocation = Allocation({k: Rational(f, run_unit) for k, f in flows.items()})
+        reported_entries = {k: Rational(d, self.scale) for k, d in zip(pairs, combo)}
+        verdict = structure_check(
+            _reported_instance(self.instance, coalition, reported_entries),
+            allocation,
+            _profile(tiers, run_unit, self.endowment_scale),
+        )
         if not verdict.passed:
             raise InternalCheckError(
                 f"misreport run violated its own structure: {verdict.witness}"
             )
-        floors = {a: _true_utility_floor(instance, reported, profile, a) for a in coalition}
-        robust_win = any(floors[a] > truthful[a] for a in coalition)
-        no_robust_loss = all(floors[a] >= truthful[a] for a in coalition)
-        return report if robust_win and no_robust_loss else None
+        return reported_entries, allocation
 
 
 def _reported_instance(
@@ -483,8 +467,8 @@ def search_manipulation(
     multiplier, plus (for the default grid) the pure reports 0 and the
     object's full supply.  The mechanism runs on the misreported instance;
     gains and losses are measured with true demands.  For the main mechanism a
-    candidate hit is only reported if the gain survives for every allocation
-    the reported instance admits (tie-breaking could otherwise fake a gain);
+    run is only reported if the gain survives for every allocation the
+    reported instance admits (tie-breaking could otherwise fake a gain);
     the search stops, marked truncated, once ``budget`` mechanism runs are
     spent.  A misreport the reference rule cannot allocate is skipped and
     counted; a truthful instance it cannot allocate raises
@@ -493,15 +477,15 @@ def search_manipulation(
     The main mechanism validates the instance once, raising
     ``InvalidInstanceError`` before any run.  Its truthful run and every
     misreport run then share one int view of the instance (see
-    ``_ScaledRuns``): each reported instance is valid by construction, so no
-    run validates or rescales it, utilities are compared as ints, and the
-    ``Rational`` utilities, the ``ManipulationReport``, the reported
-    ``Instance`` and its ``Allocation`` are built only for a run in which
-    some member gains and none loses.  Every solver self-check still runs on
-    every run, and a ``ValueError`` from any of its runs, truthful or
-    misreported, is a solver bug raised as ``InternalCheckError``.  Each
-    coalition's report grid is built once, when the search reaches it, and
-    ``space`` is counted from the sparse demand entries.
+    ``_ScaledRuns``), so no run validates or rescales a reported instance.
+    Each run is decided by its members' int tier floors, from its split tree
+    alone.  The final flow, ``structure_check``, the ``Allocation`` and the
+    ``ManipulationReport`` are built only for the reported run, so an
+    unreported run skips their self-checks; the split tree's still run on
+    every run.  A ``ValueError`` from any run is a solver bug raised as
+    ``InternalCheckError``.  Each coalition's report grid is built once, when
+    the search reaches it, and ``space`` is counted from the sparse demand
+    entries.
     """
     if not instance.agents:
         raise ValueError("the instance has no agents, so there is no coalition to search")
@@ -521,9 +505,13 @@ def search_manipulation(
         if m < ZERO:
             raise ValueError(f"grid multipliers must be nonnegative, got {m}")
 
+    # Each mechanism takes the reported values in its own terms: the lmmf
+    # runs ints in the scaled view's units, the reference rule rationals.
     if mechanism == "lmmf":
         _require_valid(instance)
         scaled = _ScaledRuns(instance, grid)
+        truthful = {a: Rational(u, scaled.baseline_unit) for a, u in scaled.baseline.items()}
+        as_value, runner = scaled.as_int, scaled.runner
     elif mechanism == "mmf-si":
         try:
             truthful_alloc, _ = oracle_mmf_si(instance)
@@ -533,7 +521,16 @@ def search_manipulation(
                 " (at most 3 agents and 2 objects, and a full-entitlement allocation"
                 f" on the {GRID_RESOLUTION} grid): {exc}"
             ) from exc
-        baseline = utilities(instance, truthful_alloc)
+        truthful = utilities(instance, truthful_alloc)
+        as_value = Rational
+
+        def runner(coalition, pairs, identity):
+            def run(combo):
+                reported_entries = dict(zip(pairs, combo))
+                reported = _reported_instance(instance, coalition, reported_entries)
+                return reported_entries, oracle_mmf_si(reported)[0]
+
+            return run
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     space = _search_space(instance, coalition_size, grid, absolute)
@@ -544,14 +541,11 @@ def search_manipulation(
         pairs = [(a, b) for a in coalition for b in instance.objects]
         truth = tuple(instance.demand_between(*p) for p in pairs)
         value_lists = [
-            _entry_values(t, instance.supply[b], grid, absolute) for t, (_, b) in zip(truth, pairs)
+            [as_value(v) for v in _entry_values(t, instance.supply[b], grid, absolute)]
+            for t, (_, b) in zip(truth, pairs)
         ]
-        identity = truth
-        if mechanism == "lmmf":
-            # The lmmf grid holds ints in the view's units.
-            value_lists = [[scaled.as_int(v) for v in values] for values in value_lists]
-            identity = tuple(scaled.as_int(t) for t in truth)
-            run = scaled.runner(coalition, pairs, truth)
+        identity = tuple(as_value(t) for t in truth)
+        run = runner(coalition, pairs, identity)
         for combo in itertools.product(*value_lists):
             if combo == identity:
                 continue
@@ -561,26 +555,23 @@ def search_manipulation(
                     skipped=skipped,
                 )
             runs += 1
-            if mechanism == "lmmf":
-                report = run(combo)
-            else:
-                reported_entries = dict(zip(pairs, combo))
-                try:
-                    misreport_alloc, _ = oracle_mmf_si(
-                        _reported_instance(instance, coalition, reported_entries)
-                    )
-                except GridInfeasibleError:
-                    skipped += 1
-                    continue
-                misreport = utilities(instance, misreport_alloc)
-                report = ManipulationReport(
-                    coalition=coalition,
-                    true_demands=dict(zip(pairs, truth)),
-                    reported_demands=reported_entries,
-                    truthful_utilities={a: baseline[a] for a in coalition},
-                    misreport_utilities={a: misreport[a] for a in coalition},
-                )
-            if report is not None and report.is_counterexample:
+            try:
+                outcome = run(combo)
+            except GridInfeasibleError:
+                skipped += 1
+                continue
+            if outcome is None:
+                continue
+            reported_entries, allocation = outcome
+            misreport = utilities(instance, allocation)
+            report = ManipulationReport(
+                coalition=coalition,
+                true_demands=dict(zip(pairs, truth)),
+                reported_demands=reported_entries,
+                truthful_utilities={a: truthful[a] for a in coalition},
+                misreport_utilities={a: misreport[a] for a in coalition},
+            )
+            if report.is_counterexample:
                 return SearchResult(
                     counterexample=report, runs=runs, space=space, truncated=False,
                     skipped=skipped,

@@ -233,7 +233,9 @@ def _split_tree(
     int pair (cap, e) has the int rate cap x L / e, where L, the lcm of the
     tiers' e / gcd(cap, e), is the least unit that makes every rate an int.
 
-    Self-check (fatal on failure): the rates strictly increase.
+    Self-checks (fatal on failure): the rates strictly increase, and the
+    tiers absorb exactly the capped supply: the sum of endowment x rate is
+    L x the sum of ``capped``.
     """
     leaves: list[tuple[int, int, frozenset, frozenset]] = []
     work = [(list(agents), capped, demand)] if agents else []
@@ -273,6 +275,12 @@ def _split_tree(
             raise InternalCheckError(
                 f"rates must strictly increase, got {slower} then {faster} (int units over {unit})"
             )
+    absorbed = sum(endowment[a] * rate for rate, tier, _ in tiers for a in tier)
+    supply = sum(capped.values())
+    if absorbed != unit * supply:
+        raise InternalCheckError(
+            f"endowment-rate total {absorbed} != capped supply {supply} times the rate unit {unit}"
+        )
     return tiers, unit
 
 
@@ -285,8 +293,9 @@ def _final_flow(
     L, with agent a's source edge at endowment[a] x rate, so a flow f is the
     amount f / (D x L) for the view's demand scale D.
 
-    Self-checks (fatal on failure): the flow saturates every source edge and
-    every capped-supply edge.
+    Self-check (fatal on failure): the flow saturates every source edge.
+    ``_split_tree`` checked that the source edges' total is the capped
+    supply's, so the flow saturates every capped-supply edge too.
     """
     source_caps = {}
     for rate, tier, _ in tiers:
@@ -296,12 +305,11 @@ def _final_flow(
         capped = {b: c * unit for b, c in capped.items()}
         demand = {k: d * unit for k, d in demand.items()}
     flow = max_flow(_view_network(agents, capped, demand, source_caps))
-    total_capped = sum(capped.values())
-    total_source = sum(source_caps.values())
-    if flow.value != total_capped or flow.value != total_source:
+    total = sum(source_caps.values())
+    if flow.value != total:
         raise InternalCheckError(
-            f"lexicographic flow value {flow.value} != capped supply {total_capped}"
-            f" or != endowment-rate total {total_source} (int units times {unit})"
+            f"lexicographic flow value {flow.value} != endowment-rate total {total}"
+            f" = capped supply (int units times {unit})"
         )
     # The demand edges follow the source edges, in sorted demand order.
     demand_flows = flow.edge_flows()[len(agents):]

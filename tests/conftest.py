@@ -15,6 +15,7 @@ import math
 
 import pytest
 
+from leximinflow import harness
 from leximinflow.core import Allocation, Instance, UtilityVector, capped_supply
 from leximinflow.generators import random_instance
 from leximinflow.maxflow import Flow, FlowNetwork
@@ -104,6 +105,20 @@ def hand_made_flow(network: FlowNetwork, edge_flows, value) -> Flow:
         flow.residual[2 * i + 1] += f
     flow.value = value
     return flow
+
+
+def lower_search_baseline(monkeypatch) -> None:
+    """Lower every truthful utility of the ``lmmf`` manipulation search by
+    1/1000: its baseline is ints u over a unit U, lowered to 1000u - U over
+    1000U.  No corpus instance hands a coalition a gain, so this makes runs
+    that the search reports."""
+    real = harness._ScaledRuns.truthful
+
+    def lowered(self):
+        baseline, unit = real(self)
+        return {a: 1000 * u - unit for a, u in baseline.items()}, 1000 * unit
+
+    monkeypatch.setattr(harness._ScaledRuns, "truthful", lowered)
 
 
 @pytest.fixture(scope="session")

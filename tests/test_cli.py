@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from conftest import breakpoint_example, hand_made_flow
-from leximinflow import cli, leximin
+from conftest import breakpoint_example, hand_made_flow, lower_search_baseline
+from leximinflow import cli, harness, leximin
 from leximinflow.core import Allocation, Instance, InternalCheckError, utility_vector
 from leximinflow.fileio import parse_instance, save_instance, serialize_instance
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
@@ -112,6 +112,21 @@ def test_allocate_short_flow_is_an_internal_error(squeeze_path, capsys, monkeypa
     code, out, err = run(capsys, ["allocate", squeeze_path])
     assert code == 3 and out == ""
     assert "internal check failed: flow is not maximum" in err
+
+
+def test_allocate_unsaturated_final_flow_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # One agent takes no split flow, so the only flow is the final one: a
+    # zero flow leaves its source and capped-supply edges unsaturated.
+    path = tmp_path / "one.json"
+    save_instance(Instance(("a",), {"a": 1}, ("b",), {"b": 2}, {("a", "b"): 3}), str(path))
+
+    def zero(network):
+        return hand_made_flow(network, [0] * len(network.edges), 0)
+
+    monkeypatch.setattr(leximin, "max_flow", zero)
+    code, out, err = run(capsys, ["allocate", str(path)])
+    assert code == 3 and out == ""
+    assert "internal check failed: lexicographic flow value 0 != endowment-rate total 2" in err
 
 
 @pytest.mark.parametrize("command", ["allocate", "audit", "manipulate"])
@@ -445,24 +460,30 @@ def test_manipulate_reference_rule_skips_infeasible_misreports(tmp_path, capsys)
     assert (data["runs"], data["space"], data["skipped"]) == (7, 7, 1)
 
 
-def test_manipulate_truthful_value_error_is_an_internal_error(squeeze_path, capsys, monkeypatch):
-    # The truthful run's split flows succeed and its final flow fails: the
-    # instance is validated before that run, so that is a solver bug.
+def split_flows(instance):
+    """The number of split flows ``breakpoints`` takes on the instance."""
     flows = []
     real = leximin.max_flow
-    lexicographic_allocation = leximin.lexicographic_allocation
-    monkeypatch.setattr(leximin, "max_flow", lambda network: flows.append(1) or real(network))
-    lexicographic_allocation(si_bound_instance(2))
-    truthful = len(flows)
-    flows.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(leximin, "max_flow", lambda network: flows.append(1) or real(network))
+        leximin.breakpoints(instance)
+    return len(flows)
 
-    def fails_at_the_truthful_final_flow(network):
+
+def test_manipulate_truthful_value_error_is_an_internal_error(squeeze_path, capsys, monkeypatch):
+    # The truthful run's split tree fails at its last flow: the instance is
+    # validated before that run, so that is a solver bug.
+    truthful = split_flows(si_bound_instance(2))
+    flows = []
+    real = leximin.max_flow
+
+    def fails_at_the_truthful_split_tree(network):
         flows.append(1)
         if len(flows) == truthful:
             raise ValueError("flow on a broken network (injected)")
         return real(network)
 
-    monkeypatch.setattr(leximin, "max_flow", fails_at_the_truthful_final_flow)
+    monkeypatch.setattr(leximin, "max_flow", fails_at_the_truthful_split_tree)
     code, out, err = run(capsys, ["manipulate", squeeze_path])
     assert code == 3 and out == ""
     assert "internal check failed" in err and "flow on a broken network (injected)" in err
@@ -472,13 +493,9 @@ def test_manipulate_truthful_value_error_is_an_internal_error(squeeze_path, caps
 def test_manipulate_misreport_value_error_is_an_internal_error(squeeze_path, capsys, monkeypatch):
     # The truthful run's flows succeed and the first misreport run's fails:
     # a reported instance is valid by construction, so that is a solver bug.
+    truthful = split_flows(si_bound_instance(2))
     flows = []
     real = leximin.max_flow
-    lexicographic_allocation = leximin.lexicographic_allocation
-    monkeypatch.setattr(leximin, "max_flow", lambda network: flows.append(1) or real(network))
-    lexicographic_allocation(si_bound_instance(2))
-    truthful = len(flows)
-    flows.clear()
 
     def fails_after_the_truthful_run(network):
         flows.append(1)
@@ -490,6 +507,27 @@ def test_manipulate_misreport_value_error_is_an_internal_error(squeeze_path, cap
     code, out, err = run(capsys, ["manipulate", squeeze_path])
     assert code == 3 and out == ""
     assert "internal check failed" in err and "flow on a broken network (injected)" in err
+    assert len(flows) == truthful + 1
+
+
+def test_manipulate_reported_structure_violation_is_an_internal_error(
+    squeeze_path, capsys, monkeypatch
+):
+    # Lowering every truthful utility by 1/1000 makes the search report a
+    # run; a final flow that drops one of its entries breaks that run's
+    # structure, which the reported run must check.
+    lower_search_baseline(monkeypatch)
+    real_final = harness._final_flow
+
+    def dropped(*args):
+        flows = real_final(*args)
+        flows.pop(min(flows))
+        return flows
+
+    monkeypatch.setattr(harness, "_final_flow", dropped)
+    code, out, err = run(capsys, ["manipulate", squeeze_path])
+    assert code == 3 and out == ""
+    assert "internal check failed: misreport run violated its own structure" in err
 
 
 def test_manipulate_has_no_seed(misreport_path, capsys):

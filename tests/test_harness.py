@@ -17,13 +17,13 @@ from leximinflow.harness import (
     AGENT_REMOVAL,
     ENDOWMENT_DECREASE,
     ManipulationReport,
-    _true_utility_floor,
+    _utility_floor,
     check_pm,
     check_rm,
     check_substructure,
     search_manipulation,
 )
-from leximinflow.leximin import breakpoints, lexicographic_allocation
+from leximinflow.leximin import _scaled, _split_tree, breakpoints, lexicographic_allocation
 from leximinflow.oracle import oracle_breakpoints
 from leximinflow.rational import ONE, Rational, ZERO
 
@@ -191,22 +191,32 @@ def test_search_rejects_an_invalid_instance_before_any_run(monkeypatch):
 
 
 def test_search_truthful_value_error_is_an_internal_error(monkeypatch):
-    # The truthful run is the search's first solve; a ValueError there is a
-    # solver bug on a validated instance.
-    real = harness._final_flow
+    # The truthful run's split tree is the search's first solve; a ValueError
+    # there is a solver bug on a validated instance.
     calls = []
 
     def broken(*args):
         calls.append(1)
-        if len(calls) == 1:
-            raise ValueError("final flow on a broken network (injected)")
-        return real(*args)
+        raise ValueError("split tree on a broken network (injected)")
 
-    monkeypatch.setattr(harness, "_final_flow", broken)
+    monkeypatch.setattr(harness, "_split_tree", broken)
     with pytest.raises(InternalCheckError, match="solver raised ValueError on valid input"
-                       ": final flow on a broken network"):
+                       ": split tree on a broken network"):
         search_manipulation(si_misreport_instance(), coalition_size=1)
     assert calls == [1]
+
+
+def int_floor(true, reported, agent):
+    """``_utility_floor`` of the agent on the reported instance's int view,
+    over the instance's units, with its true demands at the same scale."""
+    capped, demand, endowment, demand_scale, _ = _scaled(reported)
+    tiers, unit = _split_tree(reported.agents, capped, demand, endowment)
+    entries = [
+        (b, demand.get((agent, b), 0), int(true.demand_between(agent, b) * demand_scale))
+        for b in reported.objects
+    ]
+    floor = _utility_floor(tiers, unit, endowment[agent], agent, entries)
+    return Rational(floor, demand_scale * unit)
 
 
 def test_truthful_utility_floor_is_the_frozen_utility(corpus):
@@ -215,8 +225,7 @@ def test_truthful_utility_floor_is_the_frozen_utility(corpus):
     for inst in corpus + [staircase(n) for n in range(2, 12)]:
         profile = breakpoints(inst)
         for a in inst.agents:
-            floor = _true_utility_floor(inst, inst, profile, a)
-            assert floor == inst.endowment[a] * profile.per_agent[a]
+            assert int_floor(inst, inst, a) == inst.endowment[a] * profile.per_agent[a]
 
 
 def test_utility_floor_skips_objects_exhausted_by_earlier_tiers():
@@ -238,7 +247,7 @@ def test_utility_floor_skips_objects_exhausted_by_earlier_tiers():
     profile = breakpoints(reported)
     assert profile.lambdas == (ONE, Rational(5))
     assert profile.object_tiers == (frozenset({"b1"}), frozenset({"b2"}))
-    assert _true_utility_floor(true, reported, profile, "a2") == Rational(2)
+    assert int_floor(true, reported, "a2") == Rational(2)
 
 
 def test_main_mechanism_resists_the_inflation_play():

@@ -335,6 +335,29 @@ def test_split_tree_rejects_rates_that_do_not_increase(monkeypatch, tmp_path, ca
     assert out == "" and "rates must strictly increase" in err
 
 
+def test_split_tree_rejects_tiers_that_miss_the_capped_supply(monkeypatch, tmp_path, capsys):
+    # One agent demands 3 of an object with supply 2, so it absorbs the
+    # capped supply 2 at rate 2.  An understated node capacity of 1 gives the
+    # rate 1, which absorbs only 1; the final flow would saturate its source
+    # edge, so only the absorption self-check catches it.
+    inst = Instance(("a",), {"a": 1}, ("b",), {"b": 2}, {("a", "b"): 3})
+    real = leximin.tier_capacity
+    monkeypatch.setattr(leximin, "tier_capacity", lambda *args: real(*args) - 1)
+    with pytest.raises(
+        InternalCheckError, match="endowment-rate total 1 != capped supply 2 times the rate unit 1"
+    ):
+        breakpoints(inst)
+    path = tmp_path / "short.json"
+    save_instance(inst, path)
+    # The search scales by the default grid's denominator 2 as well.
+    for command, total, capped in (("allocate", 1, 2), ("manipulate", 3, 4)):
+        assert cli.main([command, str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and (
+            f"internal check failed: endowment-rate total {total} != capped supply {capped}"
+        ) in err
+
+
 @pytest.mark.parametrize(
     "make, tiers, flows",
     [

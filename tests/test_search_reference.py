@@ -12,12 +12,12 @@ import itertools
 
 import pytest
 
-from conftest import staircase
+from conftest import lower_search_baseline, staircase
 from leximinflow import harness, leximin
 from leximinflow.core import Instance, InternalCheckError, utilities
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.harness import ManipulationReport, SearchResult, search_manipulation
-from leximinflow.leximin import lexicographic_allocation, structure_check
+from leximinflow.leximin import breakpoints, lexicographic_allocation, structure_check
 from leximinflow.oracle import GridInfeasibleError, oracle_mmf_si
 from leximinflow.rational import ONE, Rational, ZERO
 
@@ -53,6 +53,34 @@ def reference_grids(instance, coalition_size, grid, absolute):
     return searches, space
 
 
+def reference_floor(instance, reported, profile, agent):
+    """Lower bound on the agent's true utility over every allocation the
+    mechanism could return for the reported instance, in rationals.
+
+    The tier structure forces full service on objects never exhausted by the
+    agent's tier and forbids service from earlier tiers' objects; only the
+    split across the agent's own tier objects is free, and its total is fixed
+    by the agent's frozen rate.  The worst split fills valueless headroom
+    first.
+    """
+    i = profile.tier_of(agent)
+    exhausted = frozenset().union(*profile.object_tiers[: i + 1])
+    outside = [b for b in reported.objects if b not in exhausted]
+    floor = ZERO
+    budget = reported.endowment[agent] * profile.per_agent[agent]
+    for b in outside:
+        d_rep = reported.demand_between(agent, b)
+        floor += min(d_rep, instance.demand_between(agent, b))
+        budget -= d_rep
+    headroom = ZERO
+    for b in profile.object_tiers[i]:
+        d_rep = reported.demand_between(agent, b)
+        headroom += d_rep - min(d_rep, instance.demand_between(agent, b))
+    if budget > headroom:
+        floor += budget - headroom
+    return floor
+
+
 def reference_run(instance, mechanism):
     if mechanism == "lmmf":
         return lexicographic_allocation(instance)
@@ -60,14 +88,19 @@ def reference_run(instance, mechanism):
     return allocation, None
 
 
-def reference_search(instance, coalition_size, demand_grid=None, budget=100_000, mechanism="lmmf"):
+def reference_search(
+    instance, coalition_size, demand_grid=None, budget=100_000, mechanism="lmmf",
+    lowered=ZERO, rejected=None,
+):
     """The search with one validated Instance and one Allocation per run.
-    The truthful utilities are read through ``harness.utilities``, so that a
-    test can shift them as it shifts the search's int baseline."""
+    Every truthful utility is lowered by ``lowered``, so that a test can
+    shift them as it shifts the search's int baseline.  An lmmf run whose
+    allocation makes a counterexample but whose floors do not is appended to
+    ``rejected``, when given."""
     absolute = demand_grid is None
     grid = DEFAULT_GRID if absolute else tuple(Rational(m) for m in demand_grid)
     truthful_alloc, _ = reference_run(instance, mechanism)
-    baseline = harness.utilities(instance, truthful_alloc)
+    baseline = {a: u - lowered for a, u in utilities(instance, truthful_alloc).items()}
     searches, space = reference_grids(instance, coalition_size, grid, absolute)
     runs = 0
     skipped = 0
@@ -113,12 +146,14 @@ def reference_search(instance, coalition_size, demand_grid=None, budget=100_000,
                         f"misreport run violated its own structure: {verdict.witness}"
                     )
                 floors = {
-                    a: harness._true_utility_floor(instance, reported, misreport_profile, a)
+                    a: reference_floor(instance, reported, misreport_profile, a)
                     for a in coalition
                 }
                 robust_win = any(floors[a] > baseline[a] for a in coalition)
                 no_robust_loss = all(floors[a] >= baseline[a] for a in coalition)
                 if not (robust_win and no_robust_loss):
+                    if rejected is not None:
+                        rejected.append((coalition, combo))
                     continue
             return SearchResult(report, runs, space, truncated, skipped)
         if truncated:
@@ -136,21 +171,38 @@ def search_cases(instances, budget):
 
 
 def test_search_matches_the_reference(corpus, monkeypatch):
-    # Both searches must also solve the same flow networks: one list of edge
-    # counts per search, in solve order.
-    edges = []
+    # Both searches must also solve the same networks, listed per search in
+    # solve order as (edge count, whether the final flow solved it).  The
+    # search takes the reference's split flows for every run, and the final
+    # flow only for the counterexample it returns.
+    flows = []
+    final = []
     real = leximin.max_flow
     monkeypatch.setattr(
-        leximin, "max_flow", lambda network: edges[-1].append(len(network.edges)) or real(network)
+        leximin, "max_flow",
+        lambda network: flows[-1].append((len(network.edges), bool(final))) or real(network),
     )
+    real_final = leximin._final_flow
+
+    def final_flow(*args):
+        final.append(1)
+        try:
+            return real_final(*args)
+        finally:
+            final.pop()
+
+    monkeypatch.setattr(leximin, "_final_flow", final_flow)
+    monkeypatch.setattr(harness, "_final_flow", final_flow)
     instances = corpus[::10] + [staircase(n) for n in (2, 3, 4)] + [si_bound_instance(3)]
     truncated = complete = 0
     for inst, size, grid, budget in search_cases(instances, 20):
-        edges.append([])
+        flows.append([])
         got = search_manipulation(inst, size, grid, budget=budget)
-        edges.append([])
+        flows.append([])
         want = reference_search(inst, size, grid, budget=budget)
-        assert (got, edges[-2]) == (want, edges[-1]), (inst, size, grid)
+        split = [f for f in flows[-1] if not f[1]]
+        reported = flows[-1][-1:] if want.counterexample else []
+        assert (got, flows[-2]) == (want, split + reported), (inst, size, grid)
         truncated += got.truncated
         complete += not got.truncated and got.runs > 0
     assert truncated and complete
@@ -181,70 +233,101 @@ def test_search_matches_the_reference_on_candidates(corpus, monkeypatch):
     # No corpus instance makes the mechanism hand a coalition a gain (the
     # rule is group strategyproof), so lowering every truthful utility by
     # 1/1000 makes candidates: a run is one when no member falls below its
-    # lowered utility and one exceeds it.  Both searches then check the same
-    # structure and floors, and must accept and reject the same candidates.
-    # The reference reads its baseline through ``harness.utilities``; the
-    # search's baseline is ints u over a unit U, lowered to 1000u - U over
-    # 1000U.
-    real = harness.utilities
-    monkeypatch.setattr(
-        harness, "utilities",
-        lambda instance, allocation: {
-            a: u - Rational(1, 1000) for a, u in real(instance, allocation).items()
-        },
-    )
-    real_truthful = harness._ScaledRuns.truthful
-
-    def lowered(self):
-        baseline, unit = real_truthful(self)
-        return {a: 1000 * u - unit for a, u in baseline.items()}, 1000 * unit
-
-    monkeypatch.setattr(harness._ScaledRuns, "truthful", lowered)
+    # lowered utility and one exceeds it.  The reference checks each
+    # candidate's allocation, structure and floors, the search its floors
+    # alone, and both must report the same first run.
+    lower_search_baseline(monkeypatch)
     checks = []
     real_check = harness.structure_check
     monkeypatch.setattr(
         harness, "structure_check", lambda *args: checks.append(1) or real_check(*args)
     )
     found = 0
+    rejected = []
     for inst, size, grid, budget in search_cases(corpus[:40], 12):
         got = search_manipulation(inst, size, grid, budget=budget)
-        assert got == reference_search(inst, size, grid, budget=budget), (inst, size, grid)
+        want = reference_search(
+            inst, size, grid, budget=budget, lowered=Rational(1, 1000), rejected=rejected
+        )
+        assert got == want, (inst, size, grid)
         found += got.counterexample is not None
-    # Some candidates were accepted and some rejected by their floors.
-    assert 0 < found < len(checks)
+    # Some candidates were accepted, and the reference rejected some by
+    # their floors; the search checked the structure of its reported runs
+    # only.
+    assert found and rejected
+    assert len(checks) == found
 
 
-def test_int_classification_matches_the_rational_reports(corpus, monkeypatch):
-    # The search classifies each run by comparing int utilities; a run goes
-    # on to the candidate checks exactly when its rational report has a
-    # winner and no loser.  Lowering only the first agent's truthful utility
-    # by 1/1000 gives runs in which that member gains while the other ties.
-    real_truthful = harness._ScaledRuns.truthful
+def test_only_the_reported_run_takes_the_final_flow(corpus, monkeypatch):
+    # Each run's split tree takes exactly 2k - 1 - s flows for its k tiers,
+    # s of them single-agent.  The final flow and ``structure_check`` run
+    # once, for the reported run, after its split tree.
+    lower_search_baseline(monkeypatch)
+    events = []
+    real_flow = leximin.max_flow
+    monkeypatch.setattr(
+        leximin, "max_flow", lambda network: events.append("flow") or real_flow(network)
+    )
+    real_split = harness._split_tree
 
-    def lowered(self):
-        baseline, unit = real_truthful(self)
-        first = self.instance.agents[0]
-        return {a: 1000 * u - (unit if a == first else 0) for a, u in baseline.items()}, 1000 * unit
+    def split_tree(*args):
+        start = len(events)
+        tiers, unit = real_split(*args)
+        singles = sum(len(tier) == 1 for _, tier, _ in tiers)
+        assert events[start:] == ["flow"] * (2 * len(tiers) - 1 - singles)
+        events.append("tiers")
+        return tiers, unit
 
-    got = []
+    monkeypatch.setattr(harness, "_split_tree", split_tree)
+    real_final = harness._final_flow
+    monkeypatch.setattr(
+        harness, "_final_flow", lambda *args: events.append("final") or real_final(*args)
+    )
+    real_check = harness.structure_check
+    monkeypatch.setattr(
+        harness, "structure_check", lambda *args: events.append("check") or real_check(*args)
+    )
+    found = flowed = 0
+    for inst, size, grid, budget in search_cases(corpus[:10], 12):
+        events.clear()
+        got = search_manipulation(inst, size, grid, budget=budget)
+        reported = got.counterexample is not None
+        steps = [e for e in events if e != "flow"]
+        assert steps == ["tiers"] * (got.runs + 1) + ["final", "check"] * reported
+        found += reported
+        flowed += "flow" in events
+    assert found and flowed
 
-    def recorded(self, coalition, pairs, truth, combo, misreport, solved):
-        got.append((coalition, tuple(Rational(d, self.scale) for d in combo)))
 
-    monkeypatch.setattr(harness._ScaledRuns, "truthful", lowered)
-    monkeypatch.setattr(harness._ScaledRuns, "_candidate", recorded)
-    ties = 0
+def test_int_floors_match_the_rational_floors(corpus, monkeypatch):
+    # Every floor the search computes, as an int over its run's unit X x L,
+    # equals the reference's rational floor of that member on the reported
+    # Instance.  A run stops at its first member below its baseline, so each
+    # run's floors are a prefix of its coalition's.
+    floors = []  # per split tree, the (agent, floor) pairs computed on it
+    real_split = harness._split_tree
+    monkeypatch.setattr(
+        harness, "_split_tree", lambda *args: floors.append([]) or real_split(*args)
+    )
+    real_floor = harness._utility_floor
+    scale = []
+
+    def recorded(tiers, unit, endowment, agent, entries):
+        floor = real_floor(tiers, unit, endowment, agent, entries)
+        floors[-1].append((agent, Rational(floor, scale[0] * unit)))
+        return floor
+
+    monkeypatch.setattr(harness, "_utility_floor", recorded)
+    pairs_of_members = 0
     for inst, size, grid, budget in search_cases(corpus[:40], 12):
-        got.clear()
-        search_manipulation(inst, size, grid, budget=budget)
         absolute = grid is None
         values = DEFAULT_GRID if absolute else grid
-        truthful_alloc, _ = lexicographic_allocation(inst)
-        baseline = utilities(inst, truthful_alloc)
-        baseline[inst.agents[0]] -= Rational(1, 1000)
+        scale[:] = [harness._ScaledRuns(inst, values).scale]
+        floors.clear()
+        search_manipulation(inst, size, grid, budget=budget)
         runs = itertools.islice(
             (
-                (coalition, pairs, truth, combo)
+                (coalition, pairs, combo)
                 for coalition, pairs, truth, value_lists in
                 reference_grids(inst, size, values, absolute)[0]
                 for combo in itertools.product(*value_lists)
@@ -252,26 +335,19 @@ def test_int_classification_matches_the_rational_reports(corpus, monkeypatch):
             ),
             budget,
         )
-        want = []
-        for coalition, pairs, truth, combo in runs:
+        # The first split tree is the truthful run's, which takes no floor.
+        assert floors[0] == []
+        for got, (coalition, pairs, combo) in zip(floors[1:], runs, strict=True):
             reported = Instance(
                 inst.agents, inst.endowment, inst.objects, inst.supply,
                 {**{k: v for k, v in inst.demand.items() if k[0] not in coalition},
                  **dict(zip(pairs, combo))},
             )
-            misreport = utilities(inst, lexicographic_allocation(reported)[0])
-            report = ManipulationReport(
-                coalition=coalition,
-                true_demands=dict(zip(pairs, truth)),
-                reported_demands=dict(zip(pairs, combo)),
-                truthful_utilities={a: baseline[a] for a in coalition},
-                misreport_utilities={a: misreport[a] for a in coalition},
-            )
-            if report.is_counterexample:
-                want.append((coalition, combo))
-                ties += len(report.winners) < len(coalition)
-        assert got == want, (inst, size, grid)
-    assert ties
+            profile = breakpoints(reported)
+            want = [(a, reference_floor(inst, reported, profile, a)) for a in coalition]
+            assert got and got == want[: len(got)], (inst, coalition, combo)
+            pairs_of_members += len(got) == 2
+    assert pairs_of_members
 
 
 def eager_space(instance, coalition_size, grid):
