@@ -141,18 +141,9 @@ def _load(path: str) -> Instance:
     return instance
 
 
-def _solve(instance: Instance) -> tuple[Allocation, BreakpointProfile]:
-    """The mechanism on a validated instance.  The input is known good here,
-    so a ValueError from the solver is a bug (exit 3), not bad input."""
-    try:
-        return lexicographic_allocation(instance)
-    except ValueError as exc:
-        raise InternalCheckError(f"solver raised ValueError on valid input: {exc}") from exc
-
-
 def cmd_allocate(args) -> int:
     instance = _load(args.path)
-    allocation, profile = _solve(instance)
+    allocation, profile = lexicographic_allocation(instance)
     data = allocation_dict(instance, allocation, profile)
     if args.output == "json":
         print(json.dumps(data, indent=2))
@@ -240,7 +231,7 @@ def cmd_audit(args) -> int:
         )
     if args.samples < 0:
         raise ParseError("samples must be nonnegative")
-    allocation, profile = _solve(instance)
+    allocation, profile = lexicographic_allocation(instance)
     reports: list[PropertyReport] = []
     skipped: list[tuple[str, str]] = []
     for prop in selected:

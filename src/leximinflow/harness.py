@@ -9,14 +9,9 @@ demands.  The manipulation search enumerates a finite misreport grid, so
 absence of a counterexample is evidence within the declared coverage, not a
 proof.
 
-The ``lmmf`` search validates the truthful instance and scales it to ints
-once, and runs the main mechanism's split tree on that int view for the
-truthful run and for every misreport: a reported value is 0, a supply or a
-grid multiple of a demand, so each reported instance is valid by
-construction.  A truthful utility is endowment x rate, and a misreport run
-is decided by its members' tier floors alone, on ints.  The final flow, the
-rational utilities, the reported ``Instance``, its ``Allocation`` and
-``structure_check`` run only for the run the search reports.
+The mechanism's utilities are read off its breakpoint profile: every max
+flow of its final network saturates every source edge, so agent a's utility
+is endowment(a) x rate(a) whichever allocation the flow picks.
 """
 
 from __future__ import annotations
@@ -38,10 +33,9 @@ from .core import (
 from .leximin import (
     _as_ints,
     _common_denominator,
-    _final_flow,
-    _profile,
     _require_valid,
     _split_tree,
+    breakpoints,
     lexicographic_allocation,
     structure_check,
 )
@@ -57,8 +51,9 @@ _ENDOWMENT_FACTORS = (Rational(1, 4), Rational(1, 2), Rational(3, 4))
 
 
 def _mechanism_utilities(instance: Instance) -> dict[str, Rational]:
-    allocation, _ = lexicographic_allocation(instance)
-    return utilities(instance, allocation)
+    """Every agent's utility under the mechanism: endowment x rate."""
+    rates = breakpoints(instance).per_agent
+    return {a: instance.endowment[a] * rates[a] for a in instance.agents}
 
 
 def check_rm(instance: Instance, trials: int, seed: int = 0) -> PropertyReport:
@@ -315,14 +310,6 @@ def _search_space(instance: Instance, coalition_size: int, grid, absolute: bool)
     return space
 
 
-def _checked(solver, *args):
-    """``solver(*args)`` on a valid int view: a ``ValueError`` is a solver bug."""
-    try:
-        return solver(*args)
-    except ValueError as exc:
-        raise InternalCheckError(f"solver raised ValueError on valid input: {exc}") from exc
-
-
 class _ScaledRuns:
     """The ``lmmf`` runs of one search, truthful and misreported, on the
     truthful instance scaled once.
@@ -340,40 +327,43 @@ class _ScaledRuns:
 
     Every max flow of the final network saturates every source edge, so a
     truthful utility is endowment x rate, with no flow.  A misreport run is
-    reported iff some member's tier floor (``_utility_floor``) beats its
+    admitted iff some member's tier floor (``_utility_floor``) beats its
     truthful utility and none falls below it: the mechanism's allocation
     obeys the tier structure, so its utilities are at least the floors.
     Floors and utilities are ints over X x L, for the run's rate unit L, and
-    compare by cross-multiplication.  Only the reported run takes the final
-    flow and ``structure_check``, and builds an ``Allocation``.
+    compare by cross-multiplication.  Only an admitted run becomes a reported
+    ``Instance``, which the search allocates with ``lexicographic_allocation``
+    and checks with ``structure_check``; its rational report must be a
+    counterexample.  A run that is not admitted skips the final flow and its
+    self-checks, while the split tree's run on every run.
     """
 
     def __init__(self, instance: Instance, grid):
-        self.instance = instance
+        self.agents = instance.agents
         self.scale = _common_denominator(
             [*instance.supply.values(), *instance.demand.values()]
         ) * _common_denominator(grid)
         self.supply = _as_ints({b: instance.supply[b] for b in instance.objects}, self.scale)
         self.demand = _as_ints(instance.demand, self.scale)
-        self.endowment_scale = _common_denominator(instance.endowment.values())
-        self.endowment = _as_ints(instance.endowment, self.endowment_scale)
+        self.endowment = _as_ints(
+            instance.endowment, _common_denominator(instance.endowment.values())
+        )
         self.baseline, self.baseline_unit = self.truthful()
 
     def as_int(self, value: Rational) -> int:
         """A value in instance units, times X."""
         return int(value.numerator) * (self.scale // int(value.denominator))
 
-    def _tiers(self, demand: Mapping, totals: Mapping) -> tuple[dict, list, int]:
-        """The capped supplies of the view with these int demands and their
-        per-object totals, its tiers, and their rate unit L."""
+    def _tiers(self, demand: Mapping, totals: Mapping) -> tuple[list, int]:
+        """The tiers of the view with these int demands and their per-object
+        totals, and their rate unit L."""
         capped = {b: min(s, totals.get(b, 0)) for b, s in self.supply.items()}
-        tiers, unit = _checked(_split_tree, self.instance.agents, capped, demand, self.endowment)
-        return capped, tiers, unit
+        return _split_tree(self.agents, capped, demand, self.endowment)
 
     def truthful(self) -> tuple[dict[str, int], int]:
         """Every agent's truthful utility, endowment x rate, as an int over
         the returned unit X x L."""
-        _, tiers, unit = self._tiers(self.demand, object_totals(self.demand))
+        tiers, unit = self._tiers(self.demand, object_totals(self.demand))
         utilities = {a: self.endowment[a] * rate for rate, tier, _ in tiers for a in tier}
         return utilities, self.scale * unit
 
@@ -381,8 +371,8 @@ class _ScaledRuns:
         """The run function for one coalition, over the other agents' int
         entries and their per-object totals, fixed once; ``identity`` holds
         the true ints of ``pairs``.  A run takes the coalition's reported
-        ints, one per entry of ``pairs``, and returns None, or for the run the
-        search reports, its reported entries and allocation."""
+        ints, one per entry of ``pairs``, and returns whether its tier floors
+        admit it."""
         others = {k: d for k, d in self.demand.items() if k[0] not in coalition}
         other_totals = object_totals(others)
         members = [
@@ -392,14 +382,14 @@ class _ScaledRuns:
         ]
         scale, baseline_unit = self.scale, self.baseline_unit
 
-        def run(combo: Sequence[int]) -> Optional[tuple[dict, Allocation]]:
+        def run(combo: Sequence[int]) -> bool:
             demand = dict(others)
             totals = dict(other_totals)
             for k, d in zip(pairs, combo):
                 if d:
                     demand[k] = d
                     totals[k[1]] = totals.get(k[1], 0) + d
-            capped, tiers, unit = self._tiers(demand, totals)
+            tiers, unit = self._tiers(demand, totals)
             run_unit = scale * unit
             gain = False
             for a, own, endowment, base in members:
@@ -407,35 +397,11 @@ class _ScaledRuns:
                 lhs = _utility_floor(tiers, unit, endowment, a, entries) * baseline_unit
                 rhs = base * run_unit
                 if lhs < rhs:
-                    return None
+                    return False
                 gain = gain or lhs > rhs
-            if not gain:
-                return None
-            return self._reported_run(coalition, pairs, combo, demand, capped, tiers, unit)
+            return gain
 
         return run
-
-    def _reported_run(self, coalition, pairs, combo, demand, capped, tiers, unit):
-        """The reported entries and allocation of the run the search reports,
-        from its final flow, once the run passes ``structure_check``.
-        ``combo`` holds the reported ints and ``demand`` the run's int
-        demands."""
-        flows = _checked(
-            _final_flow, self.instance.agents, capped, demand, self.endowment, tiers, unit
-        )
-        run_unit = self.scale * unit
-        allocation = Allocation({k: Rational(f, run_unit) for k, f in flows.items()})
-        reported_entries = {k: Rational(d, self.scale) for k, d in zip(pairs, combo)}
-        verdict = structure_check(
-            _reported_instance(self.instance, coalition, reported_entries),
-            allocation,
-            _profile(tiers, run_unit, self.endowment_scale),
-        )
-        if not verdict.passed:
-            raise InternalCheckError(
-                f"misreport run violated its own structure: {verdict.witness}"
-            )
-        return reported_entries, allocation
 
 
 def _reported_instance(
@@ -451,6 +417,21 @@ def _reported_instance(
             **reported_entries,
         },
     )
+
+
+def _mechanism_allocation(reported: Instance) -> Allocation:
+    """The main mechanism's allocation of a reported instance, once it passes
+    ``structure_check``."""
+    allocation, profile = lexicographic_allocation(reported)
+    verdict = structure_check(reported, allocation, profile)
+    if not verdict.passed:
+        raise InternalCheckError(f"misreport run violated its own structure: {verdict.witness}")
+    return allocation
+
+
+def _reference_allocation(reported: Instance) -> Allocation:
+    """The reference rule's allocation of a reported instance."""
+    return oracle_mmf_si(reported)[0]
 
 
 def search_manipulation(
@@ -475,17 +456,12 @@ def search_manipulation(
     ``GridInfeasibleError``.
 
     The main mechanism validates the instance once, raising
-    ``InvalidInstanceError`` before any run.  Its truthful run and every
-    misreport run then share one int view of the instance (see
-    ``_ScaledRuns``), so no run validates or rescales a reported instance.
-    Each run is decided by its members' int tier floors, from its split tree
-    alone.  The final flow, ``structure_check``, the ``Allocation`` and the
-    ``ManipulationReport`` are built only for the reported run, so an
-    unreported run skips their self-checks; the split tree's still run on
-    every run.  A ``ValueError`` from any run is a solver bug raised as
-    ``InternalCheckError``.  Each coalition's report grid is built once, when
-    the search reaches it, and ``space`` is counted from the sparse demand
-    entries.
+    ``InvalidInstanceError`` before any run, and decides each run on ints
+    (see ``_ScaledRuns``).  A run it admits, and every reference-rule run,
+    is allocated as a reported ``Instance`` and classified by a
+    ``ManipulationReport``.  Each coalition's report grid is built once,
+    when the search reaches it, and ``space`` is counted from the sparse
+    demand entries.
     """
     if not instance.agents:
         raise ValueError("the instance has no agents, so there is no coalition to search")
@@ -511,7 +487,7 @@ def search_manipulation(
         _require_valid(instance)
         scaled = _ScaledRuns(instance, grid)
         truthful = {a: Rational(u, scaled.baseline_unit) for a, u in scaled.baseline.items()}
-        as_value, runner = scaled.as_int, scaled.runner
+        as_value, allocate = scaled.as_int, _mechanism_allocation
     elif mechanism == "mmf-si":
         try:
             truthful_alloc, _ = oracle_mmf_si(instance)
@@ -521,16 +497,9 @@ def search_manipulation(
                 " (at most 3 agents and 2 objects, and a full-entitlement allocation"
                 f" on the {GRID_RESOLUTION} grid): {exc}"
             ) from exc
+        scaled = None
         truthful = utilities(instance, truthful_alloc)
-        as_value = Rational
-
-        def runner(coalition, pairs, identity):
-            def run(combo):
-                reported_entries = dict(zip(pairs, combo))
-                reported = _reported_instance(instance, coalition, reported_entries)
-                return reported_entries, oracle_mmf_si(reported)[0]
-
-            return run
+        as_value, allocate = Rational, _reference_allocation
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     space = _search_space(instance, coalition_size, grid, absolute)
@@ -545,7 +514,7 @@ def search_manipulation(
             for t, (_, b) in zip(truth, pairs)
         ]
         identity = tuple(as_value(t) for t in truth)
-        run = runner(coalition, pairs, identity)
+        admits = None if scaled is None else scaled.runner(coalition, pairs, identity)
         for combo in itertools.product(*value_lists):
             if combo == identity:
                 continue
@@ -555,14 +524,17 @@ def search_manipulation(
                     skipped=skipped,
                 )
             runs += 1
+            if admits is None:
+                reported_entries = dict(zip(pairs, combo))
+            elif admits(combo):
+                reported_entries = {k: Rational(d, scaled.scale) for k, d in zip(pairs, combo)}
+            else:
+                continue
             try:
-                outcome = run(combo)
+                allocation = allocate(_reported_instance(instance, coalition, reported_entries))
             except GridInfeasibleError:
                 skipped += 1
                 continue
-            if outcome is None:
-                continue
-            reported_entries, allocation = outcome
             misreport = utilities(instance, allocation)
             report = ManipulationReport(
                 coalition=coalition,
@@ -575,6 +547,13 @@ def search_manipulation(
                 return SearchResult(
                     counterexample=report, runs=runs, space=space, truncated=False,
                     skipped=skipped,
+                )
+            if admits is not None:
+                # The mechanism's utilities are at least the floors, so only
+                # a wrong floor admits a run that is no counterexample.
+                raise InternalCheckError(
+                    f"tier floors admitted a misreport that is no counterexample:"
+                    f" coalition {coalition}, winners {report.winners}, losers {report.losers}"
                 )
     return SearchResult(
         counterexample=None, runs=runs, space=space, truncated=False, skipped=skipped

@@ -35,9 +35,13 @@ view: agent a's source edge carries its int endowment x its int rate,
 demand and sink edges are multiplied by L, and a nonzero edge flow f is
 amount f / (D x L).  That network is a positive multiple of the instance's,
 so Dinic makes the same augmentations at any such scale.  The split tree
-and the final flow take an int view directly (``_split_tree``,
-``_final_flow``), so the manipulation search runs them on misreports it
-scales itself.
+takes an int view directly (``_split_tree``), so the manipulation search
+runs it on misreports it scales itself.
+
+Both entry points validate the instance first and raise
+``InvalidInstanceError`` on invalid input.  Past that point the input is
+known good, so a ``ValueError`` from the split tree or the final flow is a
+solver bug, raised as ``InternalCheckError`` whoever called them.
 
 Every network is bipartite on vertex indices: source 0, the p agents
 1..p, the q objects p+1..p+q and sink p+q+1.  Its edges are the p source
@@ -48,6 +52,7 @@ allocation is read off the flow by position.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -207,6 +212,20 @@ def _require_valid(instance: Instance) -> None:
         raise InvalidInstanceError("; ".join(violations))
 
 
+def _on_valid_input(solve):
+    """``solve`` on the int view of a validated instance: a ``ValueError``
+    from it is a solver bug, raised as ``InternalCheckError``."""
+
+    @functools.wraps(solve)
+    def checked(*args):
+        try:
+            return solve(*args)
+        except ValueError as exc:
+            raise InternalCheckError(f"solver raised ValueError on valid input: {exc}") from exc
+
+    return checked
+
+
 def _scaled(instance: Instance) -> tuple[dict, dict, dict, int, int]:
     """A valid instance's int view: its capped supplies, in object order, and
     its demands, both times D, the lcm of their denominators; its endowments
@@ -224,6 +243,7 @@ def _scaled(instance: Instance) -> tuple[dict, dict, dict, int, int]:
     )
 
 
+@_on_valid_input
 def _split_tree(
     agents: Sequence[str], capped: Mapping[str, int], demand: Mapping, endowment: Mapping
 ) -> tuple[list[tuple[int, frozenset, frozenset]], int]:
@@ -284,6 +304,7 @@ def _split_tree(
     return tiers, unit
 
 
+@_on_valid_input
 def _final_flow(
     agents: Sequence[str], capped: Mapping[str, int], demand: Mapping, endowment: Mapping,
     tiers: Sequence[tuple[int, frozenset, frozenset]], unit: int,

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from conftest import breakpoint_example, hand_made_flow, lower_search_baseline
-from leximinflow import cli, harness, leximin
+from leximinflow import cli, leximin
 from leximinflow.core import Allocation, Instance, InternalCheckError, utility_vector
 from leximinflow.fileio import parse_instance, save_instance, serialize_instance
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
@@ -517,14 +517,14 @@ def test_manipulate_reported_structure_violation_is_an_internal_error(
     # run; a final flow that drops one of its entries breaks that run's
     # structure, which the reported run must check.
     lower_search_baseline(monkeypatch)
-    real_final = harness._final_flow
+    real_final = leximin._final_flow
 
     def dropped(*args):
         flows = real_final(*args)
         flows.pop(min(flows))
         return flows
 
-    monkeypatch.setattr(harness, "_final_flow", dropped)
+    monkeypatch.setattr(leximin, "_final_flow", dropped)
     code, out, err = run(capsys, ["manipulate", squeeze_path])
     assert code == 3 and out == ""
     assert "internal check failed: misreport run violated its own structure" in err

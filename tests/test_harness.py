@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import breakpoint_example, staircase
-from leximinflow import harness
+from leximinflow import harness, leximin
 from leximinflow.core import (
     Allocation,
     Instance,
@@ -90,6 +90,44 @@ def test_pm_random_sweep(corpus):
         for kind in (ENDOWMENT_DECREASE, AGENT_REMOVAL):
             report = check_pm(inst, kind, trials=3, seed=seed)
             assert report.passed, report.witness
+
+
+def test_monotonicity_reads_utilities_off_the_profile(corpus, monkeypatch):
+    # check_rm and check_pm take each utility as endowment x rate from the
+    # breakpoint profile, with no final flow.  Every utility they read, and
+    # so every report, equals the one the final flow's allocation gives.
+    finals = []
+    real_final = leximin._final_flow
+    monkeypatch.setattr(
+        leximin, "_final_flow", lambda *args: finals.append(1) or real_final(*args)
+    )
+    solved = []
+    real_utilities = harness._mechanism_utilities
+
+    def recorded(inst):
+        solved.append((inst, real_utilities(inst)))
+        return solved[-1][1]
+
+    def flow_utilities(inst):
+        allocation, _ = lexicographic_allocation(inst)
+        return utilities(inst, allocation)
+
+    def reports():
+        return [
+            (check_rm(inst, trials=10, seed=seed),
+             check_pm(inst, ENDOWMENT_DECREASE, trials=5, seed=seed),
+             check_pm(inst, AGENT_REMOVAL, trials=5, seed=seed))
+            for seed, inst in enumerate(corpus[:40])
+        ]
+
+    monkeypatch.setattr(harness, "_mechanism_utilities", recorded)
+    got = reports()
+    # Each check solves the instance once and then each perturbation.
+    assert finals == [] and len(solved) == 40 * (11 + 6 + 6)
+    monkeypatch.setattr(harness, "_mechanism_utilities", flow_utilities)
+    assert reports() == got
+    for inst, profile_utilities in solved:
+        assert profile_utilities == flow_utilities(inst)
 
 
 def test_substructure_hand_example():
@@ -191,19 +229,29 @@ def test_search_rejects_an_invalid_instance_before_any_run(monkeypatch):
 
 
 def test_search_truthful_value_error_is_an_internal_error(monkeypatch):
-    # The truthful run's split tree is the search's first solve; a ValueError
-    # there is a solver bug on a validated instance.
+    # The truthful run's split tree takes the search's first flow; a
+    # ValueError there is a solver bug on a validated instance.
     calls = []
 
-    def broken(*args):
+    def broken(network):
         calls.append(1)
-        raise ValueError("split tree on a broken network (injected)")
+        raise ValueError("flow on a broken network (injected)")
 
-    monkeypatch.setattr(harness, "_split_tree", broken)
+    monkeypatch.setattr(leximin, "max_flow", broken)
     with pytest.raises(InternalCheckError, match="solver raised ValueError on valid input"
-                       ": split tree on a broken network"):
+                       ": flow on a broken network"):
         search_manipulation(si_misreport_instance(), coalition_size=1)
     assert calls == [1]
+
+
+def test_search_raises_when_the_floors_admit_no_counterexample(monkeypatch):
+    # The mechanism's utilities are at least the tier floors, so a floor
+    # that overstates them admits a run whose report is no counterexample:
+    # that is a floor bug, not "no counterexample".
+    real = harness._utility_floor
+    monkeypatch.setattr(harness, "_utility_floor", lambda *args: real(*args) + 10**9)
+    with pytest.raises(InternalCheckError, match="tier floors admitted a misreport"):
+        search_manipulation(si_misreport_instance(), coalition_size=1)
 
 
 def int_floor(true, reported, agent):

@@ -571,6 +571,48 @@ def test_breakpoints_rejects_invalid_instance():
         breakpoints(Instance(("a",), {"a": 0}, (), {}, {}))
 
 
+@pytest.mark.parametrize("solve", [breakpoints, lexicographic_allocation])
+def test_invalid_input_stays_invalid_under_a_broken_flow(monkeypatch, solve):
+    # Validation comes first, so invalid input is bad input even when the
+    # flows would fail.
+    def broken(network):
+        raise ValueError("flow on a broken network (injected)")
+
+    monkeypatch.setattr(leximin, "max_flow", broken)
+    negative = si_bound_instance(2)
+    negative = Instance(negative.agents, negative.endowment, negative.objects,
+                        {**negative.supply, "b1": Rational(-1)}, negative.demand)
+    for inst in (Instance(("a",), {"a": 0}, (), {}, {}), negative):
+        with pytest.raises(InvalidInstanceError):
+            solve(inst)
+
+
+@pytest.mark.parametrize("solve", [breakpoints, lexicographic_allocation])
+def test_value_error_on_valid_input_is_an_internal_error(monkeypatch, solve):
+    # Past validation the input is known good, so a ValueError from a split
+    # flow or the final flow is a solver bug.
+    calls = []
+
+    def broken(network):
+        calls.append(1)
+        raise ValueError("flow on a broken network (injected)")
+
+    monkeypatch.setattr(leximin, "max_flow", broken)
+    with pytest.raises(InternalCheckError, match="solver raised ValueError on valid input"
+                       ": flow on a broken network"):
+        solve(si_bound_instance(2))
+    assert calls == [1]
+    # One agent takes no split flow: only the allocation's final flow runs.
+    alone = Instance(("a",), {"a": 1}, ("b",), {"b": 2}, {("a", "b"): 3})
+    calls.clear()
+    if solve is breakpoints:
+        assert solve(alone).lambdas == (Rational(2),)
+    else:
+        with pytest.raises(InternalCheckError, match="solver raised ValueError on valid input"):
+            solve(alone)
+    assert calls == [1] * (solve is lexicographic_allocation)
+
+
 def test_allocation_hand_example():
     inst = si_bound_instance(2)
     allocation, profile = lexicographic_allocation(inst)

@@ -173,8 +173,9 @@ def search_cases(instances, budget):
 def test_search_matches_the_reference(corpus, monkeypatch):
     # Both searches must also solve the same networks, listed per search in
     # solve order as (edge count, whether the final flow solved it).  The
-    # search takes the reference's split flows for every run, and the final
-    # flow only for the counterexample it returns.
+    # search takes the reference's split flows for every run, then, for the
+    # counterexample it returns, the reference's last run whole: the
+    # reported instance's split flows and its final flow.
     flows = []
     final = []
     real = leximin.max_flow
@@ -192,7 +193,6 @@ def test_search_matches_the_reference(corpus, monkeypatch):
             final.pop()
 
     monkeypatch.setattr(leximin, "_final_flow", final_flow)
-    monkeypatch.setattr(harness, "_final_flow", final_flow)
     instances = corpus[::10] + [staircase(n) for n in (2, 3, 4)] + [si_bound_instance(3)]
     truncated = complete = 0
     for inst, size, grid, budget in search_cases(instances, 20):
@@ -201,7 +201,10 @@ def test_search_matches_the_reference(corpus, monkeypatch):
         flows.append([])
         want = reference_search(inst, size, grid, budget=budget)
         split = [f for f in flows[-1] if not f[1]]
-        reported = flows[-1][-1:] if want.counterexample else []
+        # The reference's truthful run and each of its runs end in a final
+        # flow, so its last run starts after the last final flow but one.
+        finals = [i for i, (_, final_flow_solve) in enumerate(flows[-1]) if final_flow_solve]
+        reported = flows[-1][finals[-2] + 1:] if want.counterexample else []
         assert (got, flows[-2]) == (want, split + reported), (inst, size, grid)
         truncated += got.truncated
         complete += not got.truncated and got.runs > 0
@@ -260,8 +263,9 @@ def test_search_matches_the_reference_on_candidates(corpus, monkeypatch):
 
 def test_only_the_reported_run_takes_the_final_flow(corpus, monkeypatch):
     # Each run's split tree takes exactly 2k - 1 - s flows for its k tiers,
-    # s of them single-agent.  The final flow and ``structure_check`` run
-    # once, for the reported run, after its split tree.
+    # s of them single-agent.  The reported run then goes through
+    # ``lexicographic_allocation`` once: its reported instance's split tree,
+    # the final flow, and ``structure_check``.
     lower_search_baseline(monkeypatch)
     events = []
     real_flow = leximin.max_flow
@@ -279,9 +283,10 @@ def test_only_the_reported_run_takes_the_final_flow(corpus, monkeypatch):
         return tiers, unit
 
     monkeypatch.setattr(harness, "_split_tree", split_tree)
-    real_final = harness._final_flow
+    monkeypatch.setattr(leximin, "_split_tree", split_tree)
+    real_final = leximin._final_flow
     monkeypatch.setattr(
-        harness, "_final_flow", lambda *args: events.append("final") or real_final(*args)
+        leximin, "_final_flow", lambda *args: events.append("final") or real_final(*args)
     )
     real_check = harness.structure_check
     monkeypatch.setattr(
@@ -293,7 +298,7 @@ def test_only_the_reported_run_takes_the_final_flow(corpus, monkeypatch):
         got = search_manipulation(inst, size, grid, budget=budget)
         reported = got.counterexample is not None
         steps = [e for e in events if e != "flow"]
-        assert steps == ["tiers"] * (got.runs + 1) + ["final", "check"] * reported
+        assert steps == ["tiers"] * (got.runs + 1) + ["tiers", "final", "check"] * reported
         found += reported
         flowed += "flow" in events
     assert found and flowed
