@@ -45,9 +45,15 @@ solver bug, raised as ``InternalCheckError`` whoever called them.
 
 Every network is bipartite on vertex indices: source 0, the p agents
 1..p, the q objects p+1..p+q and sink p+q+1.  Its edges are the p source
-edges, one edge per demand entry in sorted (agent, object) order, and one
-sink edge per object, so a cut maps back to agents by index and the
-allocation is read off the flow by position.
+edges, one edge per demand entry, and one sink edge per object, so a cut
+maps back to agents by index and the allocation is read off the flow by
+position.  ``_view_network`` fills the arc arrays straight from a node's
+int dicts, with the node scale e(A), or the final unit L, as a multiplier
+on the demand and sink edges, so no node copies a scaled dict.  A split
+network lists its demand edges in the node dict's order: its source-heavy
+cut is the same whichever maximum flow Dinic finds.  Only the final flow
+sorts its demand edges, once, into (agent, object) order, since the
+allocation it prints depends on that order.
 """
 
 from __future__ import annotations
@@ -108,31 +114,30 @@ def tier_capacity(caps: Mapping[str, Rational], demand: Mapping) -> Rational:
 
 
 def _view_network(
-    agents: Sequence[str], caps: Mapping[str, Rational], demand: Mapping, source_caps: Mapping
+    source_caps: Mapping, demand: Mapping, caps: Mapping[str, Rational], scale: int = 1
 ) -> FlowNetwork:
-    """Bipartite flow network of the given agents and the objects in ``caps``,
-    on vertex indices: source 0, agents 1..p in ``agents`` order, objects
+    """The solver's one network builder: the bipartite flow network of the
+    agents in ``source_caps`` and the objects in ``caps``, on vertex
+    indices: source 0, agents 1..p in ``source_caps`` order, objects
     p+1..p+q in ``caps`` order, sink p+q+1.
 
     Edges come in three runs: the p source-to-agent edges, whose capacities
     are the caller's (this is the parametric part); the agent-to-object edges
-    in sorted ``demand`` order, carrying demand; the object-to-sink edges,
-    carrying the residual capacity.
+    in ``demand`` order, carrying demand times ``scale``; the object-to-sink
+    edges, carrying the residual capacity times ``scale``.
     """
-    p = len(agents)
-    sink = p + len(caps) + 1
-    agent_id = {a: i for i, a in enumerate(agents, 1)}
-    object_id = {b: i for i, b in enumerate(caps, p + 1)}
-    edges = [(0, i, source_caps[a]) for a, i in agent_id.items()]
-    edges += [(agent_id[a], object_id[b], d) for (a, b), d in sorted(demand.items())]
-    edges += [(i, sink, c) for i, c in enumerate(caps.values(), p + 1)]
-    return FlowNetwork(sink + 1, edges)
+    return FlowNetwork(source_caps, demand, caps, scale)
 
 
 def build_network(instance: Instance, source_caps: Mapping[str, Rational]) -> FlowNetwork:
-    """Flow network of a whole instance: every agent and object, with sink
-    edges carrying the demand-capped supply."""
-    return _view_network(instance.agents, capped_supply(instance), instance.demand, source_caps)
+    """Flow network of a whole instance: every agent and object, demand
+    edges in sorted (agent, object) order, and sink edges carrying the
+    demand-capped supply."""
+    return _view_network(
+        {a: source_caps[a] for a in instance.agents},
+        dict(sorted(instance.demand.items())),
+        capped_supply(instance),
+    )
 
 
 def min_ratio(
@@ -147,8 +152,9 @@ def min_ratio(
 
     The flow runs at source caps endowment x lambda, with the whole network
     scaled by the node scale e: source edges carry endowment x cap, and
-    demand and sink edges are multiplied by e.  The caps, demands and
-    endowments must be integral, so that every edge is an int.
+    demand and sink edges are multiplied by e, which the network builder
+    takes as its multiplier, so the node copies no scaled dict.  The caps,
+    demands and endowments must be integral, so that every edge is an int.
     T is the agent side of the source-heavy minimum cut: the cut puts each
     object on whichever side costs min(residual cap, demand of T), so its
     capacity, the flow value, is e x (cap(T) + lambda x e(agents - T)).
@@ -163,12 +169,7 @@ def min_ratio(
     for a in agents:
         total_e += endowments[a]
     cap = tier_capacity(caps, demand)
-    network = _view_network(
-        agents,
-        {b: c * total_e for b, c in caps.items()},
-        {k: d * total_e for k, d in demand.items()},
-        {a: endowments[a] * cap for a in agents},
-    )
+    network = _view_network({a: endowments[a] * cap for a in agents}, demand, caps, total_e)
     flow = max_flow(network)
     source_side = source_heavy_min_cut(network, flow)
     source_total = total_e * cap
@@ -318,14 +319,13 @@ def _final_flow(
     ``_split_tree`` checked that the source edges' total is the capped
     supply's, so the flow saturates every capped-supply edge too.
     """
-    source_caps = {}
+    rate_of = {}
     for rate, tier, _ in tiers:
-        for a in tier:
-            source_caps[a] = endowment[a] * rate
-    if unit != 1:
-        capped = {b: c * unit for b, c in capped.items()}
-        demand = {k: d * unit for k, d in demand.items()}
-    flow = max_flow(_view_network(agents, capped, demand, source_caps))
+        rate_of.update(dict.fromkeys(tier, rate))
+    source_caps = {a: endowment[a] * rate_of[a] for a in agents}
+    # The one sort: the allocation is read off the demand edges by position.
+    demand = dict(sorted(demand.items()))
+    flow = max_flow(_view_network(source_caps, demand, capped, unit))
     total = sum(source_caps.values())
     if flow.value != total:
         raise InternalCheckError(
@@ -334,7 +334,7 @@ def _final_flow(
         )
     # The demand edges follow the source edges, in sorted demand order.
     demand_flows = flow.edge_flows()[len(agents):]
-    return {k: f for k, f in zip(sorted(demand), demand_flows) if f}
+    return {k: f for k, f in zip(demand, demand_flows) if f}
 
 
 def _profile(tiers, unit: int, endowment_scale: int) -> BreakpointProfile:

@@ -1,77 +1,190 @@
-"""Exact maximum flow and minimum cuts on integral networks.
+"""Exact maximum flow and minimum cuts on bipartite integral networks.
 
-A network's vertices are the indices 0..n-1, with source 0 and sink n-1.
-Every capacity is an integer (an int, or an integral rational): callers
-scale their networks, so Dinic's algorithm runs on Python ints and the
-``Flow`` it returns is that residual graph.  Flow values, edge flows and cut
-capacities are ints, so the max-flow = min-cut identity is asserted exactly.
+A network has the one shape the solver builds: source 0, the p agents
+1..p, the q objects p+1..p+q and sink p+q+1.  Its edges are the p source
+edges, one demand edge per demand entry from its agent to its object, in
+the entries' order, and one sink edge per object.  ``FlowNetwork`` fills
+the arc arrays straight from those three mappings, with the demand and sink
+capacities times one multiplier, so a caller scales a network without
+copying its dicts.
+
+Every capacity must be an integer (an int, or an integral rational):
+callers scale their networks, so Dinic's algorithm runs on Python ints and
+the ``Flow`` it returns is that residual graph.  Flow values, edge flows
+and cut capacities are ints, so the max-flow = min-cut identity is asserted
+exactly.  Dinic's first phase needs no BFS: on a fresh network every agent
+with a positive source edge is at level 1, every object it demands at
+level 2 and the sink at level 3, so the first blocking flow is one sweep
+over the source edges in order, each agent's demand edges in order, and
+each demanded object's sink edge.  That sweep makes exactly the
+augmentations of the level-graph walk, and the later phases run the
+generic BFS and walk.
+
 The cut this module reads off a maximum flow is the *source-heavy* minimum
 cut — the unique minimum cut whose source side contains the source side of
 every other minimum cut — which the breakpoint solver needs to pick maximal
 tight agent sets.  It is read off the flow's residual graph, so the cut
 costs one walk from the sink and one integer sum.
 
-All procedures are deterministic: edge input order fixes the augmentation
-order, so identical input yields an identical flow.
+All procedures are deterministic: edge order fixes the augmentation order,
+so identical input yields an identical flow.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import Mapping
 
 from .core import InternalCheckError
 
 
-@dataclass(frozen=True)
 class FlowNetwork:
-    """Directed graph on the vertices 0..n-1, with source 0, sink n-1 and
-    integral capacities (ints, or rationals of denominator 1), kept as given."""
+    """The bipartite network of ``source_caps`` (agent -> source capacity),
+    ``demand`` ((agent, object) -> capacity) and ``sink_caps`` (object ->
+    sink capacity), with every demand and sink capacity times ``scale``.
 
-    n: int
-    edges: tuple[tuple[int, int, int], ...]
+    The agents are ``source_caps``' keys and the objects ``sink_caps``',
+    each in order.  Edge i is arc 2i forward and arc 2i+1 its reverse:
+    ``head`` holds each arc's head, ``capacity`` each arc's capacity (0 on
+    a reverse arc) and ``adj[v]`` the arcs leaving v in edge order.
+    Capacities are kept as given and checked where ``Flow`` reads them.
+    """
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"a flow network needs at least 2 vertices, got {self.n}")
-        # Edges are checked where Flow reads them, one comparison each.
-        object.__setattr__(self, "edges", tuple(self.edges))
+    __slots__ = ("n", "p", "m", "head", "capacity", "adj")
+
+    def __init__(
+        self, source_caps: Mapping, demand: Mapping, sink_caps: Mapping, scale: int = 1
+    ):
+        p, m, q = len(source_caps), len(demand), len(sink_caps)
+        sink = p + q + 1
+        agent_id = dict(zip(source_caps, range(1, p + 1)))
+        object_id = dict(zip(sink_caps, range(p + 1, sink)))
+        first_sink_arc = 2 * (p + m)
+        arcs = first_sink_arc + 2 * q
+        head = [0] * arcs
+        capacity = [0] * arcs
+        head[0:2 * p:2] = range(1, p + 1)
+        capacity[0:2 * p:2] = source_caps.values()
+        # The source's arcs, then each agent's reverse source arc; the
+        # demand and sink arcs follow in edge order.
+        adj = [list(range(0, 2 * p, 2))]
+        adj += [[arc] for arc in range(1, 2 * p, 2)]
+        adj += [[] for _ in range(q)]
+        arc = 2 * p
+        try:
+            for (a, b), d in demand.items():
+                i = agent_id[a]
+                j = object_id[b]
+                head[arc] = j
+                head[arc + 1] = i
+                capacity[arc] = d * scale
+                adj[i].append(arc)
+                adj[j].append(arc + 1)
+                arc += 2
+        except KeyError:
+            raise ValueError(
+                f"demand edge {a!r} -> {b!r} leaves the network's agents and objects"
+            ) from None
+        head[first_sink_arc::2] = [sink] * q
+        head[first_sink_arc + 1::2] = range(p + 1, sink)
+        capacity[first_sink_arc::2] = [c * scale for c in sink_caps.values()]
+        for j in range(p + 1, sink):
+            adj[j].append(arc)
+            arc += 2
+        adj.append(list(range(first_sink_arc + 1, arcs, 2)))
+        self.n = sink + 1
+        self.p = p
+        self.m = m
+        self.head = head
+        self.capacity = capacity
+        self.adj = adj
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(tail, head, capacity) per edge, in edge order."""
+        head = self.head
+        return tuple(zip(head[1::2], head[0::2], self.capacity[0::2]))
 
 
 class Flow:
     """A flow as the arc-pair residual graph Dinic ran on: arc 2i is edge i
     forward, arc 2i+1 its reverse, so the residual of arc 2i+1 is edge i's
     flow.  ``value`` is the int flow value, set by ``max_flow``; a fresh
-    ``Flow(network)`` is the zero flow."""
+    ``Flow(network)`` is the zero flow.  It shares the network's ``head``
+    and ``adj``, and owns its ``residual``."""
 
     def __init__(self, network: FlowNetwork):
-        n = network.n
-        self.head: list[int] = []
-        self.residual: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        for t, h, cap in network.edges:
-            if cap.denominator != 1:
-                raise ValueError(f"non-integral capacity on edge {t!r} -> {h!r}: {cap}")
-            # int(): an integral Fraction or mpq becomes a Python int.
-            cap = int(cap)
-            if cap < 0:
-                raise ValueError(f"negative capacity on edge {t!r} -> {h!r}: {cap}")
-            # Explicit: the lists below would read a negative index from
-            # their end, so -1 would silently be the sink.
-            if not (0 <= t < n and 0 <= h < n):
-                raise ValueError(f"edge {t!r} -> {h!r} leaves the vertices 0..{n - 1}")
-            self.adj[t].append(len(self.head))
-            self.head.append(h)
-            self.residual.append(cap)
-            self.adj[h].append(len(self.head))
-            self.head.append(t)
-            self.residual.append(0)
-        self.n = n
+        residual = network.capacity.copy()
+        # An int sum means that every capacity is an int: adding a Fraction,
+        # an mpq or a float to an int gives that type.
+        if type(sum(residual)) is not int:
+            for arc in range(0, len(residual), 2):
+                cap = residual[arc]
+                if cap.denominator != 1:
+                    raise ValueError(
+                        f"non-integral capacity on edge {_endpoints(network, arc)}: {cap}"
+                    )
+                # int(): an integral Fraction or mpq becomes a Python int.
+                residual[arc] = int(cap)
+        if residual and min(residual) < 0:
+            arc = next(arc for arc, cap in enumerate(residual) if cap < 0)
+            raise ValueError(
+                f"negative capacity on edge {_endpoints(network, arc)}: {residual[arc]}"
+            )
+        self.head = network.head
+        self.adj = network.adj
+        self.residual = residual
+        self.n = network.n
         self.value = 0
 
     def edge_flows(self) -> tuple[int, ...]:
         """Per-edge flow values aligned with ``FlowNetwork.edges``."""
         return tuple(self.residual[1::2])
+
+    def first_phase(self, p: int, m: int) -> int:
+        """Dinic's first blocking flow on the fresh bipartite network of p
+        agents and m demand edges, as one sweep; returns the total pushed.
+
+        Each agent in order pushes along its demand edges in order, each
+        time as much as its source edge, the demand edge and the object's
+        sink edge all leave, until its source edge is full.  The level-graph
+        walk does the same: it leaves a demand edge once that edge or the
+        object's sink edge is full, and the agent once its source edge is.
+        """
+        head, residual, adj = self.head, self.residual, self.adj
+        # Object j's sink edge is edge m + j - 1: its forward arc is
+        # base + 2j.
+        base = 2 * (m - 1)
+        pushed = 0
+        for i in range(1, p + 1):
+            source_arc = 2 * i - 2
+            left = residual[source_arc]
+            if not left:
+                continue
+            # adj[i] starts with the reverse source arc, whose residual is 0.
+            for arc in adj[i]:
+                d = residual[arc]
+                if not d:
+                    continue
+                out = base + 2 * head[arc]
+                s = residual[out]
+                if not s:
+                    continue
+                f = left if left < d else d
+                if s < f:
+                    f = s
+                residual[arc] = d - f
+                residual[arc + 1] = f
+                residual[out] = s - f
+                residual[out + 1] += f
+                left -= f
+                if not left:
+                    break
+            f = residual[source_arc] - left
+            residual[source_arc] = left
+            residual[source_arc + 1] = f
+            pushed += f
+        return pushed
 
     def levels_from_source(self) -> list[int]:
         head, residual, adj = self.head, self.residual, self.adj
@@ -129,11 +242,16 @@ class Flow:
             pointer[v] += 1
 
 
+def _endpoints(network: FlowNetwork, arc: int) -> str:
+    return f"{network.head[arc + 1]} -> {network.head[arc]}"
+
+
 def max_flow(network: FlowNetwork) -> Flow:
-    """Compute a maximum flow (Dinic's algorithm on the integral network)."""
+    """Compute a maximum flow: Dinic's algorithm on the integral network,
+    with the first phase as one sweep."""
     flow = Flow(network)
+    value = flow.first_phase(network.p, network.m)
     sink = network.n - 1
-    value = 0
     while True:
         level = flow.levels_from_source()
         if level[sink] < 0:

@@ -11,6 +11,7 @@ corpus, which exercises the endowment-weighted machinery harder.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -91,8 +92,10 @@ def scaled(network: FlowNetwork) -> tuple[FlowNetwork, int]:
     """The network with every capacity times the lcm of their denominators,
     so that each is integral, and that lcm."""
     # int(): a gmpy2 denominator is an mpz.
-    scale = math.lcm(*(int(c.denominator) for _, _, c in network.edges))
-    return FlowNetwork(network.n, tuple((t, h, c * scale) for t, h, c in network.edges)), scale
+    scale = math.lcm(*(int(c.denominator) for c in network.capacity))
+    integral = copy.copy(network)
+    integral.capacity = [c * scale for c in network.capacity]
+    return integral, scale
 
 
 def hand_made_flow(network: FlowNetwork, edge_flows, value) -> Flow:

@@ -1,15 +1,21 @@
 """End-to-end command-line tests: output shape, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 
 import pytest
 
-from conftest import breakpoint_example, hand_made_flow, lower_search_baseline
+from conftest import breakpoint_example, hand_made_flow, lower_search_baseline, staircase
 from leximinflow import cli, leximin
 from leximinflow.core import Allocation, Instance, InternalCheckError, utility_vector
 from leximinflow.fileio import parse_instance, save_instance, serialize_instance
-from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
+from leximinflow.generators import (
+    burst_demand_instance,
+    random_instance,
+    si_bound_instance,
+    si_misreport_instance,
+)
 from leximinflow.oracle import random_frugal_allocation
 from leximinflow.rational import Rational, format_rational, parse_rational
 
@@ -76,6 +82,50 @@ def test_allocate_json_reports_each_tier_once(tmp_path, capsys):
     ]
     assert {row["id"]: row["tier"] for row in data["agents"]} == {"a1": 1, "a2": 2}
     assert data["breakpoints"] == ["1", "2"]
+
+
+# sha256 of the concatenated stdout below, recorded with the edge-list flow
+# core that the bipartite one replaced, so the two print the same bytes.
+ALLOCATE_JSON_DIGEST = "b488c46585b49efbe229bc4b6fa4e84cbf8498c0ed995985e79263f8ff65616c"
+
+
+def reversed_order(inst: Instance) -> Instance:
+    """The instance with its agents and objects listed in reverse, so that
+    its file lists the demand entries out of (agent, object) order."""
+    return Instance(
+        inst.agents[::-1], inst.endowment, inst.objects[::-1], inst.supply, inst.demand
+    )
+
+
+def digest_instances(corpus):
+    """Dense and sparse random instances, also in reverse order, the
+    SI-bound and burst families, staircases with 2-30 tiers, and a corpus
+    slice."""
+    dense = [random_instance(s, 8, 8, 0.9) for s in range(20)]
+    sparse = [random_instance(s, 7, 7, 2.5 / 7) for s in range(30)]
+    return (
+        dense
+        + [reversed_order(inst) for inst in dense + sparse]
+        + [si_bound_instance(n) for n in range(6, 18)]
+        + [burst_demand_instance(n) for n in range(4, 10)]
+        + sparse
+        + [staircase(n) for n in range(2, 31)]
+        + corpus[:100]
+    )
+
+
+def test_allocate_json_bytes_are_pinned(corpus, tmp_path, capsys):
+    # The printed allocation is one optimal allocation among many: it
+    # depends on the final flow's arc order.  This digest pins the bytes of
+    # every ``allocate --output json`` below, allocation rows included.
+    digest = hashlib.sha256()
+    path = tmp_path / "instance.json"
+    for inst in digest_instances(corpus):
+        save_instance(inst, str(path))
+        code, out, err = run(capsys, ["allocate", str(path), "--output", "json"])
+        assert code == 0 and err == ""
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == ALLOCATE_JSON_DIGEST
 
 
 def test_allocate_empty_instance(tmp_path, capsys):

@@ -55,7 +55,7 @@ def newton_min_ratio(agents, caps, demand, endowments):
     lam = tier_capacity(caps, demand) / total_e
     for _ in range(len(agents) + 1):
         network, scale = scaled(
-            _view_network(agents, caps, demand, {a: endowments[a] * lam for a in agents})
+            _view_network({a: endowments[a] * lam for a in agents}, demand, caps)
         )
         flow = max_flow(network)
         source_side = source_heavy_min_cut(network, flow)

@@ -188,14 +188,9 @@ def assert_matches_reference(net: FlowNetwork) -> Rational:
     return value
 
 
-def network(edges, extra_vertices=()):
-    """The network of edges between named vertices: ``s`` is 0, ``t`` is
-    n-1, and the other names take 1..n-2 in sorted order."""
-    middle = sorted(
-        {v for e in edges for v in e[:2] if v not in ("s", "t")} | set(extra_vertices)
-    )
-    index = {"s": 0, **{v: i for i, v in enumerate(middle, 1)}, "t": len(middle) + 1}
-    return FlowNetwork(len(index), tuple((index[t], index[h], c) for t, h, c in edges))
+def path(cap_in, cap_mid, cap_out):
+    """s -> u -> x -> t: one agent demanding one object."""
+    return FlowNetwork({"u": cap_in}, {("u", "x"): cap_mid}, {"x": cap_out})
 
 
 def brute_force_cuts(net: FlowNetwork):
@@ -214,48 +209,66 @@ def brute_force_cuts(net: FlowNetwork):
     return cuts
 
 
+def test_network_layout():
+    # Source edges, then demand edges in the mapping's order, then sink
+    # edges; demand and sink capacities times the scale.
+    net = FlowNetwork({"u": 3, "v": 2}, {("v", "x"): 1, ("u", "y"): 4, ("u", "x"): 5},
+                      {"x": 6, "y": 7}, 10)
+    assert net.n == 6
+    assert net.edges == (
+        (0, 1, 3), (0, 2, 2),
+        (2, 3, 10), (1, 4, 40), (1, 3, 50),
+        (3, 5, 60), (4, 5, 70),
+    )
+    assert net.adj == [[0, 2], [1, 6, 8], [3, 4], [5, 9, 10], [7, 12], [11, 13]]
+    assert FlowNetwork({}, {}, {}).edges == ()
+
+
 def test_single_edge_value():
-    net = network([("s", "t", 5)])
+    # The bipartite network's nearest to one edge: one path.
+    net = path(5, 7, 9)
     flow = max_flow(net)
     assert flow.value == Rational(5)
     assert flow_violations(net, flow) == []
 
 
 def test_series_parallel_value():
-    net = network([("s", "u", 3), ("u", "t", 1), ("s", "v", 2), ("v", "t", 4)])
+    # Two parallel paths, each bottlenecked in its middle or at its source.
+    net = FlowNetwork({"u": 3, "v": 2}, {("u", "x"): 1, ("v", "y"): 4}, {"x": 9, "y": 9})
     assert max_flow(net).value == Rational(3)
 
 
 def test_min_cut_of_single_saturated_edge():
-    net = network([("s", "t", 5)])
+    net = path(5, 9, 9)
     flow = max_flow(net)
     assert source_heavy_min_cut(net, flow) == frozenset({0})  # s
     assert flow.value == Rational(5)
 
 
 def test_min_cut_when_bottleneck_is_at_the_sink():
-    net = network([("s", "u", 9), ("s", "v", 9), ("u", "t", 1), ("v", "t", 2)])
+    net = FlowNetwork({"u": 9, "v": 9}, {("u", "x"): 9, ("v", "y"): 9}, {"x": 1, "y": 2})
     flow = max_flow(net)
-    assert source_heavy_min_cut(net, flow) == frozenset({0, 1, 2})  # s, u, v
+    assert source_heavy_min_cut(net, flow) == frozenset({0, 1, 2, 3, 4})  # s, u, v, x, y
     assert flow.value == Rational(3)
 
 
 def test_source_heavy_equals_min_cut_when_unique():
-    net = network([("s", "u", 1), ("u", "t", 5)])
+    net = path(1, 5, 5)
     flow = max_flow(net)
     assert (source_heavy_min_cut(net, flow), flow.value) == (frozenset({0}), Rational(1))  # s
 
 
 def test_source_heavy_takes_the_larger_of_two_min_cuts():
-    net = network([("s", "v", 1), ("v", "t", 1)])
+    # The source edge and the sink edge are the two minimum cuts.
+    net = path(1, 2, 1)
     flow = max_flow(net)
-    assert source_heavy_min_cut(net, flow) == frozenset({0, 1})  # s, v
+    assert source_heavy_min_cut(net, flow) == frozenset({0, 1, 2})  # s, u, x
 
 
 def test_rejects_non_maximum_flow():
-    net = network([("s", "t", 5)])
-    short = hand_made_flow(net, (0,), 0)
-    mislabeled = hand_made_flow(net, (5,), 3)
+    net = path(5, 5, 5)
+    short = hand_made_flow(net, (0, 0, 0), 0)
+    mislabeled = hand_made_flow(net, (5, 5, 5), 3)
     for cut in (source_heavy_min_cut, reference_source_heavy_min_cut):
         with pytest.raises(InternalCheckError, match="not maximum: sink reachable"):
             cut(net, short)
@@ -264,57 +277,86 @@ def test_rejects_non_maximum_flow():
 
 
 def test_network_validation():
-    # The source 0 and the sink n-1 must differ.
-    for n in (0, 1):
-        with pytest.raises(ValueError, match=f"needs at least 2 vertices, got {n}"):
-            max_flow(FlowNetwork(n, ()))
-    # Edges are checked where Flow reads them.
-    with pytest.raises(ValueError, match=r"edge 0 -> 2 leaves the vertices 0\.\.1"):
-        max_flow(FlowNetwork(2, ((0, 2, 1),)))
-    # Without the range check, -1 would silently be the sink.
-    with pytest.raises(ValueError, match=r"edge -1 -> 1 leaves the vertices 0\.\.1"):
-        max_flow(FlowNetwork(2, ((-1, 1, 1),)))
+    # A demand edge must run from a listed agent to a listed object.
+    with pytest.raises(ValueError, match="demand edge 'u' -> 'y' leaves the network's agents"):
+        FlowNetwork({"u": 1}, {("u", "y"): 1}, {"x": 1})
+    with pytest.raises(ValueError, match="demand edge 'w' -> 'x' leaves the network's agents"):
+        FlowNetwork({"u": 1}, {("w", "x"): 1}, {"x": 1})
+    # Capacities are checked where Flow reads them, on every kind of edge.
     with pytest.raises(ValueError, match="negative capacity on edge 0 -> 1: -1"):
-        max_flow(FlowNetwork(2, ((0, 1, -1),)))
+        max_flow(path(-1, 1, 1))
+    with pytest.raises(ValueError, match="negative capacity on edge 1 -> 2: -1"):
+        max_flow(path(1, -1, 1))
+    with pytest.raises(ValueError, match="negative capacity on edge 2 -> 3: -1"):
+        max_flow(path(1, 1, -1))
     # Callers scale their networks to integers; max_flow does not.
     with pytest.raises(ValueError, match="non-integral capacity on edge 0 -> 1: 1/2"):
-        max_flow(FlowNetwork(2, ((0, 1, Rational(1, 2)),)))
+        max_flow(path(Rational(1, 2), 1, 1))
+    with pytest.raises(ValueError, match="non-integral capacity on edge 1 -> 2: 1/2"):
+        max_flow(path(1, Rational(1, 2), 1))
+    with pytest.raises(ValueError, match="non-integral capacity on edge 2 -> 3: 1/2"):
+        max_flow(path(1, 1, Rational(1, 2)))
+    # An integral rational is read as its int.
+    flow = max_flow(path(Rational(4, 2), 3, 3))
+    assert (flow.value, flow.edge_flows()) == (2, (2, 2, 2))
+    assert {type(f) for f in (flow.value, *flow.edge_flows())} == {int}
 
 
 def test_flow_violations_reports_bad_flows():
-    net = network([("s", "u", 2), ("u", "t", 2)])
-    overfull = hand_made_flow(net, (3, 3), 3)
+    net = path(2, 2, 2)
+    overfull = hand_made_flow(net, (3, 3, 3), 3)
     assert any("outside" in line for line in flow_violations(net, overfull))
-    leaky = hand_made_flow(net, (2, 1), 2)
+    leaky = hand_made_flow(net, (2, 1, 1), 1)
     assert any("conservation" in line for line in flow_violations(net, leaky))
-    mislabeled = hand_made_flow(net, (2, 2), 1)
+    mislabeled = hand_made_flow(net, (2, 2, 2), 1)
     assert any("stated value" in line for line in flow_violations(net, mislabeled))
 
 
 def test_determinism():
-    edges = [("s", "u", 3), ("s", "v", 2), ("u", "v", 1), ("u", "t", 1), ("v", "t", 4)]
-    net = network(edges)
+    net = FlowNetwork(
+        {"u": 3, "v": 2, "w": 4},
+        {("u", "x"): 1, ("u", "y"): 3, ("v", "x"): 2, ("w", "y"): 2, ("w", "x"): 1},
+        {"x": 2, "y": 4},
+    )
     first, second = max_flow(net), max_flow(net)
     assert repr((first.edge_flows(), first.value)) == repr((second.edge_flows(), second.value))
 
 
-def random_network(seed: int) -> FlowNetwork:
-    rng = random.Random(seed)
-    n = rng.randint(0, 5) + 2
-    edges = []
-    for tail, head in itertools.permutations(range(n), 2):
-        if head == 0 or tail == n - 1:
-            continue
-        if rng.random() < 0.45:
-            edges.append((tail, head, Rational(rng.randint(0, 12), rng.randint(1, 8))))
-    return FlowNetwork(n, edges)
+def random_network(rng: random.Random, capacity) -> FlowNetwork:
+    """A bipartite network of 0-4 agents and 0-4 objects, each agent-object
+    pair a demand edge with probability 0.5, in a random order, and every
+    capacity drawn by ``capacity(rng)``."""
+    agents = [f"a{i}" for i in range(rng.randint(0, 4))]
+    objects = [f"b{j}" for j in range(rng.randint(0, 4))]
+    pairs = [(a, b) for a in agents for b in objects if rng.random() < 0.5]
+    rng.shuffle(pairs)
+    return FlowNetwork(
+        {a: capacity(rng) for a in agents},
+        {k: capacity(rng) for k in pairs},
+        {b: capacity(rng) for b in objects},
+    )
+
+
+def small_capacity(rng: random.Random) -> Rational:
+    return Rational(rng.randint(0, 12), rng.randint(1, 8))
+
+
+def first_phase_matches_the_level_graph_walk(net: FlowNetwork) -> None:
+    """On a fresh network, the first-phase sweep leaves the residuals that
+    Dinic's first BFS and level-graph walk leave, and pushes as much."""
+    swept, walked = Flow(net), Flow(net)
+    pushed = swept.first_phase(net.p, net.m)
+    assert (swept.residual, pushed) == (walked.residual, walked.blocking_flow(
+        walked.levels_from_source()
+    ))
 
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_flow_and_cuts_agree_with_brute_force(seed):
-    net = random_network(seed)
+    net = random_network(random.Random(seed), small_capacity)
     integral, scale = scaled(net)
+    first_phase_matches_the_level_graph_walk(integral)
     flow = max_flow(integral)
     assert flow_violations(integral, flow) == []
 
@@ -336,23 +378,15 @@ def test_flow_and_cuts_agree_with_brute_force(seed):
 DENOMINATORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 25, 10**6 + 3, 2**31 - 1, 2**61 - 1, 10**30)
 
 
-def mixed_denominator_network(seed: int) -> FlowNetwork:
-    rng = random.Random(seed)
-    n = rng.randint(0, 6) + 2
-    edges = []
-    for tail, head in itertools.permutations(range(n), 2):
-        if head == 0 or tail == n - 1:
-            continue
-        if rng.random() < 0.5:
-            den = rng.choice(DENOMINATORS)
-            edges.append((tail, head, Rational(rng.randint(0, 3 * den), den)))
-    return FlowNetwork(n, edges)
+def mixed_capacity(rng: random.Random) -> Rational:
+    den = rng.choice(DENOMINATORS)
+    return Rational(rng.randint(0, 3 * den), den)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_max_flow_matches_reference_on_mixed_denominators(seed):
-    assert_matches_reference(mixed_denominator_network(seed))
+    assert_matches_reference(random_network(random.Random(seed), mixed_capacity))
 
 
 def test_max_flow_matches_reference_on_solver_networks(corpus, monkeypatch):
@@ -374,6 +408,7 @@ def test_max_flow_matches_reference_on_solver_networks(corpus, monkeypatch):
     # The solver scales every network to ints itself.
     assert {type(c) for net in networks for _, _, c in net.edges} == {int}
     for net in networks:
+        first_phase_matches_the_level_graph_walk(net)
         assert_matches_reference(net)
 
 
@@ -381,25 +416,63 @@ P61 = 2**61 - 1
 
 
 @pytest.mark.parametrize(
-    "edges, value",
+    "source_caps, demand, sink_caps, value",
     [
-        pytest.param([("s", "u", 3), ("u", "t", 2), ("s", "t", 1)], 3, id="int-capacities"),
+        # The agent w, its object y and their edges stand in for a direct
+        # source-to-sink edge.
         pytest.param(
-            [("s", "u", 0), ("u", "t", Rational(5, 3)), ("s", "v", Rational(0, 7)),
-             ("v", "t", 4), ("s", "t", 0)],
+            {"u": 3, "w": 1}, {("u", "x"): 2, ("w", "y"): 1}, {"x": 3, "y": 1}, 3,
+            id="int-capacities",
+        ),
+        pytest.param(
+            {"u": 0, "v": Rational(0, 7), "w": 0},
+            {("u", "x"): Rational(5, 3), ("v", "y"): 4, ("w", "x"): 0},
+            {"x": Rational(5, 3), "y": 4},
             0,
             id="zero-capacities",
         ),
-        pytest.param([], 0, id="no-edges"),
+        pytest.param({}, {}, {}, 0, id="no-edges"),
         pytest.param(
-            [("s", "u", Rational(1, P61)), ("s", "v", Rational(10**40, 7)),
-             ("u", "v", Rational(3, 10**30)), ("u", "t", Rational(1, P61)),
-             ("v", "t", Rational(3, 10**30)), ("s", "t", Rational(10**40, 7))],
+            {"u": Rational(1, P61) + Rational(3, 10**30), "v": Rational(10**40, 7)},
+            {("u", "x"): Rational(1, P61), ("u", "y"): Rational(3, 10**30),
+             ("v", "y"): Rational(10**40, 7)},
+            {"x": Rational(1, P61), "y": Rational(3, 10**30) + Rational(10**40, 7)},
             Rational(10**40, 7) + Rational(1, P61) + Rational(3, 10**30),
             id="large-coprime-denominators",
         ),
+        # The sweep's edge cases.
+        pytest.param(
+            {"u": 0, "v": 2}, {("u", "x"): 5, ("v", "x"): 5}, {"x": 5}, 2,
+            id="agent-with-source-cap-0",
+        ),
+        pytest.param(
+            {"u": 4, "v": 4}, {("u", "x"): 3, ("u", "y"): 3, ("v", "y"): 3},
+            {"x": 0, "y": 5}, 5,
+            id="object-with-cap-0",
+        ),
+        pytest.param(
+            {"u": 4}, {("u", "y"): 3}, {"x": 7, "y": 5, "z": 2}, 3,
+            id="object-that-no-agent-demands",
+        ),
+        pytest.param(
+            {"u": 4, "v": 0}, {("u", "x"): 0, ("v", "y"): 3}, {"x": 7, "y": 5}, 0,
+            id="sink-that-no-agent-reaches",
+        ),
+        # w's objects are full once u and v have pushed; the second phase
+        # reroutes v through z to make room for w on y.
+        pytest.param(
+            {"u": 3, "v": 2, "w": 2},
+            {("u", "x"): 3, ("v", "y"): 2, ("v", "z"): 2, ("w", "x"): 2, ("w", "y"): 2},
+            {"x": 3, "y": 2, "z": 2},
+            7,
+            id="agent-whose-objects-are-full-before-its-turn",
+        ),
+        pytest.param(
+            {"u": 4, "v": 1}, {}, {"x": 7, "y": 5}, 0, id="no-demand-edges",
+        ),
     ],
 )
-def test_max_flow_exact_edge_cases(edges, value):
-    net = network(edges, extra_vertices=("u", "v"))
+def test_max_flow_exact_edge_cases(source_caps, demand, sink_caps, value):
+    net = FlowNetwork(source_caps, demand, sink_caps)
+    first_phase_matches_the_level_graph_walk(scaled(net)[0])
     assert assert_matches_reference(net) == value

@@ -193,22 +193,36 @@ def test_search_matches_the_reference(corpus, monkeypatch):
             final.pop()
 
     monkeypatch.setattr(leximin, "_final_flow", final_flow)
+
+    def compare(cases, lowered=ZERO):
+        """Assert that both searches return the same result and solve the
+        same networks on each case; return the search's results."""
+        results = []
+        for inst, size, grid, budget in cases:
+            flows.append([])
+            got = search_manipulation(inst, size, grid, budget=budget)
+            flows.append([])
+            want = reference_search(inst, size, grid, budget=budget, lowered=lowered)
+            split = [f for f in flows[-1] if not f[1]]
+            # The reference's truthful run and each of its runs end in a
+            # final flow, so its last run starts after the last final flow
+            # but one.
+            finals = [i for i, (_, final_flow_solve) in enumerate(flows[-1]) if final_flow_solve]
+            reported = flows[-1][finals[-2] + 1:] if want.counterexample else []
+            assert (got, flows[-2]) == (want, split + reported), (inst, size, grid)
+            results.append(got)
+        return results
+
     instances = corpus[::10] + [staircase(n) for n in (2, 3, 4)] + [si_bound_instance(3)]
-    truncated = complete = 0
-    for inst, size, grid, budget in search_cases(instances, 20):
-        flows.append([])
-        got = search_manipulation(inst, size, grid, budget=budget)
-        flows.append([])
-        want = reference_search(inst, size, grid, budget=budget)
-        split = [f for f in flows[-1] if not f[1]]
-        # The reference's truthful run and each of its runs end in a final
-        # flow, so its last run starts after the last final flow but one.
-        finals = [i for i, (_, final_flow_solve) in enumerate(flows[-1]) if final_flow_solve]
-        reported = flows[-1][finals[-2] + 1:] if want.counterexample else []
-        assert (got, flows[-2]) == (want, split + reported), (inst, size, grid)
-        truncated += got.truncated
-        complete += not got.truncated and got.runs > 0
-    assert truncated and complete
+    results = compare(search_cases(instances, 20))
+    assert any(got.truncated for got in results)
+    assert any(not got.truncated and got.runs > 0 for got in results)
+    # The mechanism is group strategyproof, so no case above reports a run.
+    # With every truthful utility lowered by 1/1000, some cases do, and
+    # their reported runs' flows are compared too.
+    lower_search_baseline(monkeypatch)
+    results = compare(search_cases(corpus[:20], 12), lowered=Rational(1, 1000))
+    assert any(got.counterexample is not None for got in results)
 
 
 def test_search_matches_the_reference_on_the_reference_rule():
