@@ -31,9 +31,7 @@ from .core import (
     utilities,
 )
 from .leximin import (
-    _as_ints,
-    _common_denominator,
-    _require_valid,
+    _scaled,
     _split_tree,
     breakpoints,
     lexicographic_allocation,
@@ -266,23 +264,28 @@ def _entry_values(true_value: Rational, supply: Rational, grid, absolute: bool) 
     return sorted(values)
 
 
-def _search_space(instance: Instance, coalition_size: int, grid, absolute: bool) -> int:
+def _search_space(instance, coalition_size: int, grid, absolute: bool) -> int:
     """Distinct non-identity misreports over every coalition of the given
     size: per coalition, the product of its entries' value counts, less one
     when every true value is on the grid.
 
-    The counts come per agent, in closed form, from its sparse demand
-    entries.  Absolute reports come only with the default grid, which holds
-    0 and 1, so an agent's true values are all on the grid when 1 is a
-    multiplier or it demands nothing.  A demand d > 0 reports one value per distinct multiplier, plus with
-    absolute reports the supply s when s > 0 and s / d is no multiplier.  An
+    ``instance`` is an ``Instance`` or its int view (``leximin._View``): the
+    count reads only whether a supply is 0 and whether a supply over a
+    demand is a multiplier u / v, tested as s x v == u x d, and neither
+    changes when both are scaled.  The counts come per agent, in closed
+    form, from its sparse demand entries.  Absolute reports come only with
+    the default grid, which holds 0 and 1, so an agent's true values are all
+    on the grid when 1 is a multiplier or it demands nothing.  A demand
+    d > 0 reports one value per distinct multiplier, plus with absolute
+    reports the supply s when s > 0 and s / d is no multiplier.  An
     undemanded object reports 0, and with absolute reports also its supply,
     so all of an agent's undemanded objects together contribute one
     factor."""
-    multipliers = set(grid)
+    ratios = {(int(m.numerator), int(m.denominator)) for m in grid}
+    supply = instance.supply
     open_count = {
-        b: (1 if multipliers else 0) + (1 if absolute and s != ZERO else 0)
-        for b, s in ((b, instance.supply[b]) for b in instance.objects)
+        b: (1 if ratios else 0) + (1 if absolute and supply[b] != 0 else 0)
+        for b in instance.objects
     }
     open_counts = Counter(open_count.values())
     entries: dict[str, list] = {a: [] for a in instance.agents}
@@ -293,13 +296,15 @@ def _search_space(instance: Instance, coalition_size: int, grid, absolute: bool)
         factor = 1
         undemanded = open_counts.copy()
         for b, d in own:
-            s = instance.supply[b]
-            factor *= len(multipliers) + (absolute and s != ZERO and s / d not in multipliers)
+            s = supply[b]
+            factor *= len(ratios) + (
+                absolute and s != 0 and not any(s * v == u * d for u, v in ratios)
+            )
             undemanded[open_count[b]] -= 1
         for count, objects in undemanded.items():
             factor *= count ** objects
         # An empty value list leaves no misreport, the identity included.
-        factors[a] = (factor, (ONE in multipliers or not own) and factor > 0)
+        factors[a] = (factor, ((1, 1) in ratios or not own) and factor > 0)
     space = 0
     for coalition in itertools.combinations(instance.agents, coalition_size):
         product, identity = 1, True
@@ -311,19 +316,21 @@ def _search_space(instance: Instance, coalition_size: int, grid, absolute: bool)
 
 
 class _ScaledRuns:
-    """The ``lmmf`` runs of one search, truthful and misreported, on the
-    truthful instance scaled once.
+    """The ``lmmf`` runs of one search, truthful and misreported, on one int
+    view of the truthful instance (``leximin._scaled``).
 
-    Supplies and demands are scaled by X, the lcm of their denominators times
-    the lcm of the grid's, so every value the grid can report (0, a supply, or
-    a multiple of a demand) is an int; endowments by E, the lcm of theirs.  A
-    run caps each object's supply by its total demand and runs the solver's
-    split tree, with its self-checks, on that int view: the truthful run on
-    the instance's own demands, a misreport run with the coalition's nonzero
-    reported ints in place of its entries.  The truthful instance is
-    validated once, and every reported value is 0, one of its supplies or a
-    nonnegative multiple of one of its demands, so each reported instance is
-    valid by construction and no run validates it.
+    The view scales supplies and demands by X, the lcm of their
+    denominators times the lcm of the grid's, so every value the grid can
+    report is an int in its units: 0, a supply s, or a multiple m x t of a
+    true demand t, which is u x (t // v) for the multiplier m = u / v.
+    Endowments are scaled by E, the lcm of theirs.  A run caps each
+    demanded object's supply by its total demand and runs the solver's split
+    tree, with its self-checks, on that int view: the truthful run on the
+    view's own demands and totals, a misreport run with the coalition's
+    nonzero reported ints in place of its entries.  The view validates the
+    truthful instance once, and every reported value is 0, one of its
+    supplies or a nonnegative multiple of one of its demands, so each
+    reported instance is valid by construction and no run validates it.
 
     Every max flow of the final network saturates every source edge, so a
     truthful utility is endowment x rate, with no flow.  A misreport run is
@@ -339,32 +346,37 @@ class _ScaledRuns:
     """
 
     def __init__(self, instance: Instance, grid):
-        self.agents = instance.agents
-        self.scale = _common_denominator(
-            [*instance.supply.values(), *instance.demand.values()]
-        ) * _common_denominator(grid)
-        self.supply = _as_ints({b: instance.supply[b] for b in instance.objects}, self.scale)
-        self.demand = _as_ints(instance.demand, self.scale)
-        self.endowment = _as_ints(
-            instance.endowment, _common_denominator(instance.endowment.values())
-        )
+        self.view = _scaled(instance, grid)
+        self.scale = self.view.scale
+        self.ratios = [(int(m.numerator), int(m.denominator)) for m in grid]
         self.baseline, self.baseline_unit = self.truthful()
 
-    def as_int(self, value: Rational) -> int:
-        """A value in instance units, times X."""
-        return int(value.numerator) * (self.scale // int(value.denominator))
+    def reports(self, pairs: Sequence, absolute: bool) -> tuple[list, tuple]:
+        """The sorted int values each entry of ``pairs`` may report, and the
+        entries' true ints: each true value t times every multiplier, and with
+        absolute reports also 0 and the object's supply."""
+        demand, supply, ratios = self.view.demand, self.view.supply, self.ratios
+        identity = tuple(demand.get(p, 0) for p in pairs)
+        value_lists = []
+        for t, (_, b) in zip(identity, pairs):
+            values = {u * (t // v) for u, v in ratios}
+            if absolute:
+                values |= {0, supply[b]}
+            value_lists.append(sorted(values))
+        return value_lists, identity
 
     def _tiers(self, demand: Mapping, totals: Mapping) -> tuple[list, int]:
         """The tiers of the view with these int demands and their per-object
         totals, and their rate unit L."""
-        capped = {b: min(s, totals.get(b, 0)) for b, s in self.supply.items()}
-        return _split_tree(self.agents, capped, demand, self.endowment)
+        view = self.view
+        return _split_tree(view.agents, view.capped(totals), demand, totals, view.endowment)
 
     def truthful(self) -> tuple[dict[str, int], int]:
         """Every agent's truthful utility, endowment x rate, as an int over
         the returned unit X x L."""
-        tiers, unit = self._tiers(self.demand, object_totals(self.demand))
-        utilities = {a: self.endowment[a] * rate for rate, tier, _ in tiers for a in tier}
+        endowment = self.view.endowment
+        tiers, unit = self._tiers(self.view.demand, self.view.totals)
+        utilities = {a: endowment[a] * rate for rate, tier, _ in tiers for a in tier}
         return utilities, self.scale * unit
 
     def runner(self, coalition: Sequence[str], pairs: Sequence, identity: Sequence[int]):
@@ -373,11 +385,11 @@ class _ScaledRuns:
         the true ints of ``pairs``.  A run takes the coalition's reported
         ints, one per entry of ``pairs``, and returns whether its tier floors
         admit it."""
-        others = {k: d for k, d in self.demand.items() if k[0] not in coalition}
+        others = {k: d for k, d in self.view.demand.items() if k[0] not in coalition}
         other_totals = object_totals(others)
         members = [
             (a, [(i, b, identity[i]) for i, (x, b) in enumerate(pairs) if x == a],
-             self.endowment[a], self.baseline[a])
+             self.view.endowment[a], self.baseline[a])
             for a in coalition
         ]
         scale, baseline_unit = self.scale, self.baseline_unit
@@ -461,7 +473,8 @@ def search_manipulation(
     is allocated as a reported ``Instance`` and classified by a
     ``ManipulationReport``.  Each coalition's report grid is built once,
     when the search reaches it, and ``space`` is counted from the sparse
-    demand entries.
+    demand entries; for the main mechanism both are ints in the scaled
+    view's units.
     """
     if not instance.agents:
         raise ValueError("the instance has no agents, so there is no coalition to search")
@@ -484,10 +497,10 @@ def search_manipulation(
     # Each mechanism takes the reported values in its own terms: the lmmf
     # runs ints in the scaled view's units, the reference rule rationals.
     if mechanism == "lmmf":
-        _require_valid(instance)
         scaled = _ScaledRuns(instance, grid)
         truthful = {a: Rational(u, scaled.baseline_unit) for a, u in scaled.baseline.items()}
-        as_value, allocate = scaled.as_int, _mechanism_allocation
+        allocate = _mechanism_allocation
+        space = _search_space(scaled.view, coalition_size, grid, absolute)
     elif mechanism == "mmf-si":
         try:
             truthful_alloc, _ = oracle_mmf_si(instance)
@@ -499,22 +512,25 @@ def search_manipulation(
             ) from exc
         scaled = None
         truthful = utilities(instance, truthful_alloc)
-        as_value, allocate = Rational, _reference_allocation
+        allocate = _reference_allocation
+        space = _search_space(instance, coalition_size, grid, absolute)
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    space = _search_space(instance, coalition_size, grid, absolute)
 
     runs = 0
     skipped = 0
     for coalition in itertools.combinations(instance.agents, coalition_size):
         pairs = [(a, b) for a in coalition for b in instance.objects]
-        truth = tuple(instance.demand_between(*p) for p in pairs)
-        value_lists = [
-            [as_value(v) for v in _entry_values(t, instance.supply[b], grid, absolute)]
-            for t, (_, b) in zip(truth, pairs)
-        ]
-        identity = tuple(as_value(t) for t in truth)
-        admits = None if scaled is None else scaled.runner(coalition, pairs, identity)
+        if scaled is None:
+            identity = tuple(instance.demand_between(*p) for p in pairs)
+            value_lists = [
+                _entry_values(t, instance.supply[b], grid, absolute)
+                for t, (_, b) in zip(identity, pairs)
+            ]
+            admits = None
+        else:
+            value_lists, identity = scaled.reports(pairs, absolute)
+            admits = scaled.runner(coalition, pairs, identity)
         for combo in itertools.product(*value_lists):
             if combo == identity:
                 continue
@@ -538,7 +554,7 @@ def search_manipulation(
             misreport = utilities(instance, allocation)
             report = ManipulationReport(
                 coalition=coalition,
-                true_demands=dict(zip(pairs, truth)),
+                true_demands={p: instance.demand_between(*p) for p in pairs},
                 reported_demands=reported_entries,
                 truthful_utilities={a: truthful[a] for a in coalition},
                 misreport_utilities={a: misreport[a] for a in coalition},

@@ -22,21 +22,28 @@ its rate without a flow.  A solve with k tiers, s of them single-agent,
 takes exactly 2k - 1 - s split flows, plus the final allocation flow.
 
 The split tree runs on Python ints.  ``breakpoints`` scales the instance
-once per solve: demands and capped supplies by D, the lcm of their
-denominators, and endowments by E, the lcm of theirs.  A node with agent set
-A scales its network by e(A), so every split flow is integral, and it keeps
-its rate as the int pair (cap(A), e(A)).  Once the tree is done, each rate
-becomes the int cap(A) x L / e(A) over one unit L, the lcm of the pairs'
-reduced denominators, and a ``Rational`` is built only once per tier: its
-rate in instance units is cap(A) x E / (e(A) x D).  Each leaf records its
+once per solve into one int view (``_scaled``): raw supplies and demands by
+D, the lcm of their denominators, with the demands' per-object totals, and
+endowments by E, the lcm of theirs.  A caller may widen D by extra
+denominators, as the manipulation search does for its grid.  Every node
+carries its per-object demand totals, so no node sums its entries again:
+its capacity is the sum of min(cap_b, total_b), and a certified node reads
+its exhausted objects off its totals.  A node with agent set A scales its
+network by e(A), so every split flow is integral, and it keeps its rate as
+the int pair (cap(A), e(A)).  Once the tree is done, each rate becomes the
+int cap(A) x L / e(A) over one unit L, the lcm of the pairs' reduced
+denominators, and a ``Rational`` is built only once per tier: its rate in
+instance units is cap(A) x E / (e(A) x D).  Each leaf records its
 tier's exhausted objects, so no pass follows the tree.  ``max_flow`` takes
 integral networks only, so the final allocation flow reuses the same int
 view: agent a's source edge carries its int endowment x its int rate,
 demand and sink edges are multiplied by L, and a nonzero edge flow f is
-amount f / (D x L).  That network is a positive multiple of the instance's,
-so Dinic makes the same augmentations at any such scale.  The split tree
-takes an int view directly (``_split_tree``), so the manipulation search
-runs it on misreports it scales itself.
+amount f / (D x L).  That network holds the demanded objects, as the root
+does: an undemanded object has no demand edge and a zero sink edge, so it
+carries no flow.  On the rest it is a positive multiple of the instance's
+network, so Dinic makes the same augmentations at any such scale.  The
+split tree takes an int view directly (``_split_tree``), so the
+manipulation search runs it on misreports it scales itself.
 
 Both entry points validate the instance first and raise
 ``InvalidInstanceError`` on invalid input.  Past that point the input is
@@ -62,7 +69,7 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     Allocation,
@@ -103,13 +110,13 @@ class BreakpointProfile:
         return bisect_left(self.lambdas, self.per_agent[agent])
 
 
-def tier_capacity(caps: Mapping[str, Rational], demand: Mapping) -> Rational:
-    """Joint absorbable supply of the agents behind ``demand``: per object,
-    their demand capped by residual capacity.  The sum starts from the int
-    0, so int caps and demands give an int."""
+def tier_capacity(caps: Mapping[str, int], totals: Mapping[str, int]) -> int:
+    """Joint absorbable supply of a node's agents: per object, their demand
+    total ``totals[b]`` capped by the residual capacity ``caps[b]``.  The sum
+    starts from the int 0, so int caps and totals give an int."""
     total = 0
-    for b, d in object_totals(demand).items():
-        total += min(caps[b], d)
+    for b, t in totals.items():
+        total += min(caps[b], t)
     return total
 
 
@@ -141,14 +148,15 @@ def build_network(instance: Instance, source_caps: Mapping[str, Rational]) -> Fl
 
 
 def min_ratio(
-    agents: Sequence[str], caps: Mapping[str, int], demand: Mapping, endowments: Mapping
+    agents: Sequence[str], caps: Mapping[str, int], demand: Mapping, totals: Mapping,
+    endowments: Mapping,
 ) -> tuple[int, int, frozenset]:
     """One split of the tier decomposition, in one max flow: the joint rate
     lambda = cap / e, returned as the int pair (cap, e) of the agents' joint
     capacity cap(agents) and endowment total e(agents), and the maximal
     minimizer T of cap(X) - lambda x e(X) over the subsets X of ``agents``,
-    given the active objects' residual ``caps`` and the ``demand`` entries
-    among them.
+    given the active objects' residual ``caps``, the ``demand`` entries
+    among them and their per-object ``totals``.
 
     The flow runs at source caps endowment x lambda, with the whole network
     scaled by the node scale e: source edges carry endowment x cap, and
@@ -168,7 +176,7 @@ def min_ratio(
     total_e = 0
     for a in agents:
         total_e += endowments[a]
-    cap = tier_capacity(caps, demand)
+    cap = tier_capacity(caps, totals)
     network = _view_network({a: endowments[a] * cap for a in agents}, demand, caps, total_e)
     flow = max_flow(network)
     source_side = source_heavy_min_cut(network, flow)
@@ -199,12 +207,6 @@ def _as_ints(values: Mapping, scale: int) -> dict:
     return {k: int(v.numerator) * (scale // int(v.denominator)) for k, v in values.items()}
 
 
-def _demanded(caps: Mapping[str, Rational], demand: Mapping) -> dict[str, Rational]:
-    """The caps of the objects that some ``demand`` entry names."""
-    named = {b for _, b in demand}
-    return {b: c for b, c in caps.items() if b in named}
-
-
 def _require_valid(instance: Instance) -> None:
     """Raise ``InvalidInstanceError`` naming every violation of an invalid
     instance."""
@@ -227,48 +229,85 @@ def _on_valid_input(solve):
     return checked
 
 
-def _scaled(instance: Instance) -> tuple[dict, dict, dict, int, int]:
-    """A valid instance's int view: its capped supplies, in object order, and
-    its demands, both times D, the lcm of their denominators; its endowments
-    times E, the lcm of theirs; and D and E."""
+class _View(NamedTuple):
+    """A valid instance's int view: its raw supplies, in object order, and
+    its demands, both times the demand scale D, with the demands' per-object
+    totals; its endowments times the endowment scale E; and D and E."""
+
+    agents: tuple
+    objects: tuple
+    supply: dict
+    demand: dict
+    totals: dict
+    endowment: dict
+    scale: int
+    endowment_scale: int
+
+    def capped(self, totals: Mapping[str, int]) -> dict:
+        """The root caps of a split tree over demands with these per-object
+        ``totals``: each demanded object's supply capped by its total."""
+        supply = self.supply
+        return {b: min(supply[b], t) for b, t in totals.items()}
+
+
+def _scaled(instance: Instance, extra: Iterable[Rational] = ()) -> _View:
+    """A valid instance's int view.  D is the lcm of the supplies' and
+    demands' denominators times the lcm of the ``extra`` values'
+    denominators, so that a caller may also read those values' multiples of
+    a demand as ints; E is the lcm of the endowments' denominators.
+    Validates first: raises ``InvalidInstanceError`` on an invalid
+    instance."""
     _require_valid(instance)
-    capped = capped_supply(instance)
-    demand_scale = _common_denominator([*capped.values(), *instance.demand.values()])
+    supply = {b: instance.supply[b] for b in instance.objects}
+    scale = _common_denominator([*supply.values(), *instance.demand.values()])
+    scale *= _common_denominator(extra)
+    demand = _as_ints(instance.demand, scale)
     endowment_scale = _common_denominator(instance.endowment.values())
-    return (
-        _as_ints(capped, demand_scale),
-        _as_ints(instance.demand, demand_scale),
+    return _View(
+        instance.agents,
+        instance.objects,
+        _as_ints(supply, scale),
+        demand,
+        object_totals(demand),
         _as_ints(instance.endowment, endowment_scale),
-        demand_scale,
+        scale,
         endowment_scale,
     )
 
 
 @_on_valid_input
 def _split_tree(
-    agents: Sequence[str], capped: Mapping[str, int], demand: Mapping, endowment: Mapping
+    agents: Sequence[str], capped: Mapping[str, int], demand: Mapping, totals: Mapping,
+    endowment: Mapping,
 ) -> tuple[list[tuple[int, frozenset, frozenset]], int]:
     """The tiers of an int view, as (rate, agents, exhausted objects) sorted
     by rate, and their rate unit L: the split tree of ``breakpoints``, rooted
-    at every agent and every object of ``capped``.  A tier certified at the
-    int pair (cap, e) has the int rate cap x L / e, where L, the lcm of the
-    tiers' e / gcd(cap, e), is the least unit that makes every rate an int.
+    at every agent, the ``capped`` supplies of the demanded objects
+    (``_View.capped``), the ``demand`` entries and their per-object
+    ``totals``, which name exactly the objects of ``capped``.  A tier
+    certified at the int pair (cap, e) has the int rate cap x L / e, where
+    L, the lcm of the tiers' e / gcd(cap, e), is the least unit that makes
+    every rate an int.
 
     Self-checks (fatal on failure): the rates strictly increase, and the
     tiers absorb exactly the capped supply: the sum of endowment x rate is
     L x the sum of ``capped``.
     """
     leaves: list[tuple[int, int, frozenset, frozenset]] = []
-    work = [(list(agents), capped, demand)] if agents else []
+    work = [(list(agents), capped, demand, totals)] if agents else []
     while work:
-        agents, caps, demand = work.pop()
+        agents, caps, demand, totals = work.pop()
         if len(agents) == 1:
             # Its network's only cut is the source edge, since cap is the sum
             # of min(cap_b, d_ab) over a's entries: the node certifies at rate
             # cap / e_a without a flow.
-            cap, e, tight = tier_capacity(caps, demand), endowment[agents[0]], frozenset(agents)
+            cap, e, tight = tier_capacity(caps, totals), endowment[agents[0]], frozenset(agents)
         else:
-            cap, e, tight = min_ratio(agents, caps, demand, endowment)
+            cap, e, tight = min_ratio(agents, caps, demand, totals, endowment)
+        if len(tight) == len(agents):
+            # A certified node's tier demands all of its totals.
+            leaves.append((cap, e, tight, frozenset(b for b, t in totals.items() if t > caps[b])))
+            continue
         tight_demand, other_demand, tight_totals = {}, {}, {}
         for k, d in demand.items():
             if k[0] in tight:
@@ -276,16 +315,19 @@ def _split_tree(
                 tight_totals[k[1]] = tight_totals.get(k[1], 0) + d
             else:
                 other_demand[k] = d
-        exhausted = frozenset(b for b, d in tight_totals.items() if d > caps[b])
-        if len(tight) == len(agents):
-            leaves.append((cap, e, tight, exhausted))
-            continue
-        rest_caps = {b: c - tight_totals.get(b, 0) for b, c in caps.items() if b not in exhausted}
-        rest_demand = {k: d for k, d in other_demand.items() if k[1] in rest_caps}
-        work.append(([a for a in agents if a not in tight],
-                     _demanded(rest_caps, rest_demand), rest_demand))
+        exhausted = {b for b, t in tight_totals.items() if t > caps[b]}
+        # The contraction keeps each object that T leaves open and the other
+        # agents still demand, at the cap and total T leaves.
+        rest_caps, rest_totals = {}, {}
+        for b, t in totals.items():
+            used = tight_totals.get(b, 0)
+            if t > used and b not in exhausted:
+                rest_caps[b] = caps[b] - used
+                rest_totals[b] = t - used
+        rest_demand = {k: d for k, d in other_demand.items() if k[1] not in exhausted}
+        work.append(([a for a in agents if a not in tight], rest_caps, rest_demand, rest_totals))
         work.append(([a for a in agents if a in tight],
-                     {b: caps[b] for b in tight_totals}, tight_demand))
+                     {b: caps[b] for b in tight_totals}, tight_demand, tight_totals))
     unit = math.lcm(*(e // math.gcd(cap, e) for cap, e, *_ in leaves))
     tiers = sorted(
         ((cap * unit // e, tight, exhausted) for cap, e, tight, exhausted in leaves),
@@ -311,9 +353,10 @@ def _final_flow(
     tiers: Sequence[tuple[int, frozenset, frozenset]], unit: int,
 ) -> dict:
     """The allocation flow of an int view and its tiers over the rate unit
-    L: the nonzero flow on each demand entry.  The network is the view times
-    L, with agent a's source edge at endowment[a] x rate, so a flow f is the
-    amount f / (D x L) for the view's demand scale D.
+    L: the nonzero flow on each demand entry.  The network is the view's
+    ``capped`` supplies and demands times L, with agent a's source edge at
+    endowment[a] x rate, so a flow f is the amount f / (D x L) for the
+    view's demand scale D.
 
     Self-check (fatal on failure): the flow saturates every source edge.
     ``_split_tree`` checked that the source edges' total is the capped
@@ -359,49 +402,53 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     """Tier structure of an instance, by divide and conquer over a split tree
     (Fujishige 1980; Gallo, Grigoriadis & Tarjan 1989).
 
-    The solve runs on ints: demands and capped supplies times D, the lcm of
-    their denominators, and endowments times E, the lcm of theirs.  A node
-    is an agent set, the residual caps of the objects it demands (the root
-    keeps every object), and its demand entries among them; it costs one
+    The solve runs on ints: supplies and demands times D, the lcm of their
+    denominators, and endowments times E, the lcm of theirs.  A node is an
+    agent set, the residual caps of the objects it demands, its demand
+    entries among them and their per-object totals; it costs one
     ``min_ratio`` flow, scaled by the node's endowment total.  A certified
     node is one tier, at the int pair (cap, e) of its capacity and endowment
     total, which is the rate cap x E / (e x D).  Otherwise its split T has
-    two children: the restriction, T with the same caps; and the
-    contraction, the other agents with the caps left once T has frozen: an
-    object T over-demands is exhausted, and every other object's cap falls
-    by T's demand.  k tiers take 2k - 1 nodes.  A node with one agent always
+    two children: the restriction, T with the same caps and T's totals;
+    and the contraction, the other agents with the caps left once T has
+    frozen: an object T over-demands is exhausted, and every other object's
+    cap and total fall by T's demand, which drops an object that only T
+    demands.  k tiers take 2k - 1 nodes.  A node with one agent always
     certifies, so it takes no flow: k tiers, s of them single-agent, take
     exactly 2k - 1 - s flows.  An explicit worklist walks the tree, whose
     depth can reach k.
 
     A node's caps are those left once every slower agent has frozen, so each
     node applies one over-demand rule: T exhausts the objects on which its
-    demand exceeds the cap.  A certified node records that set as its tier's
-    exhausted objects; a split node drops it from the contraction.  The
-    leaves, sorted by their int rates over one unit L, are the tiers.
+    demand total exceeds the cap.  A certified node records that set as its
+    tier's exhausted objects; a split node drops it from the contraction.
+    The leaves, sorted by their int rates over one unit L, are the tiers.
     """
-    capped, demand, endowment, demand_scale, endowment_scale = _scaled(instance)
-    tiers, unit = _split_tree(instance.agents, capped, demand, endowment)
-    return _profile(tiers, demand_scale * unit, endowment_scale)
+    view = _scaled(instance)
+    tiers, unit = _split_tree(
+        view.agents, view.capped(view.totals), view.demand, view.totals, view.endowment
+    )
+    return _profile(tiers, view.scale * unit, view.endowment_scale)
 
 
 def lexicographic_allocation(instance: Instance) -> tuple[Allocation, BreakpointProfile]:
     """Run the mechanism: compute the tier structure, then a max flow with
     source edges capped at endowment x frozen-rate, and read the allocation off
     the agent-to-object flow.  Both run on one int view of the instance: the
-    final network is that view times L, the tiers' rate unit, so every
-    capacity is an int.
+    final network is that view's demanded objects times L, the tiers' rate
+    unit, so every capacity is an int.
 
     Self-checks (fatal on failure): the flow saturates every source edge and
     every capped-supply edge, i.e. its value equals both the total of
     endowment x rate and the total demand-capped supply.
     """
-    capped, demand, endowment, demand_scale, endowment_scale = _scaled(instance)
-    tiers, unit = _split_tree(instance.agents, capped, demand, endowment)
-    flows = _final_flow(instance.agents, capped, demand, endowment, tiers, unit)
-    unit *= demand_scale
+    view = _scaled(instance)
+    capped = view.capped(view.totals)
+    tiers, unit = _split_tree(view.agents, capped, view.demand, view.totals, view.endowment)
+    flows = _final_flow(view.agents, capped, view.demand, view.endowment, tiers, unit)
+    unit *= view.scale
     amounts = {k: Rational(f, unit) for k, f in flows.items()}
-    return Allocation(amounts), _profile(tiers, unit, endowment_scale)
+    return Allocation(amounts), _profile(tiers, unit, view.endowment_scale)
 
 
 def structure_check(

@@ -8,7 +8,7 @@ the arc arrays straight from those three mappings, with the demand and sink
 capacities times one multiplier, so a caller scales a network without
 copying its dicts.
 
-Every capacity must be an integer (an int, or an integral rational):
+Every capacity must be a Python int, even an integral rational is refused:
 callers scale their networks, so Dinic's algorithm runs on Python ints and
 the ``Flow`` it returns is that residual graph.  Flow values, edge flows
 and cut capacities are ints, so the max-flow = min-cut identity is asserted
@@ -118,14 +118,11 @@ class Flow:
         # An int sum means that every capacity is an int: adding a Fraction,
         # an mpq or a float to an int gives that type.
         if type(sum(residual)) is not int:
-            for arc in range(0, len(residual), 2):
-                cap = residual[arc]
-                if cap.denominator != 1:
-                    raise ValueError(
-                        f"non-integral capacity on edge {_endpoints(network, arc)}: {cap}"
-                    )
-                # int(): an integral Fraction or mpq becomes a Python int.
-                residual[arc] = int(cap)
+            arc = next(arc for arc, cap in enumerate(residual) if type(cap) is not int)
+            raise ValueError(
+                f"non-integral capacity on edge {_endpoints(network, arc)}: {residual[arc]}"
+                f" is a {type(residual[arc]).__name__}, not an int"
+            )
         if residual and min(residual) < 0:
             arc = next(arc for arc, cap in enumerate(residual) if cap < 0)
             raise ValueError(

@@ -90,11 +90,11 @@ def vec(*normalized) -> UtilityVector:
 
 def scaled(network: FlowNetwork) -> tuple[FlowNetwork, int]:
     """The network with every capacity times the lcm of their denominators,
-    so that each is integral, and that lcm."""
+    as Python ints, and that lcm."""
     # int(): a gmpy2 denominator is an mpz.
     scale = math.lcm(*(int(c.denominator) for c in network.capacity))
     integral = copy.copy(network)
-    integral.capacity = [c * scale for c in network.capacity]
+    integral.capacity = [int(c * scale) for c in network.capacity]
     return integral, scale
 
 

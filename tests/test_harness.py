@@ -1,5 +1,7 @@
 """Cross-instance checks: monotonicity, substructure, manipulation search."""
 
+import itertools
+
 import pytest
 
 from conftest import breakpoint_example, staircase
@@ -17,6 +19,7 @@ from leximinflow.harness import (
     AGENT_REMOVAL,
     ENDOWMENT_DECREASE,
     ManipulationReport,
+    _entry_values,
     _utility_floor,
     check_pm,
     check_rm,
@@ -257,14 +260,16 @@ def test_search_raises_when_the_floors_admit_no_counterexample(monkeypatch):
 def int_floor(true, reported, agent):
     """``_utility_floor`` of the agent on the reported instance's int view,
     over the instance's units, with its true demands at the same scale."""
-    capped, demand, endowment, demand_scale, _ = _scaled(reported)
-    tiers, unit = _split_tree(reported.agents, capped, demand, endowment)
+    view = _scaled(reported)
+    tiers, unit = _split_tree(
+        reported.agents, view.capped(view.totals), view.demand, view.totals, view.endowment
+    )
     entries = [
-        (b, demand.get((agent, b), 0), int(true.demand_between(agent, b) * demand_scale))
+        (b, view.demand.get((agent, b), 0), int(true.demand_between(agent, b) * view.scale))
         for b in reported.objects
     ]
-    floor = _utility_floor(tiers, unit, endowment[agent], agent, entries)
-    return Rational(floor, demand_scale * unit)
+    floor = _utility_floor(tiers, unit, view.endowment[agent], agent, entries)
+    return Rational(floor, view.scale * unit)
 
 
 def test_truthful_utility_floor_is_the_frozen_utility(corpus):
@@ -296,6 +301,51 @@ def test_utility_floor_skips_objects_exhausted_by_earlier_tiers():
     assert profile.lambdas == (ONE, Rational(5))
     assert profile.object_tiers == (frozenset({"b1"}), frozenset({"b2"}))
     assert int_floor(true, reported, "a2") == Rational(2)
+
+
+def test_int_report_grids_match_the_rational_grids(corpus):
+    # Every coalition's int report grid and identity, in the view's units X,
+    # are the rational grid of ``_entry_values`` and the true demands times
+    # X, entry by entry: on the corpus, and on grids that drop 1, repeat a
+    # multiplier or are empty, over zero supplies and an agent without
+    # demands.
+    half, two = Rational(1, 2), Rational(2)
+    agents, objects = ("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4")
+    zero_supply = Instance(
+        agents, {a: 1 for a in agents}, objects,
+        {"b1": 0, "b2": 3, "b3": 0, "b4": half},
+        {("a1", "b1"): 1, ("a1", "b2"): 2, ("a2", "b3"): half, ("a2", "b4"): 1,
+         ("a3", "b2"): 3},
+    )
+    cases = [
+        (inst, grid)
+        for inst in corpus[:200]
+        for grid in (None, (Rational(1, 3), Rational(3)), (ZERO, half, two))
+    ]
+    cases += [
+        (inst, grid)
+        for inst in (zero_supply, si_misreport_instance(), si_bound_instance(3), staircase(4))
+        for grid in (None, (half, two), (ZERO,), (ONE, ONE, two, Rational(4, 2)), (ZERO, ONE), ())
+    ]
+    entries = 0
+    for inst, grid in cases:
+        absolute = grid is None
+        values = (ZERO, half, ONE, two) if absolute else tuple(Rational(m) for m in grid)
+        scaled = harness._ScaledRuns(inst, values)
+        x = scaled.scale
+        want = {}  # per entry: its true value and its rational grid, times X
+        for a, b in itertools.product(inst.agents, inst.objects):
+            t = inst.demand_between(a, b)
+            want[a, b] = t * x, [v * x for v in _entry_values(t, inst.supply[b], values, absolute)]
+        for size in range(1, min(3, len(inst.agents)) + 1):
+            for coalition in itertools.combinations(inst.agents, size):
+                pairs = [(a, b) for a in coalition for b in inst.objects]
+                value_lists, identity = scaled.reports(pairs, absolute)
+                assert identity == tuple(want[p][0] for p in pairs)
+                assert value_lists == [want[p][1] for p in pairs]
+                assert {type(v) for v in (*identity, *itertools.chain(*value_lists))} <= {int}
+                entries += len(pairs)
+    assert entries > 10_000
 
 
 def test_main_mechanism_resists_the_inflation_play():

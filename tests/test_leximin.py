@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -52,7 +53,7 @@ def newton_min_ratio(agents, caps, demand, endowments):
     Each round's network is scaled to ints, and the cut capacity, the flow
     value, is divided back."""
     total_e = sum((endowments[a] for a in agents), ZERO)
-    lam = tier_capacity(caps, demand) / total_e
+    lam = tier_capacity(caps, object_totals(demand)) / total_e
     for _ in range(len(agents) + 1):
         network, scale = scaled(
             _view_network({a: endowments[a] * lam for a in agents}, demand, caps)
@@ -137,44 +138,47 @@ def test_full_demand_source_caps_route_all_effective_supply():
     # max-flow value is exactly the total demand-capped supply.
     inst = si_bound_instance(2)
     caps = {a: sum((d for (x, _), d in inst.demand.items() if x == a), ZERO) for a in inst.agents}
-    value = max_flow(build_network(inst, caps)).value
+    net, scale = scaled(build_network(inst, caps))
+    value = Rational(max_flow(net).value, scale)
     assert value == sum(capped_supply(inst).values(), ZERO) == Rational(3)
 
 
 def test_min_cut_capacity_at_the_shared_rate():
     inst = si_misreport_instance()
-    net = build_network(inst, {a: Rational(3) * inst.endowment[a] for a in inst.agents})
+    net, scale = scaled(
+        build_network(inst, {a: Rational(3) * inst.endowment[a] for a in inst.agents})
+    )
     flow = max_flow(net)
-    assert flow.value == Rational(9)
+    assert Rational(flow.value, scale) == Rational(9)
     # The sink edges, from every vertex but the sink, are the cut.
     assert source_heavy_min_cut(net, flow) == frozenset(range(6))
 
 
 def test_source_heavy_cut_separates_the_slower_agent():
     inst = breakpoint_example()
-    net = build_network(inst, {a: ONE for a in inst.agents})
+    net, _ = scaled(build_network(inst, {a: ONE for a in inst.agents}))
     source_side = source_heavy_min_cut(net, max_flow(net))
     # Agents a1 and a2 are vertices 1 and 2.
     assert 1 in source_side
     assert 2 not in source_side
 
 
-def single_object_view(caps, demand):
-    """(agents, caps, demand) of one object ``b`` shared by the demanders."""
-    agents = tuple(sorted({a for a, _ in demand}))
-    return agents, {"b": Rational(caps)}, {k: Rational(v) for k, v in demand.items()}
+def root_node(inst):
+    """The split tree's root node of an instance's int view: its agents, the
+    capped supplies and demands, the demand totals and the endowments."""
+    view = leximin._scaled(inst)
+    return view.agents, view.capped(view.totals), view.demand, view.totals, view.endowment
 
 
 def test_min_ratio_single_agent():
-    view = single_object_view(3, {("a", "b"): 1})
-    assert min_ratio(*view, {"a": ONE}) == (1, 1, frozenset({"a"}))
+    inst = Instance(("a",), {"a": 1}, ("b",), {"b": 3}, {("a", "b"): 1})
+    assert min_ratio(*root_node(inst)) == (1, 1, frozenset({"a"}))
 
 
 def test_min_ratio_picks_the_slowest_group():
     # The joint rate is 3/2, the supply over both endowments; a1 alone
     # absorbs only 1 < 3/2, so the split puts a1 below that rate.
-    inst = breakpoint_example()
-    cap, e, tight = min_ratio(inst.agents, capped_supply(inst), inst.demand, inst.endowment)
+    cap, e, tight = min_ratio(*root_node(breakpoint_example()))
     assert (cap, e) == (3, 2)
     assert tight == frozenset({"a1"})
 
@@ -182,14 +186,14 @@ def test_min_ratio_picks_the_slowest_group():
 def test_min_ratio_returns_the_maximal_tight_set():
     # One tier: the cut certifies the joint rate and T is every agent.
     inst = si_misreport_instance()
-    cap, e, tight = min_ratio(inst.agents, capped_supply(inst), inst.demand, inst.endowment)
+    cap, e, tight = min_ratio(*root_node(inst))
     assert Rational(cap, e) == Rational(3)
     assert tight == frozenset(inst.agents)
 
 
 def test_min_ratio_rejects_empty_view():
     with pytest.raises(ValueError):
-        min_ratio((), {}, {}, {})
+        min_ratio((), {}, {}, {}, {})
 
 
 def prime_denominator_instance(seed, n=10, density=0.3):
@@ -262,32 +266,84 @@ def test_single_agent_tiers_match_the_flow(monkeypatch, corpus):
         finally:
             inside.pop()
 
-    def compared(caps, demand):
-        cap = real_capacity(caps, demand)
+    def compared(caps, totals):
+        cap = real_capacity(caps, totals)
         if inside:
             return cap
-        named = {a for a, _ in demand}
-        assert len(named) <= 1
-        # A node without demand entries has capacity 0 whichever agent it
-        # holds.
-        agent = named.pop() if named else inst.agents[0]
-        assert tracked_min_ratio([agent], caps, demand, endowment) == (
-            cap, endowment[agent], frozenset({agent})
+        assert caps.keys() == totals.keys()
+        # The leaf's agent demands exactly its totals on its objects.  A node
+        # without demand entries has capacity 0 whichever agent it holds.
+        agent = next(
+            a for a in view.agents
+            if all(view.demand.get((a, b)) == t for b, t in totals.items())
         )
-        exhausted = any(d > caps[b] for (_, b), d in demand.items())
-        nodes.append((len(demand), exhausted))
+        demand = {(agent, b): t for b, t in totals.items()}
+        assert tracked_min_ratio([agent], caps, demand, totals, view.endowment) == (
+            cap, view.endowment[agent], frozenset({agent})
+        )
+        exhausted = any(t > caps[b] for b, t in totals.items())
+        nodes.append((len(totals), exhausted))
         return cap
 
     monkeypatch.setattr(leximin, "min_ratio", tracked_min_ratio)
     monkeypatch.setattr(leximin, "tier_capacity", compared)
     for inst in instances:
-        endowment = leximin._scaled(inst)[2]
+        view = leximin._scaled(inst)
         breakpoints(inst)
     # Leaves without demand, with several entries, and with and without
     # exhausted objects were all reached.
     assert len(nodes) >= 1000
     assert {(0, False), (1, True), (1, False)} <= set(nodes)
     assert max(entries for entries, _ in nodes) >= 3
+
+
+def test_split_nodes_carry_their_demand_totals(monkeypatch, corpus, equal_corpus):
+    # At every multi-agent node the carried totals are the per-object sums
+    # of the node's demand entries, over exactly its cap keys.  A one-agent
+    # leaf shows ``tier_capacity`` only its caps and totals: its totals are
+    # its agent's entries on the objects that no slower tier exhausted.
+    instances = corpus + equal_corpus + [staircase(n) for n in range(2, 25)]
+    instances += [path_tree_instance(n) for n in range(2, 31)]
+    instances += [random_instance(seed, 12, 12, 0.2) for seed in range(150)]
+    real_capacity, real_min_ratio = leximin.tier_capacity, leximin.min_ratio
+    inside = []  # one entry per open min_ratio call
+    leaves = []
+    splits = 0
+
+    def tracked_min_ratio(agents, caps, demand, totals, endowments):
+        nonlocal splits
+        assert totals == object_totals(demand)
+        assert totals.keys() == caps.keys()
+        splits += 1
+        inside.append(None)
+        try:
+            return real_min_ratio(agents, caps, demand, totals, endowments)
+        finally:
+            inside.pop()
+
+    def tracked_capacity(caps, totals):
+        assert totals.keys() == caps.keys()
+        if not inside:
+            leaves.append(frozenset(totals.items()))
+        return real_capacity(caps, totals)
+
+    monkeypatch.setattr(leximin, "min_ratio", tracked_min_ratio)
+    monkeypatch.setattr(leximin, "tier_capacity", tracked_capacity)
+    single = 0
+    for inst in instances:
+        leaves.clear()
+        profile = breakpoints(inst)
+        demand = leximin._scaled(inst).demand
+        want, slower = [], set()
+        for tier, exhausted in zip(profile.agent_tiers, profile.object_tiers):
+            if len(tier) == 1:
+                want.append(frozenset(
+                    (b, d) for (a, b), d in demand.items() if a in tier and b not in slower
+                ))
+            slower |= exhausted
+        assert Counter(leaves) == Counter(want), inst
+        single += len(want)
+    assert splits >= 1000 and single >= 1000
 
 
 def test_split_tree_builds_no_rational(monkeypatch, corpus):
@@ -303,9 +359,12 @@ def test_split_tree_builds_no_rational(monkeypatch, corpus):
 
     solved = []
     monkeypatch.setattr(leximin, "Rational", forbidden)
-    for inst, (capped, demand, endowment, _, _) in zip(instances, views):
-        tiers, unit = leximin._split_tree(inst.agents, capped, demand, endowment)
-        leximin._final_flow(inst.agents, capped, demand, endowment, tiers, unit)
+    for inst, view in zip(instances, views):
+        capped = view.capped(view.totals)
+        tiers, unit = leximin._split_tree(
+            inst.agents, capped, view.demand, view.totals, view.endowment
+        )
+        leximin._final_flow(inst.agents, capped, view.demand, view.endowment, tiers, unit)
         solved.append((tiers, unit))
     monkeypatch.undo()
     for tiers, unit in solved:

@@ -296,8 +296,10 @@ def test_network_validation():
         max_flow(path(1, Rational(1, 2), 1))
     with pytest.raises(ValueError, match="non-integral capacity on edge 2 -> 3: 1/2"):
         max_flow(path(1, 1, Rational(1, 2)))
-    # An integral rational is read as its int.
-    flow = max_flow(path(Rational(4, 2), 3, 3))
+    # So is an integral rational: every capacity must be a Python int.
+    with pytest.raises(ValueError, match=r"non-integral capacity on edge 0 -> 1: 2 is a \w+, not"):
+        max_flow(path(Rational(4, 2), 3, 3))
+    flow = max_flow(path(2, 3, 3))
     assert (flow.value, flow.edge_flows()) == (2, (2, 2, 2))
     assert {type(f) for f in (flow.value, *flow.edge_flows())} == {int}
 
