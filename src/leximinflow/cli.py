@@ -289,8 +289,6 @@ def cmd_audit(args) -> int:
 
 def cmd_manipulate(args) -> int:
     instance = _load(args.path)
-    if args.budget < 1:
-        raise ParseError("budget must be at least 1 mechanism run")
     grid = None
     if args.grid is not None:
         parts = [p.strip() for p in args.grid.split(",") if p.strip()]

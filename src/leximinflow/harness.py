@@ -255,41 +255,46 @@ def _utility_floor(tiers: Sequence, unit: int, endowment: int, agent: str, entri
     return served * unit + max(0, budget - headroom * unit)
 
 
-def _entry_values(true_value: Rational, supply: Rational, grid, absolute: bool) -> list:
-    """The sorted values one entry may report: the true value times each grid
-    multiplier, and with absolute reports also 0 and the object's supply."""
-    values = {m * true_value for m in grid}
-    if absolute:
-        values |= {ZERO, supply}
-    return sorted(values)
+def _reports(view, ratios, pairs: Sequence, absolute: bool) -> tuple[list, tuple]:
+    """The sorted int values each entry of ``pairs`` may report, and the
+    entries' true ints, in the units of the int ``view``: each true value t
+    times every multiplier u / v of ``ratios``, which is u x (t // v), and
+    with absolute reports also 0 and the object's supply."""
+    demand, supply = view.demand, view.supply
+    identity = tuple(demand.get(p, 0) for p in pairs)
+    value_lists = []
+    for t, (_, b) in zip(identity, pairs):
+        values = {u * (t // v) for u, v in ratios}
+        if absolute:
+            values |= {0, supply[b]}
+        value_lists.append(sorted(values))
+    return value_lists, identity
 
 
-def _search_space(instance, coalition_size: int, grid, absolute: bool) -> int:
+def _search_space(view, coalition_size: int, ratios, absolute: bool) -> int:
     """Distinct non-identity misreports over every coalition of the given
     size: per coalition, the product of its entries' value counts, less one
     when every true value is on the grid.
 
-    ``instance`` is an ``Instance`` or its int view (``leximin._View``): the
-    count reads only whether a supply is 0 and whether a supply over a
-    demand is a multiplier u / v, tested as s x v == u x d, and neither
-    changes when both are scaled.  The counts come per agent, in closed
-    form, from its sparse demand entries.  Absolute reports come only with
-    the default grid, which holds 0 and 1, so an agent's true values are all
-    on the grid when 1 is a multiplier or it demands nothing.  A demand
-    d > 0 reports one value per distinct multiplier, plus with absolute
-    reports the supply s when s > 0 and s / d is no multiplier.  An
+    ``view`` is the search's int view (``leximin._View``) and ``ratios`` its
+    distinct grid multipliers u / v, as (u, v) pairs.  A supply s over a
+    demand d is a multiplier when s x v == u x d.  The counts come per
+    agent, in closed form, from its sparse demand entries.  Absolute reports
+    come only with the default grid, which holds 0 and 1, so an agent's true
+    values are all on the grid when 1 is a multiplier or it demands nothing.
+    A demand d > 0 reports one value per distinct multiplier, plus with
+    absolute reports the supply s when s > 0 and s / d is no multiplier.  An
     undemanded object reports 0, and with absolute reports also its supply,
     so all of an agent's undemanded objects together contribute one
     factor."""
-    ratios = {(int(m.numerator), int(m.denominator)) for m in grid}
-    supply = instance.supply
+    supply = view.supply
     open_count = {
         b: (1 if ratios else 0) + (1 if absolute and supply[b] != 0 else 0)
-        for b in instance.objects
+        for b in view.objects
     }
     open_counts = Counter(open_count.values())
-    entries: dict[str, list] = {a: [] for a in instance.agents}
-    for (a, b), d in instance.demand.items():
+    entries: dict[str, list] = {a: [] for a in view.agents}
+    for (a, b), d in view.demand.items():
         entries[a].append((b, d))
     factors = {}
     for a, own in entries.items():
@@ -306,7 +311,7 @@ def _search_space(instance, coalition_size: int, grid, absolute: bool) -> int:
         # An empty value list leaves no misreport, the identity included.
         factors[a] = (factor, ((1, 1) in ratios or not own) and factor > 0)
     space = 0
-    for coalition in itertools.combinations(instance.agents, coalition_size):
+    for coalition in itertools.combinations(view.agents, coalition_size):
         product, identity = 1, True
         for a in coalition:
             product *= factors[a][0]
@@ -316,20 +321,15 @@ def _search_space(instance, coalition_size: int, grid, absolute: bool) -> int:
 
 
 class _ScaledRuns:
-    """The ``lmmf`` runs of one search, truthful and misreported, on one int
-    view of the truthful instance (``leximin._scaled``).
+    """The ``lmmf`` runs of one search, truthful and misreported, on the
+    search's int view of the truthful instance (``leximin._scaled``).
 
-    The view scales supplies and demands by X, the lcm of their
-    denominators times the lcm of the grid's, so every value the grid can
-    report is an int in its units: 0, a supply s, or a multiple m x t of a
-    true demand t, which is u x (t // v) for the multiplier m = u / v.
-    Endowments are scaled by E, the lcm of theirs.  A run caps each
-    demanded object's supply by its total demand and runs the solver's split
-    tree, with its self-checks, on that int view: the truthful run on the
-    view's own demands and totals, a misreport run with the coalition's
-    nonzero reported ints in place of its entries.  The view validates the
-    truthful instance once, and every reported value is 0, one of its
-    supplies or a nonnegative multiple of one of its demands, so each
+    A run caps each demanded object's supply by its total demand and runs
+    the solver's split tree, with its self-checks, on that int view: the
+    truthful run on the view's own demands and totals, a misreport run with
+    the coalition's nonzero reported ints in place of its entries.  The view
+    validates the truthful instance once, and every reported value is 0, one
+    of its supplies or a nonnegative multiple of one of its demands, so each
     reported instance is valid by construction and no run validates it.
 
     Every max flow of the final network saturates every source edge, so a
@@ -337,33 +337,18 @@ class _ScaledRuns:
     admitted iff some member's tier floor (``_utility_floor``) beats its
     truthful utility and none falls below it: the mechanism's allocation
     obeys the tier structure, so its utilities are at least the floors.
-    Floors and utilities are ints over X x L, for the run's rate unit L, and
-    compare by cross-multiplication.  Only an admitted run becomes a reported
-    ``Instance``, which the search allocates with ``lexicographic_allocation``
-    and checks with ``structure_check``; its rational report must be a
-    counterexample.  A run that is not admitted skips the final flow and its
-    self-checks, while the split tree's run on every run.
+    Floors and utilities are ints over X x L, for the view's demand scale X
+    and the run's rate unit L, and compare by cross-multiplication.  Only an
+    admitted run becomes a reported ``Instance``, which the search allocates
+    with ``lexicographic_allocation`` and checks with ``structure_check``;
+    its rational report must be a counterexample.  A run that is not
+    admitted skips the final flow and its self-checks; the split tree and
+    its self-checks run on every run.
     """
 
-    def __init__(self, instance: Instance, grid):
-        self.view = _scaled(instance, grid)
-        self.scale = self.view.scale
-        self.ratios = [(int(m.numerator), int(m.denominator)) for m in grid]
+    def __init__(self, view):
+        self.view = view
         self.baseline, self.baseline_unit = self.truthful()
-
-    def reports(self, pairs: Sequence, absolute: bool) -> tuple[list, tuple]:
-        """The sorted int values each entry of ``pairs`` may report, and the
-        entries' true ints: each true value t times every multiplier, and with
-        absolute reports also 0 and the object's supply."""
-        demand, supply, ratios = self.view.demand, self.view.supply, self.ratios
-        identity = tuple(demand.get(p, 0) for p in pairs)
-        value_lists = []
-        for t, (_, b) in zip(identity, pairs):
-            values = {u * (t // v) for u, v in ratios}
-            if absolute:
-                values |= {0, supply[b]}
-            value_lists.append(sorted(values))
-        return value_lists, identity
 
     def _tiers(self, demand: Mapping, totals: Mapping) -> tuple[list, int]:
         """The tiers of the view with these int demands and their per-object
@@ -377,7 +362,7 @@ class _ScaledRuns:
         endowment = self.view.endowment
         tiers, unit = self._tiers(self.view.demand, self.view.totals)
         utilities = {a: endowment[a] * rate for rate, tier, _ in tiers for a in tier}
-        return utilities, self.scale * unit
+        return utilities, self.view.scale * unit
 
     def runner(self, coalition: Sequence[str], pairs: Sequence, identity: Sequence[int]):
         """The run function for one coalition, over the other agents' int
@@ -392,7 +377,7 @@ class _ScaledRuns:
              self.view.endowment[a], self.baseline[a])
             for a in coalition
         ]
-        scale, baseline_unit = self.scale, self.baseline_unit
+        scale, baseline_unit = self.view.scale, self.baseline_unit
 
         def run(combo: Sequence[int]) -> bool:
             demand = dict(others)
@@ -467,14 +452,19 @@ def search_manipulation(
     counted; a truthful instance it cannot allocate raises
     ``GridInfeasibleError``.
 
-    The main mechanism validates the instance once, raising
-    ``InvalidInstanceError`` before any run, and decides each run on ints
-    (see ``_ScaledRuns``).  A run it admits, and every reference-rule run,
-    is allocated as a reported ``Instance`` and classified by a
-    ``ManipulationReport``.  Each coalition's report grid is built once,
-    when the search reaches it, and ``space`` is counted from the sparse
-    demand entries; for the main mechanism both are ints in the scaled
-    view's units.
+    Both mechanisms search one int view of the instance (``leximin._scaled``),
+    which validates it once, raising ``InvalidInstanceError`` before any run.
+    The view scales supplies and demands by X, the lcm of their denominators
+    times the lcm of the grid's, so every value the grid can report is an
+    int in its units: 0, a supply s, or a multiple m x t of a true demand t,
+    which is u x (t // v) for the multiplier m = u / v.  Each coalition's
+    report grid is built from the view (``_reports``) once, when the search
+    reaches it, and ``space`` is counted from the view's sparse demand
+    entries (``_search_space``), once the truthful run has succeeded.  The
+    main mechanism decides each run on the view's ints (see
+    ``_ScaledRuns``).  A run it admits, and every reference-rule run, is
+    allocated as a reported ``Instance``, each reported value d being
+    d / X, and classified by a ``ManipulationReport``.
     """
     if not instance.agents:
         raise ValueError("the instance has no agents, so there is no coalition to search")
@@ -493,15 +483,16 @@ def search_manipulation(
     for m in grid:
         if m < ZERO:
             raise ValueError(f"grid multipliers must be nonnegative, got {m}")
+    if mechanism not in ("lmmf", "mmf-si"):
+        raise ValueError(f"unknown mechanism {mechanism!r}")
 
-    # Each mechanism takes the reported values in its own terms: the lmmf
-    # runs ints in the scaled view's units, the reference rule rationals.
+    view = _scaled(instance, grid)
+    ratios = {(int(m.numerator), int(m.denominator)) for m in grid}
     if mechanism == "lmmf":
-        scaled = _ScaledRuns(instance, grid)
+        scaled = _ScaledRuns(view)
         truthful = {a: Rational(u, scaled.baseline_unit) for a, u in scaled.baseline.items()}
         allocate = _mechanism_allocation
-        space = _search_space(scaled.view, coalition_size, grid, absolute)
-    elif mechanism == "mmf-si":
+    else:
         try:
             truthful_alloc, _ = oracle_mmf_si(instance)
         except GridInfeasibleError as exc:
@@ -513,24 +504,14 @@ def search_manipulation(
         scaled = None
         truthful = utilities(instance, truthful_alloc)
         allocate = _reference_allocation
-        space = _search_space(instance, coalition_size, grid, absolute)
-    else:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+    space = _search_space(view, coalition_size, ratios, absolute)
 
     runs = 0
     skipped = 0
     for coalition in itertools.combinations(instance.agents, coalition_size):
         pairs = [(a, b) for a in coalition for b in instance.objects]
-        if scaled is None:
-            identity = tuple(instance.demand_between(*p) for p in pairs)
-            value_lists = [
-                _entry_values(t, instance.supply[b], grid, absolute)
-                for t, (_, b) in zip(identity, pairs)
-            ]
-            admits = None
-        else:
-            value_lists, identity = scaled.reports(pairs, absolute)
-            admits = scaled.runner(coalition, pairs, identity)
+        value_lists, identity = _reports(view, ratios, pairs, absolute)
+        admits = None if scaled is None else scaled.runner(coalition, pairs, identity)
         for combo in itertools.product(*value_lists):
             if combo == identity:
                 continue
@@ -540,12 +521,9 @@ def search_manipulation(
                     skipped=skipped,
                 )
             runs += 1
-            if admits is None:
-                reported_entries = dict(zip(pairs, combo))
-            elif admits(combo):
-                reported_entries = {k: Rational(d, scaled.scale) for k, d in zip(pairs, combo)}
-            else:
+            if admits is not None and not admits(combo):
                 continue
+            reported_entries = {k: Rational(d, view.scale) for k, d in zip(pairs, combo)}
             try:
                 allocation = allocate(_reported_instance(instance, coalition, reported_entries))
             except GridInfeasibleError:

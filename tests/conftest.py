@@ -110,6 +110,18 @@ def hand_made_flow(network: FlowNetwork, edge_flows, value) -> Flow:
     return flow
 
 
+def reference_values(instance: Instance, pair, grid, absolute: bool) -> list:
+    """The sorted rational values one entry may report: its true demand times
+    each grid multiplier, and with absolute reports also 0 and the object's
+    supply."""
+    a, b = pair
+    true_value = instance.demand_between(a, b)
+    values = {m * true_value for m in grid}
+    if absolute:
+        values |= {ZERO, instance.supply[b]}
+    return sorted(values)
+
+
 def lower_search_baseline(monkeypatch) -> None:
     """Lower every truthful utility of the ``lmmf`` manipulation search by
     1/1000: its baseline is ints u over a unit U, lowered to 1000u - U over

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import breakpoint_example, staircase
+from conftest import breakpoint_example, reference_values, staircase
 from leximinflow import harness, leximin
 from leximinflow.core import (
     Allocation,
@@ -19,7 +19,7 @@ from leximinflow.harness import (
     AGENT_REMOVAL,
     ENDOWMENT_DECREASE,
     ManipulationReport,
-    _entry_values,
+    _reports,
     _utility_floor,
     check_pm,
     check_rm,
@@ -305,10 +305,10 @@ def test_utility_floor_skips_objects_exhausted_by_earlier_tiers():
 
 def test_int_report_grids_match_the_rational_grids(corpus):
     # Every coalition's int report grid and identity, in the view's units X,
-    # are the rational grid of ``_entry_values`` and the true demands times
-    # X, entry by entry: on the corpus, and on grids that drop 1, repeat a
-    # multiplier or are empty, over zero supplies and an agent without
-    # demands.
+    # are the rational grid of ``reference_values`` and the true demands
+    # times X, entry by entry: on the corpus, and on grids that drop 1,
+    # repeat a multiplier or are empty, over zero supplies and an agent
+    # without demands.
     half, two = Rational(1, 2), Rational(2)
     agents, objects = ("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4")
     zero_supply = Instance(
@@ -331,16 +331,19 @@ def test_int_report_grids_match_the_rational_grids(corpus):
     for inst, grid in cases:
         absolute = grid is None
         values = (ZERO, half, ONE, two) if absolute else tuple(Rational(m) for m in grid)
-        scaled = harness._ScaledRuns(inst, values)
-        x = scaled.scale
+        view = _scaled(inst, values)
+        ratios = {(int(m.numerator), int(m.denominator)) for m in values}
+        x = view.scale
         want = {}  # per entry: its true value and its rational grid, times X
-        for a, b in itertools.product(inst.agents, inst.objects):
-            t = inst.demand_between(a, b)
-            want[a, b] = t * x, [v * x for v in _entry_values(t, inst.supply[b], values, absolute)]
+        for p in itertools.product(inst.agents, inst.objects):
+            want[p] = (
+                inst.demand_between(*p) * x,
+                [v * x for v in reference_values(inst, p, values, absolute)],
+            )
         for size in range(1, min(3, len(inst.agents)) + 1):
             for coalition in itertools.combinations(inst.agents, size):
                 pairs = [(a, b) for a in coalition for b in inst.objects]
-                value_lists, identity = scaled.reports(pairs, absolute)
+                value_lists, identity = _reports(view, ratios, pairs, absolute)
                 assert identity == tuple(want[p][0] for p in pairs)
                 assert value_lists == [want[p][1] for p in pairs]
                 assert {type(v) for v in (*identity, *itertools.chain(*value_lists))} <= {int}
@@ -393,6 +396,18 @@ def test_search_default_grid_random_sweep(corpus):
             result = search_manipulation(inst, coalition_size=size, budget=60)
             assert result.counterexample is None
             assert result.runs <= 60
+
+
+def test_reference_rule_rejects_a_large_instance_before_counting_the_space(monkeypatch):
+    # C(200, 2) coalitions are never counted: the oracle refuses the
+    # truthful instance first.
+    def counted(*args):
+        raise AssertionError("the search space was counted")
+
+    monkeypatch.setattr(harness, "_search_space", counted)
+    inst = random_instance(0, num_agents=200, num_objects=2)
+    with pytest.raises(ValueError, match="at most 3 agents"):
+        search_manipulation(inst, coalition_size=2, mechanism="mmf-si")
 
 
 def test_unknown_mechanism_rejected():

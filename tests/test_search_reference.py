@@ -12,7 +12,7 @@ import itertools
 
 import pytest
 
-from conftest import lower_search_baseline, staircase
+from conftest import lower_search_baseline, reference_values, staircase
 from leximinflow import harness, leximin
 from leximinflow.core import Instance, InternalCheckError, utilities
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
@@ -23,15 +23,6 @@ from leximinflow.rational import ONE, Rational, ZERO
 
 DEFAULT_GRID = (ZERO, Rational(1, 2), ONE, Rational(2))
 GRIDS = (None, (Rational(1, 3), Rational(3)), (ZERO, Rational(1, 2), Rational(2)))
-
-
-def reference_values(instance, pair, grid, absolute):
-    a, b = pair
-    true_value = instance.demand_between(a, b)
-    values = {m * true_value for m in grid}
-    if absolute:
-        values |= {ZERO, instance.supply[b]}
-    return sorted(values)
 
 
 def reference_grids(instance, coalition_size, grid, absolute):
@@ -229,20 +220,25 @@ def test_search_matches_the_reference_on_the_reference_rule():
     # Two-agent, two-object instances keep the rule's grid search cheap.
     # Both searches skip the misreports it cannot allocate, several find
     # its manipulations, and random_instance(18) is outside its domain.
+    # The grid (1/3, 3) widens the view's scale by 3.  Coalitions of 2 run
+    # on the lemma 6 instance, whose misreports the rule allocates slowly,
+    # at a small budget.
     cases = [random_instance(s, num_agents=2, num_objects=2) for s in (2, 6, 14, 36, 44)]
+    grids = (None, (ONE, Rational(2)), (Rational(1, 3), Rational(3)))
+    searches = [(inst, 1, grid, 30) for inst in cases + [random_instance(18)] for grid in grids]
+    searches += [(si_misreport_instance(), 2, None, 6), (si_misreport_instance(), 2, grids[2], 3)]
     skipped = found = 0
-    for inst in cases + [random_instance(18)]:
-        for grid in (None, (ONE, Rational(2))):
-            try:
-                want = reference_search(inst, 1, grid, budget=30, mechanism="mmf-si")
-            except GridInfeasibleError:
-                with pytest.raises(GridInfeasibleError):
-                    search_manipulation(inst, 1, grid, budget=30, mechanism="mmf-si")
-                continue
-            got = search_manipulation(inst, 1, grid, budget=30, mechanism="mmf-si")
-            assert got == want, (inst, grid)
-            skipped += got.skipped > 0
-            found += got.counterexample is not None
+    for inst, size, grid, budget in searches:
+        try:
+            want = reference_search(inst, size, grid, budget=budget, mechanism="mmf-si")
+        except GridInfeasibleError:
+            with pytest.raises(GridInfeasibleError):
+                search_manipulation(inst, size, grid, budget=budget, mechanism="mmf-si")
+            continue
+        got = search_manipulation(inst, size, grid, budget=budget, mechanism="mmf-si")
+        assert got == want, (inst, size, grid)
+        skipped += got.skipped > 0
+        found += got.counterexample is not None
     assert skipped and found
 
 
@@ -341,7 +337,7 @@ def test_int_floors_match_the_rational_floors(corpus, monkeypatch):
     for inst, size, grid, budget in search_cases(corpus[:40], 12):
         absolute = grid is None
         values = DEFAULT_GRID if absolute else grid
-        scale[:] = [harness._ScaledRuns(inst, values).scale]
+        scale[:] = [leximin._scaled(inst, values).scale]
         floors.clear()
         search_manipulation(inst, size, grid, budget=budget)
         runs = itertools.islice(
@@ -378,7 +374,8 @@ def eager_space(instance, coalition_size, grid):
 def sparse_space(instance, coalition_size, grid):
     absolute = grid is None
     grid = DEFAULT_GRID if absolute else tuple(Rational(m) for m in grid)
-    return harness._search_space(instance, coalition_size, grid, absolute)
+    ratios = {(int(m.numerator), int(m.denominator)) for m in grid}
+    return harness._search_space(leximin._scaled(instance, grid), coalition_size, ratios, absolute)
 
 
 def test_space_matches_the_eager_count(corpus):
