@@ -37,7 +37,7 @@ from .generators import (
 )
 from .harness import check_substructure, search_manipulation
 from .leximin import BreakpointProfile, lexicographic_allocation, structure_check
-from .oracle import random_frugal_allocation
+from .oracle import MAX_ORACLE_AGENTS, random_frugal_allocation
 from .properties import (
     envy_report,
     is_frugal,
@@ -73,9 +73,9 @@ def allocation_dict(instance: Instance, allocation: Allocation, profile: Breakpo
             "rate": format_rational(profile.per_agent[a]),
             "tier": profile.tier_of(a) + 1,
             "utility": format_rational(u),
-            "normalized": format_rational(norm),
+            "normalized": format_rational(u / instance.endowment[a]),
         }
-        for a, u, norm in utility_vector(instance, allocation).entries
+        for a, u, _ in entitlements.table
     ]
     return {
         "agents": agents,
@@ -158,13 +158,8 @@ def _audit_si(instance: Instance, allocation: Allocation) -> PropertyReport:
         return passing("si", detail="no agent has positive entitlement")
     if report.ratio >= HALF:
         return passing("si", detail=f"ratio {format_rational(report.ratio)}")
-    for a, u, entitlement in report.table:
-        if entitlement > 0 and u / entitlement == report.ratio:
-            return failing(
-                "si", (a,), u, HALF * entitlement,
-                note="utility below half the entitlement",
-            )
-    raise InternalCheckError("entitlement ratio without a witnessing agent")
+    a, u, entitlement = report.worst
+    return failing("si", (a,), u, HALF * entitlement, note="utility below half the entitlement")
 
 
 def _audit_lorenz(instance: Instance, allocation: Allocation, samples: int, seed: int) -> PropertyReport:
@@ -255,36 +250,61 @@ def cmd_audit(args) -> int:
         elif prop == "substructure":
             if not instance.agents:
                 skipped.append(("substructure", "no agents"))
-            elif len(instance.agents) > 12:
-                skipped.append(("substructure", "needs <= 12 agents for the oracle"))
+            elif len(instance.agents) > MAX_ORACLE_AGENTS:
+                skipped.append(
+                    ("substructure", f"needs <= {MAX_ORACLE_AGENTS} agents for the oracle")
+                )
             else:
                 reports.append(check_substructure(instance, allocation, trials=5, seed=args.seed))
-    all_passed = all(r.passed for r in reports)
     if args.output == "json":
-        print(
-            json.dumps(
-                {
-                    "properties": [
-                        {
-                            "name": r.name,
-                            "passed": r.passed,
-                            "witness": None if r.witness is None else str(r.witness),
-                            "detail": r.detail,
-                            "seed": r.seed,
-                        }
-                        for r in reports
-                    ],
-                    "skipped": [{"name": name, "reason": why} for name, why in skipped],
-                },
-                indent=2,
-            )
-        )
+        properties = [
+            {
+                "name": r.name,
+                "passed": r.passed,
+                "witness": None if r.witness is None else str(r.witness),
+                "detail": r.detail,
+                "seed": r.seed,
+            }
+            for r in reports
+        ]
+        skips = [{"name": name, "reason": why} for name, why in skipped]
+        print(json.dumps({"properties": properties, "skipped": skips}, indent=2))
     else:
         for r in reports:
             print(str(r))
         for name, why in skipped:
             print(f"{name}: skipped ({why})")
-    return EXIT_OK if all_passed else EXIT_FAIL
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
+
+
+def manipulation_table(payload: dict) -> str:
+    """The table form of ``cmd_manipulate``'s payload.  Demands are canonical
+    strings, so a reported demand differs from the true one iff its string does."""
+    header = (
+        f"mechanism {payload['mechanism']}, coalitions of {payload['coalition_size']}:"
+        f" {payload['runs']} of {payload['space']} misreports tried"
+    )
+    if payload["truncated"]:
+        header += " (budget exhausted)"
+    if payload["skipped"]:
+        header += f", {payload['skipped']} outside the rule's domain skipped"
+    lines = [header]
+    ce = payload["counterexample"]
+    if ce is None:
+        lines.append("no counterexample found (grid-bounded evidence, not proof)")
+    else:
+        lines.append(f"counterexample: coalition {', '.join(ce['coalition'])}")
+        for a in ce["coalition"]:
+            lines.append(
+                f"  {a}: utility {ce['truthful_utilities'][a]} -> {ce['misreport_utilities'][a]}"
+            )
+        for reported, true in zip(ce["reported"], ce["true"]):
+            if reported["demand"] != true["demand"]:
+                lines.append(
+                    f"  reported d({reported['agent']},{reported['object']})"
+                    f" = {reported['demand']} (true {true['demand']})"
+                )
+    return "\n".join(lines) + "\n"
 
 
 def cmd_manipulate(args) -> int:
@@ -302,69 +322,40 @@ def cmd_manipulate(args) -> int:
         budget=args.budget,
         mechanism=args.mechanism,
     )
-    found = result.counterexample is not None
+    ce = result.counterexample
+    payload = {
+        "mechanism": args.mechanism,
+        "coalition_size": args.coalition,
+        "runs": result.runs,
+        "space": result.space,
+        "truncated": result.truncated,
+        "skipped": result.skipped,
+        "counterexample": None if ce is None else {
+            "coalition": list(ce.coalition),
+            "winners": list(ce.winners),
+            "losers": list(ce.losers),
+            "reported": [
+                {"agent": a, "object": b, "demand": format_rational(v)}
+                for (a, b), v in sorted(ce.reported_demands.items())
+            ],
+            "true": [
+                {"agent": a, "object": b, "demand": format_rational(v)}
+                for (a, b), v in sorted(ce.true_demands.items())
+            ],
+            "truthful_utilities": {
+                a: format_rational(u) for a, u in sorted(ce.truthful_utilities.items())
+            },
+            "misreport_utilities": {
+                a: format_rational(u) for a, u in sorted(ce.misreport_utilities.items())
+            },
+        },
+        "note": "absence of a counterexample is grid-bounded evidence, not proof",
+    }
     if args.output == "json":
-        payload = {
-            "mechanism": args.mechanism,
-            "coalition_size": args.coalition,
-            "runs": result.runs,
-            "space": result.space,
-            "truncated": result.truncated,
-            "skipped": result.skipped,
-            "counterexample": None,
-            "note": "absence of a counterexample is grid-bounded evidence, not proof",
-        }
-        if found:
-            ce = result.counterexample
-            payload["counterexample"] = {
-                "coalition": list(ce.coalition),
-                "winners": list(ce.winners),
-                "losers": list(ce.losers),
-                "reported": [
-                    {"agent": a, "object": b, "demand": format_rational(v)}
-                    for (a, b), v in sorted(ce.reported_demands.items())
-                ],
-                "true": [
-                    {"agent": a, "object": b, "demand": format_rational(v)}
-                    for (a, b), v in sorted(ce.true_demands.items())
-                ],
-                "truthful_utilities": {
-                    a: format_rational(u) for a, u in sorted(ce.truthful_utilities.items())
-                },
-                "misreport_utilities": {
-                    a: format_rational(u) for a, u in sorted(ce.misreport_utilities.items())
-                },
-            }
         print(json.dumps(payload, indent=2))
     else:
-        print(
-            f"mechanism {args.mechanism}, coalitions of {args.coalition}:"
-            f" {result.runs} of {result.space} misreports tried"
-            + (" (budget exhausted)" if result.truncated else "")
-            + (
-                f", {result.skipped} outside the rule's domain skipped"
-                if result.skipped
-                else ""
-            )
-        )
-        if found:
-            ce = result.counterexample
-            print(f"counterexample: coalition {', '.join(ce.coalition)}")
-            for a in ce.coalition:
-                print(
-                    f"  {a}: utility {format_rational(ce.truthful_utilities[a])}"
-                    f" -> {format_rational(ce.misreport_utilities[a])}"
-                )
-            for (a, b), v in sorted(ce.reported_demands.items()):
-                true = ce.true_demands[(a, b)]
-                if v != true:
-                    print(
-                        f"  reported d({a},{b}) = {format_rational(v)}"
-                        f" (true {format_rational(true)})"
-                    )
-        else:
-            print("no counterexample found (grid-bounded evidence, not proof)")
-    return EXIT_FAIL if found else EXIT_OK
+        print(manipulation_table(payload), end="")
+    return EXIT_OK if ce is None else EXIT_FAIL
 
 
 def cmd_generate(args) -> int:

@@ -48,7 +48,8 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     version = _require(doc, "version", "document")
-    if version != FORMAT_VERSION:
+    # true and 1.0 equal 1 in Python, yet neither is a format version.
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"version: unsupported format version {version!r}")
     for key in ("agents", "objects", "demands"):
         if not isinstance(_require(doc, key, "document"), list):

@@ -37,7 +37,9 @@ from .leximin import (
     lexicographic_allocation,
     structure_check,
 )
-from .oracle import GRID_RESOLUTION, GridInfeasibleError, oracle_breakpoints, oracle_mmf_si
+from .oracle import (
+    GRID_RESOLUTION, MAX_ORACLE_AGENTS, GridInfeasibleError, oracle_breakpoints, oracle_mmf_si
+)
 from .rational import ONE, Rational, ZERO
 from .reporting import PropertyReport, failing, passing
 
@@ -144,10 +146,13 @@ def check_substructure(
     agents must reproduce, agent by agent, the brute-force optimum of the
     residual instance; one that hands out more than an object's supply leaves
     no residual and fails.  A draw that removes every agent checks nothing and
-    is not counted.  Limited to 12 agents by the oracle.
+    is not counted.  Limited to ``MAX_ORACLE_AGENTS`` agents by the oracle.
     """
-    if len(instance.agents) > 12:
-        raise ValueError("substructure check relies on the subset-enumeration oracle (<= 12 agents)")
+    if len(instance.agents) > MAX_ORACLE_AGENTS:
+        raise ValueError(
+            "substructure check relies on the subset-enumeration oracle"
+            f" (<= {MAX_ORACLE_AGENTS} agents)"
+        )
     for b, total in object_totals(allocation.amount).items():
         if b in instance.supply and total > instance.supply[b]:
             return failing(

@@ -27,6 +27,7 @@ from .rational import Rational, ZERO
 
 
 GRID_RESOLUTION = Rational(1, 4)
+MAX_ORACLE_AGENTS = 12  # subset enumeration takes 2^n rows per tier
 
 
 class GridInfeasibleError(ValueError):
@@ -39,14 +40,15 @@ def oracle_breakpoints(instance: Instance) -> BreakpointProfile:
     Per tier, the rate is the minimum of joint-capacity / joint-endowment over
     all nonempty subsets of the remaining agents, and the tier is the union of
     every minimizing subset.  Exponential in the number of agents; refuses
-    more than 12.
+    more than ``MAX_ORACLE_AGENTS``.
     """
     violations = validate_instance(instance)
     if violations:
         raise InvalidInstanceError("; ".join(violations))
-    if len(instance.agents) > 12:
+    if len(instance.agents) > MAX_ORACLE_AGENTS:
         raise ValueError(
-            f"subset enumeration handles at most 12 agents, got {len(instance.agents)}"
+            f"subset enumeration handles at most {MAX_ORACLE_AGENTS} agents,"
+            f" got {len(instance.agents)}"
         )
     capped = capped_supply(instance)
     remaining = list(instance.agents)

@@ -119,12 +119,14 @@ class SiReport:
 
     An agent's entitlement is the utility of owning its endowment share of
     every object outright.  ``ratio`` is the minimum of utility/entitlement
-    over agents with positive entitlement; ``None`` means every entitlement is
+    over agents with positive entitlement, and ``worst`` the table row of the
+    first agent that attains it; both are ``None`` when every entitlement is
     zero, so the guarantee is vacuous.
     """
 
     ratio: Optional[Rational]
     table: tuple[tuple[str, Rational, Rational], ...]
+    worst: Optional[tuple[str, Rational, Rational]]
 
 
 def si_ratio(instance: Instance, allocation: Allocation) -> SiReport:
@@ -136,16 +138,12 @@ def si_ratio(instance: Instance, allocation: Allocation) -> SiReport:
     entitlements = dict.fromkeys(instance.agents, ZERO)
     for (a, b), d in instance.demand.items():
         entitlements[a] += min(share[a] * instance.supply[b], d)
-    rows = []
-    worst: Optional[Rational] = None
-    for a, u in utilities(instance, allocation).items():
-        entitlement = entitlements[a]
-        rows.append((a, u, entitlement))
-        if entitlement > ZERO:
-            ratio = u / entitlement
-            if worst is None or ratio < worst:
-                worst = ratio
-    return SiReport(ratio=worst, table=tuple(rows))
+    rows = tuple((a, u, entitlements[a]) for a, u in utilities(instance, allocation).items())
+    # ``min`` keeps the first of equal rows, so ties go to the earliest agent.
+    positive = [row for row in rows if row[2] > ZERO]
+    worst = min(positive, key=lambda row: row[1] / row[2], default=None)
+    ratio = None if worst is None else worst[1] / worst[2]
+    return SiReport(ratio=ratio, table=rows, worst=worst)
 
 
 def lorenz_dominates(v: UtilityVector, w: UtilityVector) -> bool:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import breakpoint_example, hand_made_flow, lower_search_baseline, staircase
 from leximinflow import cli, leximin
-from leximinflow.core import Allocation, Instance, InternalCheckError, utility_vector
+from leximinflow.core import Allocation, Instance, InternalCheckError, utilities, utility_vector
 from leximinflow.fileio import parse_instance, save_instance, serialize_instance
 from leximinflow.generators import (
     burst_demand_instance,
@@ -211,6 +211,22 @@ def test_allocate_non_frugal_output_fails(squeeze_path, capsys, monkeypatch):
     assert "frugal=FAIL" in out and "non-wasteful=FAIL" in out
 
 
+@pytest.mark.parametrize("output", ["table", "json"])
+def test_allocate_takes_two_utility_passes(squeeze_path, capsys, monkeypatch, output):
+    # si_ratio's pass also gives the agent rows; envy_report keeps its own.
+    passes = []
+
+    def counted(instance, allocation):
+        passes.append(1)
+        return utilities(instance, allocation)
+
+    monkeypatch.setattr("leximinflow.core.utilities", counted)
+    monkeypatch.setattr("leximinflow.properties.utilities", counted)
+    code, out, err = run(capsys, ["allocate", squeeze_path, "--output", output])
+    assert code == 0 and err == ""
+    assert len(passes) == 2
+
+
 def test_allocate_rejects_invalid_instance(tmp_path, capsys):
     path = tmp_path / "invalid.json"
     path.write_text(
@@ -277,6 +293,33 @@ def test_audit_flags_an_injected_bug(squeeze_path, capsys, monkeypatch):
     assert code == 1
     assert "non-wasteful: FAIL" in out
     assert "structure: FAIL" in out
+
+
+@pytest.mark.parametrize("output", ["table", "json"])
+def test_audit_si_witness_is_the_first_worst_agent(tmp_path, capsys, monkeypatch, output):
+    # c and a tie at ratio 0; c comes first in agent order, a in id order.
+    agents = ("b", "c", "a")
+    inst = Instance(
+        agents, {x: 1 for x in agents}, ("x",), {"x": 3}, {(x, "x"): 3 for x in agents}
+    )
+    path = tmp_path / "three.json"
+    save_instance(inst, str(path))
+    real = cli.lexicographic_allocation
+
+    def starve_c_and_a(instance):
+        allocation, profile = real(instance)
+        return Allocation({("b", "x"): allocation.amount_of("b", "x")}), profile
+
+    monkeypatch.setattr(cli, "lexicographic_allocation", starve_c_and_a)
+    code, out, err = run(
+        capsys, ["audit", str(path), "--properties", "si", "--output", output]
+    )
+    assert code == 1 and err == ""
+    witness = "[c] 0 vs 1/2 (utility below half the entitlement)"
+    if output == "json":
+        assert json.loads(out)["properties"][0]["witness"] == witness
+    else:
+        assert out == f"si: FAIL {witness}\n"
 
 
 def test_audit_substructure_checks_the_audited_allocation(squeeze_path, capsys, monkeypatch):
@@ -508,6 +551,53 @@ def test_manipulate_reference_rule_skips_infeasible_misreports(tmp_path, capsys)
     assert code == 0
     data = json.loads(out)
     assert (data["runs"], data["space"], data["skipped"]) == (7, 7, 1)
+
+
+# sha256 of the exit code, stdout and stderr of every call below, recorded
+# while the table and the JSON were still formatted separately.
+MANIPULATE_DIGEST = "e21134047ece6a08a1d3ae45979b872f01c74df850c17c2c9f02a6e6a2eed2ad"
+
+
+def manipulate_calls():
+    """(instance, argv tail) pairs: the main mechanism on the named families
+    and small random instances, with the default grid, an explicit one and
+    coalitions of two, under budgets that truncate some searches; the
+    reference rule on its lemma 6 counterexample, small instances inside its
+    domain (skips and truncation included) and two outside it."""
+    lmmf_instances = (
+        [si_misreport_instance()]
+        + [si_bound_instance(n) for n in (2, 3, 4)]
+        + [burst_demand_instance(n) for n in (2, 3, 4)]
+        + [random_instance(s) for s in range(8)]
+    )
+    lmmf_options = (
+        ["--budget", "400"], ["--grid", "1,2"], ["--coalition", "2", "--budget", "25"]
+    )
+    mmf_si_instances = (
+        [si_bound_instance(2), burst_demand_instance(2)]
+        + [random_instance(s, 2, 2, 0.9) for s in (0, 2, 4, 6)]
+        + [random_instance(s, 3, 1, 0.9) for s in (2, 3)]
+        + [random_instance(18), si_bound_instance(4)]
+    )
+    calls = [(inst, options) for inst in lmmf_instances for options in lmmf_options]
+    calls.append((si_misreport_instance(), ["--mechanism", "mmf-si", "--grid", "1,2"]))
+    calls += [(inst, ["--mechanism", "mmf-si", "--budget", "8"]) for inst in mmf_si_instances]
+    return calls
+
+
+def test_manipulate_bytes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "instance.json"
+    outcomes = set()
+    for inst, options in manipulate_calls():
+        save_instance(inst, str(path))
+        for output in ("table", "json"):
+            argv = ["manipulate", str(path), *options, "--output", output]
+            code, out, err = run(capsys, argv)
+            outcomes.add(code)
+            digest.update(f"{code}\n{out}\n{err}\n".encode("utf-8"))
+    assert outcomes == {0, 1, 2}
+    assert digest.hexdigest() == MANIPULATE_DIGEST
 
 
 def split_flows(instance):

@@ -98,6 +98,8 @@ def test_parse_rejects_malformed_documents(text, fragment):
     [
         (lambda d: d.pop("version"), r"document: missing field 'version'"),
         (lambda d: d.update(version=2), r"version: unsupported format version 2"),
+        (lambda d: d.update(version=True), r"version: unsupported format version True"),
+        (lambda d: d.update(version=1.0), r"version: unsupported format version 1\.0"),
         (lambda d: d.pop("agents"), r"document: missing field 'agents'"),
         (lambda d: d.update(demands={}), r"demands: expected a list"),
         (lambda d: d["agents"][0].pop("id"), r"agents\[0\]: missing field 'id'"),

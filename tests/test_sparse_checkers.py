@@ -99,6 +99,7 @@ def dense_si_ratio(instance, allocation):
     total_e = sum((instance.endowment[a] for a in instance.agents), ZERO)
     rows = []
     worst = None
+    worst_row = None
     for a in instance.agents:
         share = instance.endowment[a] / total_e
         entitlement = ZERO
@@ -110,7 +111,8 @@ def dense_si_ratio(instance, allocation):
             ratio = u / entitlement
             if worst is None or ratio < worst:
                 worst = ratio
-    return SiReport(ratio=worst, table=tuple(rows))
+                worst_row = (a, u, entitlement)
+    return SiReport(ratio=worst, table=tuple(rows), worst=worst_row)
 
 
 def dense_structure_check(instance, allocation, profile):
