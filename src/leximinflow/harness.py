@@ -17,8 +17,8 @@ is endowment(a) x rate(a) whichever allocation the flow picks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -260,150 +260,116 @@ def _utility_floor(tiers: Sequence, unit: int, endowment: int, agent: str, entri
     return served * unit + max(0, budget - headroom * unit)
 
 
-def _reports(view, ratios, pairs: Sequence, absolute: bool) -> tuple[list, tuple]:
-    """The sorted int values each entry of ``pairs`` may report, and the
-    entries' true ints, in the units of the int ``view``: each true value t
-    times every multiplier u / v of ``ratios``, which is u x (t // v), and
-    with absolute reports also 0 and the object's supply."""
-    demand, supply = view.demand, view.supply
-    identity = tuple(demand.get(p, 0) for p in pairs)
-    value_lists = []
-    for t, (_, b) in zip(identity, pairs):
-        values = {u * (t // v) for u, v in ratios}
-        if absolute:
-            values |= {0, supply[b]}
-        value_lists.append(sorted(values))
-    return value_lists, identity
+def _values(t: int, s: int, ratios, absolute: bool) -> list[int]:
+    """The sorted ints an entry may report, in the units of the search's int
+    view: its true int ``t`` times every multiplier u / v of ``ratios``,
+    which is u x (t // v), and with absolute reports also 0 and the object's
+    int supply ``s``."""
+    values = {u * (t // v) for u, v in ratios}
+    if absolute:
+        values |= {0, s}
+    return sorted(values)
 
 
-def _search_space(view, coalition_size: int, ratios, absolute: bool) -> int:
+def _search_space(view, coalition_size: int, lists: Mapping, blank: Mapping) -> int:
     """Distinct non-identity misreports over every coalition of the given
     size: per coalition, the product of its entries' value counts, less one
     when every true value is on the grid.
 
-    ``view`` is the search's int view (``leximin._View``) and ``ratios`` its
-    distinct grid multipliers u / v, as (u, v) pairs.  A supply s over a
-    demand d is a multiplier when s x v == u x d.  The counts come per
-    agent, in closed form, from its sparse demand entries.  Absolute reports
-    come only with the default grid, which holds 0 and 1, so an agent's true
-    values are all on the grid when 1 is a multiplier or it demands nothing.
-    A demand d > 0 reports one value per distinct multiplier, plus with
-    absolute reports the supply s when s > 0 and s / d is no multiplier.  An
-    undemanded object reports 0, and with absolute reports also its supply,
-    so all of an agent's undemanded objects together contribute one
-    factor."""
-    supply = view.supply
-    open_count = {
-        b: (1 if ratios else 0) + (1 if absolute and supply[b] != 0 else 0)
-        for b in view.objects
-    }
-    open_counts = Counter(open_count.values())
-    entries: dict[str, list] = {a: [] for a in view.agents}
-    for (a, b), d in view.demand.items():
-        entries[a].append((b, d))
-    factors = {}
-    for a, own in entries.items():
-        factor = 1
-        undemanded = open_counts.copy()
-        for b, d in own:
-            s = supply[b]
-            factor *= len(ratios) + (
-                absolute and s != 0 and not any(s * v == u * d for u, v in ratios)
-            )
-            undemanded[open_count[b]] -= 1
-        for count, objects in undemanded.items():
-            factor *= count ** objects
-        # An empty value list leaves no misreport, the identity included.
-        factors[a] = (factor, ((1, 1) in ratios or not own) and factor > 0)
-    space = 0
-    for coalition in itertools.combinations(view.agents, coalition_size):
-        product, identity = 1, True
-        for a in coalition:
-            product *= factors[a][0]
-            identity = identity and factors[a][1]
-        space += product - identity
-    return space
+    ``view`` is the search's int view (``leximin._View``), ``lists`` the
+    value list (``_values``) of each of its demand entries and ``blank``
+    each object's list for an entry without demand.  An agent's product is
+    that of every ``blank`` length, with its own objects' ``blank`` lengths
+    traded for its entries' list lengths.  A coalition's product is the
+    product of its members', so the sum over coalitions is the elementary
+    symmetric sum of the agents' products, taken in one pass over the
+    agents, less one for each coalition whose members all find their true
+    values on their lists.  An empty grid leaves every list empty, and no
+    misreport, the identity included."""
+    if not all(blank.values()):
+        return 0
+    product = 1
+    for values in blank.values():
+        product *= len(values)
+    factors = dict.fromkeys(view.agents, product)
+    # 0 is on every nonempty blank list, so only demand entries can be off.
+    on_grid = dict.fromkeys(view.agents, True)
+    for (a, b), values in lists.items():
+        factors[a] = factors[a] // len(blank[b]) * len(values)
+        on_grid[a] = on_grid[a] and view.demand[a, b] in values
+    sums = [1] + [0] * coalition_size
+    for factor in factors.values():
+        for k in range(coalition_size, 0, -1):
+            sums[k] += sums[k - 1] * factor
+    return sums[coalition_size] - math.comb(sum(on_grid.values()), coalition_size)
 
 
-class _ScaledRuns:
-    """The ``lmmf`` runs of one search, truthful and misreported, on the
-    search's int view of the truthful instance (``leximin._scaled``).
+def _truthful(view) -> tuple[dict[str, int], int]:
+    """Every agent's truthful ``lmmf`` utility, endowment x rate, as an int
+    over the returned unit X x L, for the view's demand scale X and the rate
+    unit L of its split tree."""
+    tiers, unit = _split_tree(
+        view.agents, view.capped(view.totals), view.demand, view.totals, view.endowment
+    )
+    utilities = {a: view.endowment[a] * rate for rate, tier, _ in tiers for a in tier}
+    return utilities, view.scale * unit
+
+
+def _floor_runner(
+    view, baseline: Mapping[str, int], baseline_unit: int, coalition: Sequence[str],
+    pairs: Sequence, identity: Sequence[int],
+):
+    """The ``lmmf`` run function for one coalition, on the search's int view
+    of the truthful instance (``leximin._scaled``), over the other agents'
+    int entries and their per-object totals, fixed once; ``baseline`` holds
+    the truthful utilities over ``baseline_unit`` (``_truthful``) and
+    ``identity`` the true ints of ``pairs``.  A run takes the coalition's
+    reported ints, one per entry of ``pairs``, and returns whether its tier
+    floors admit it.
 
     A run caps each demanded object's supply by its total demand and runs
-    the solver's split tree, with its self-checks, on that int view: the
-    truthful run on the view's own demands and totals, a misreport run with
-    the coalition's nonzero reported ints in place of its entries.  The view
+    the solver's split tree, with its self-checks, on the view with the
+    coalition's nonzero reported ints in place of its entries.  The view
     validates the truthful instance once, and every reported value is 0, one
     of its supplies or a nonnegative multiple of one of its demands, so each
     reported instance is valid by construction and no run validates it.
 
-    Every max flow of the final network saturates every source edge, so a
-    truthful utility is endowment x rate, with no flow.  A misreport run is
-    admitted iff some member's tier floor (``_utility_floor``) beats its
-    truthful utility and none falls below it: the mechanism's allocation
-    obeys the tier structure, so its utilities are at least the floors.
-    Floors and utilities are ints over X x L, for the view's demand scale X
-    and the run's rate unit L, and compare by cross-multiplication.  Only an
-    admitted run becomes a reported ``Instance``, which the search allocates
-    with ``lexicographic_allocation`` and checks with ``structure_check``;
-    its rational report must be a counterexample.  A run that is not
-    admitted skips the final flow and its self-checks; the split tree and
-    its self-checks run on every run.
+    A run is admitted iff some member's tier floor (``_utility_floor``)
+    beats its truthful utility and none falls below it: the mechanism's
+    allocation obeys the tier structure, so its utilities are at least the
+    floors.  Floors and utilities are ints over X x L, for the view's demand
+    scale X and the run's rate unit L, and compare by cross-multiplication.
+    A run that is not admitted skips the final flow and its self-checks; the
+    split tree and its self-checks run on every run.
     """
+    others = {k: d for k, d in view.demand.items() if k[0] not in coalition}
+    other_totals = object_totals(others)
+    members = [
+        (a, [(i, b, identity[i]) for i, (x, b) in enumerate(pairs) if x == a],
+         view.endowment[a], baseline[a])
+        for a in coalition
+    ]
 
-    def __init__(self, view):
-        self.view = view
-        self.baseline, self.baseline_unit = self.truthful()
+    def run(combo: Sequence[int]) -> bool:
+        demand = dict(others)
+        totals = dict(other_totals)
+        for k, d in zip(pairs, combo):
+            if d:
+                demand[k] = d
+                totals[k[1]] = totals.get(k[1], 0) + d
+        tiers, unit = _split_tree(view.agents, view.capped(totals), demand, totals, view.endowment)
+        run_unit = view.scale * unit
+        gain = False
+        for a, own, endowment, base in members:
+            entries = [(b, combo[i], t) for i, b, t in own]
+            lhs = _utility_floor(tiers, unit, endowment, a, entries) * baseline_unit
+            rhs = base * run_unit
+            if lhs < rhs:
+                return False
+            gain = gain or lhs > rhs
+        return gain
 
-    def _tiers(self, demand: Mapping, totals: Mapping) -> tuple[list, int]:
-        """The tiers of the view with these int demands and their per-object
-        totals, and their rate unit L."""
-        view = self.view
-        return _split_tree(view.agents, view.capped(totals), demand, totals, view.endowment)
-
-    def truthful(self) -> tuple[dict[str, int], int]:
-        """Every agent's truthful utility, endowment x rate, as an int over
-        the returned unit X x L."""
-        endowment = self.view.endowment
-        tiers, unit = self._tiers(self.view.demand, self.view.totals)
-        utilities = {a: endowment[a] * rate for rate, tier, _ in tiers for a in tier}
-        return utilities, self.view.scale * unit
-
-    def runner(self, coalition: Sequence[str], pairs: Sequence, identity: Sequence[int]):
-        """The run function for one coalition, over the other agents' int
-        entries and their per-object totals, fixed once; ``identity`` holds
-        the true ints of ``pairs``.  A run takes the coalition's reported
-        ints, one per entry of ``pairs``, and returns whether its tier floors
-        admit it."""
-        others = {k: d for k, d in self.view.demand.items() if k[0] not in coalition}
-        other_totals = object_totals(others)
-        members = [
-            (a, [(i, b, identity[i]) for i, (x, b) in enumerate(pairs) if x == a],
-             self.view.endowment[a], self.baseline[a])
-            for a in coalition
-        ]
-        scale, baseline_unit = self.view.scale, self.baseline_unit
-
-        def run(combo: Sequence[int]) -> bool:
-            demand = dict(others)
-            totals = dict(other_totals)
-            for k, d in zip(pairs, combo):
-                if d:
-                    demand[k] = d
-                    totals[k[1]] = totals.get(k[1], 0) + d
-            tiers, unit = self._tiers(demand, totals)
-            run_unit = scale * unit
-            gain = False
-            for a, own, endowment, base in members:
-                entries = [(b, combo[i], t) for i, b, t in own]
-                lhs = _utility_floor(tiers, unit, endowment, a, entries) * baseline_unit
-                rhs = base * run_unit
-                if lhs < rhs:
-                    return False
-                gain = gain or lhs > rhs
-            return gain
-
-        return run
+    return run
 
 
 def _reported_instance(
@@ -462,12 +428,13 @@ def search_manipulation(
     The view scales supplies and demands by X, the lcm of their denominators
     times the lcm of the grid's, so every value the grid can report is an
     int in its units: 0, a supply s, or a multiple m x t of a true demand t,
-    which is u x (t // v) for the multiplier m = u / v.  Each coalition's
-    report grid is built from the view (``_reports``) once, when the search
-    reaches it, and ``space`` is counted from the view's sparse demand
-    entries (``_search_space``), once the truthful run has succeeded.  The
-    main mechanism decides each run on the view's ints (see
-    ``_ScaledRuns``).  A run it admits, and every reference-rule run, is
+    which is u x (t // v) for the multiplier m = u / v.  Once the truthful
+    run has succeeded, each demand entry's value list, and each object's
+    list for an entry without demand, is built once (``_values``); every
+    coalition's report grid reads those lists, and ``space`` is counted from
+    them in one pass over the agents (``_search_space``).  The main
+    mechanism decides each run on the view's ints (``_truthful`` and
+    ``_floor_runner``).  A run it admits, and every reference-rule run, is
     allocated as a reported ``Instance``, each reported value d being
     d / X, and classified by a ``ManipulationReport``.
     """
@@ -492,10 +459,9 @@ def search_manipulation(
         raise ValueError(f"unknown mechanism {mechanism!r}")
 
     view = _scaled(instance, grid)
-    ratios = {(int(m.numerator), int(m.denominator)) for m in grid}
     if mechanism == "lmmf":
-        scaled = _ScaledRuns(view)
-        truthful = {a: Rational(u, scaled.baseline_unit) for a, u in scaled.baseline.items()}
+        baseline, baseline_unit = _truthful(view)
+        truthful = {a: Rational(u, baseline_unit) for a, u in baseline.items()}
         allocate = _mechanism_allocation
     else:
         try:
@@ -506,17 +472,24 @@ def search_manipulation(
                 " (at most 3 agents and 2 objects, and a full-entitlement allocation"
                 f" on the {GRID_RESOLUTION} grid): {exc}"
             ) from exc
-        scaled = None
         truthful = utilities(instance, truthful_alloc)
         allocate = _reference_allocation
-    space = _search_space(view, coalition_size, ratios, absolute)
+    ratios = {(int(m.numerator), int(m.denominator)) for m in grid}
+    supply, demand = view.supply, view.demand
+    lists = {(a, b): _values(t, supply[b], ratios, absolute) for (a, b), t in demand.items()}
+    blank = {b: _values(0, s, ratios, absolute) for b, s in supply.items()}
+    space = _search_space(view, coalition_size, lists, blank)
 
     runs = 0
     skipped = 0
     for coalition in itertools.combinations(instance.agents, coalition_size):
         pairs = [(a, b) for a in coalition for b in instance.objects]
-        value_lists, identity = _reports(view, ratios, pairs, absolute)
-        admits = None if scaled is None else scaled.runner(coalition, pairs, identity)
+        value_lists = [lists.get(p, blank[p[1]]) for p in pairs]
+        identity = tuple(demand.get(p, 0) for p in pairs)
+        admits = (
+            _floor_runner(view, baseline, baseline_unit, coalition, pairs, identity)
+            if mechanism == "lmmf" else None
+        )
         for combo in itertools.product(*value_lists):
             if combo == identity:
                 continue

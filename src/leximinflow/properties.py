@@ -80,34 +80,38 @@ def envy_report(instance: Instance, allocation: Allocation) -> PropertyReport:
     The envier's valuation runs over its own demand entries only: elsewhere
     its cap is 0 and min(amount, 0) = 0 for every amount >= 0.  So an envier
     meets only the holders of the objects it demands; any other agent's
-    bundle is worth 0 to it, which cannot exceed its own utility.  The
-    witness is the first envious pair in instance agent order.
+    bundle is worth 0 to it, which cannot exceed its own utility.
+
+    Bundles are valued per unit of the envier's endowment: a holder o's
+    amount x of an object the envier a demands d of is worth
+    min(x e_a / e_o, d) = e_a min(x / e_o, d / e_a).  So x / e_o is taken
+    once per allocation entry, d / e_a once per demand entry, and the sum
+    is compared with own / e_a.  The witness, the first envious pair in
+    instance agent order, reports e_a times the sum, which is exact.
     """
     own = utilities(instance, allocation)
+    endowment = instance.endowment
     entries: dict[str, list] = {a: [] for a in instance.agents}
     for (a, b), d in instance.demand.items():
-        entries[a].append((b, d))
+        entries[a].append((b, d / endowment[a]))
     rank = {a: r for r, a in enumerate(instance.agents)}
     # Holders by object; an entry of an agent outside the instance is
     # nobody's bundle, as in ``utilities``.
     holders: dict[str, list] = {}
     for (other, b), x in allocation.amount.items():
         if other in rank:
-            holders.setdefault(b, []).append((other, x))
+            holders.setdefault(b, []).append((other, x / endowment[other]))
     for a in instance.agents:
-        scales: dict[str, Rational] = {}
         envied: dict[str, Rational] = {}
-        for b, d in entries[a]:
-            for other, x in holders.get(b, ()):
+        for b, cap in entries[a]:
+            for other, share in holders.get(b, ()):
                 if other != a:
-                    scale = scales.get(other)
-                    if scale is None:
-                        scale = scales[other] = instance.endowment[a] / instance.endowment[other]
-                    envied[other] = envied.get(other, ZERO) + min(scale * x, d)
+                    envied[other] = envied.get(other, ZERO) + min(share, cap)
+        bound = own[a] / endowment[a]
         for other in sorted(envied, key=rank.__getitem__):
-            if own[a] < envied[other]:
+            if bound < envied[other]:
                 return failing(
-                    "envy-free", (a, other), own[a], envied[other],
+                    "envy-free", (a, other), own[a], endowment[a] * envied[other],
                     note="agent prefers the other's scaled bundle",
                 )
     return passing("envy-free")

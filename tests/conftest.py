@@ -127,13 +127,13 @@ def lower_search_baseline(monkeypatch) -> None:
     1/1000: its baseline is ints u over a unit U, lowered to 1000u - U over
     1000U.  No corpus instance hands a coalition a gain, so this makes runs
     that the search reports."""
-    real = harness._ScaledRuns.truthful
+    real = harness._truthful
 
-    def lowered(self):
-        baseline, unit = real(self)
+    def lowered(view):
+        baseline, unit = real(view)
         return {a: 1000 * u - unit for a, u in baseline.items()}, 1000 * unit
 
-    monkeypatch.setattr(harness._ScaledRuns, "truthful", lowered)
+    monkeypatch.setattr(harness, "_truthful", lowered)
 
 
 @pytest.fixture(scope="session")

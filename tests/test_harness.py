@@ -19,8 +19,8 @@ from leximinflow.harness import (
     AGENT_REMOVAL,
     ENDOWMENT_DECREASE,
     ManipulationReport,
-    _reports,
     _utility_floor,
+    _values,
     check_pm,
     check_rm,
     check_substructure,
@@ -343,7 +343,11 @@ def test_int_report_grids_match_the_rational_grids(corpus):
         for size in range(1, min(3, len(inst.agents)) + 1):
             for coalition in itertools.combinations(inst.agents, size):
                 pairs = [(a, b) for a in coalition for b in inst.objects]
-                value_lists, identity = _reports(view, ratios, pairs, absolute)
+                identity = tuple(view.demand.get(p, 0) for p in pairs)
+                value_lists = [
+                    _values(t, view.supply[b], ratios, absolute)
+                    for t, (_, b) in zip(identity, pairs)
+                ]
                 assert identity == tuple(want[p][0] for p in pairs)
                 assert value_lists == [want[p][1] for p in pairs]
                 assert {type(v) for v in (*identity, *itertools.chain(*value_lists))} <= {int}

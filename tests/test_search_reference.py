@@ -375,14 +375,35 @@ def sparse_space(instance, coalition_size, grid):
     absolute = grid is None
     grid = DEFAULT_GRID if absolute else tuple(Rational(m) for m in grid)
     ratios = {(int(m.numerator), int(m.denominator)) for m in grid}
-    return harness._search_space(leximin._scaled(instance, grid), coalition_size, ratios, absolute)
+    view = leximin._scaled(instance, grid)
+    lists = {
+        (a, b): harness._values(t, view.supply[b], ratios, absolute)
+        for (a, b), t in view.demand.items()
+    }
+    blank = {b: harness._values(0, s, ratios, absolute) for b, s in view.supply.items()}
+    return harness._search_space(view, coalition_size, lists, blank)
 
 
 def test_space_matches_the_eager_count(corpus):
+    # Every coalition size, so that every term of the symmetric sum meets
+    # the enumeration.
     for inst in corpus[:200]:
-        for size in range(1, min(3, len(inst.agents)) + 1):
+        for size in range(1, len(inst.agents) + 1):
             for grid in GRIDS:
                 assert sparse_space(inst, size, grid) == eager_space(inst, size, grid)
+
+
+def test_space_enumerates_no_coalition(monkeypatch):
+    # 2000 agents make C(2000, 3), over 10^9, coalitions: the count must
+    # not visit them.
+    inst = random_instance(0, 2000, 2000, 0.00125)
+
+    def enumerated(*args):
+        raise AssertionError("the search space enumerated the coalitions")
+
+    monkeypatch.setattr(itertools, "combinations", enumerated)
+    for size in (2, 3):
+        assert sparse_space(inst, size, None) > 0
 
 
 def test_space_matches_the_eager_count_on_edge_grids():
@@ -407,7 +428,7 @@ def test_space_matches_the_eager_count_on_edge_grids():
     )
     instances = [zero_supply, si_misreport_instance(), si_bound_instance(3), staircase(4)]
     for inst in instances:
-        for size in range(1, min(3, len(inst.agents)) + 1):
+        for size in range(1, len(inst.agents) + 1):
             for grid in grids:
                 assert sparse_space(inst, size, grid) == eager_space(inst, size, grid), (
                     inst, size, grid
