@@ -6,11 +6,18 @@ arbitrary feasible demand-capped allocations, and the tiny maximin-with-full-
 entitlements rule is the reference that shows, on one three-agent instance,
 that such a rule is manipulable while the main mechanism is not.  The only
 thing taken from the solver's module is the ``BreakpointProfile`` type.
+
+The breakpoint oracle enumerates on Python ints.  It scales the instance
+itself, once per call: supplies and demands by D, the lcm of their
+denominators, and endowments by E, the lcm of theirs.  Subset sums, minima
+and rate comparisons (by cross-multiplying) are all int operations, and each
+tier builds one ``Rational`` for its rate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Optional
 
@@ -18,7 +25,6 @@ from .core import (
     Allocation,
     Instance,
     InvalidInstanceError,
-    capped_supply,
     validate_instance,
 )
 from .leximin import BreakpointProfile
@@ -39,8 +45,12 @@ def oracle_breakpoints(instance: Instance) -> BreakpointProfile:
 
     Per tier, the rate is the minimum of joint-capacity / joint-endowment over
     all nonempty subsets of the remaining agents, and the tier is the union of
-    every minimizing subset.  Exponential in the number of agents; refuses
-    more than ``MAX_ORACLE_AGENTS``.
+    every minimizing subset.  The enumeration runs on ints: supplies and
+    demands times D, the lcm of their denominators, and endowments times E,
+    the lcm of theirs, so a subset's rate is the int pair (capacity,
+    endowment), rates compare by cross-multiplying, and each tier builds one
+    ``Rational``, capacity x E / (endowment x D).  Exponential in the number of
+    agents; refuses more than ``MAX_ORACLE_AGENTS``.
     """
     violations = validate_instance(instance)
     if violations:
@@ -50,10 +60,22 @@ def oracle_breakpoints(instance: Instance) -> BreakpointProfile:
             f"subset enumeration handles at most {MAX_ORACLE_AGENTS} agents,"
             f" got {len(instance.agents)}"
         )
-    capped = capped_supply(instance)
+    supply = [instance.supply[b] for b in instance.objects]
+    endowment = [instance.endowment[a] for a in instance.agents]
+    # int(): a gmpy2 numerator or denominator is an mpz.
+    scale = math.lcm(*(int(v.denominator) for v in [*supply, *instance.demand.values()]))
+    endowment_scale = math.lcm(*(int(v.denominator) for v in endowment))
+
+    def as_int(v, by: int) -> int:
+        return int(v.numerator) * (by // int(v.denominator))
+
+    demand = {key: as_int(v, scale) for key, v in instance.demand.items()}
+    totals = dict.fromkeys(instance.objects, 0)
+    for (_, b), d in demand.items():
+        totals[b] += d
+    caps = {b: min(as_int(s, scale), totals[b]) for b, s in zip(instance.objects, supply)}
+    endow = {a: as_int(e, endowment_scale) for a, e in zip(instance.agents, endowment)}
     remaining = list(instance.agents)
-    caps = dict(capped)
-    fixed: set = set()
     exhausted: set = set()
     lambdas = []
     agent_tiers = []
@@ -61,47 +83,42 @@ def oracle_breakpoints(instance: Instance) -> BreakpointProfile:
     per_agent = {}
     while remaining:
         active = [b for b in instance.objects if b not in exhausted]
+        active_caps = [caps[b] for b in active]
+        rows = [[demand.get((a, b), 0) for b in active] for a in remaining]
+        agent_endow = [endow[a] for a in remaining]
         n = len(remaining)
         # Subset sums built mask-by-mask from the submask with the lowest bit
         # cleared, so each of the 2^n rows costs O(|objects|).
-        demand_rows = [ZERO] * (1 << n)
-        endow_rows = [ZERO] * (1 << n)
-        object_sums = [[ZERO] * (1 << n) for _ in active]
+        object_sums = [[0] * len(active)] + [None] * ((1 << n) - 1)
+        endow_rows = [0] * (1 << n)
+        # (1, 0) stands for an infinite rate, which the first subset beats.
+        best_c, best_e, union = 1, 0, 0
         for mask in range(1, 1 << n):
             low = (mask & -mask).bit_length() - 1
             sub = mask & (mask - 1)
-            agent = remaining[low]
-            endow_rows[mask] = endow_rows[sub] + instance.endowment[agent]
-            for j, b in enumerate(active):
-                object_sums[j][mask] = object_sums[j][sub] + instance.demand_between(agent, b)
-        best: Optional[Rational] = None
-        union: set = set()
-        for mask in range(1, 1 << n):
-            cap_sum = ZERO
-            for j, b in enumerate(active):
-                cap_sum += min(caps[b], object_sums[j][mask])
-            ratio = cap_sum / endow_rows[mask]
-            if best is None or ratio < best:
-                best = ratio
-                union = {remaining[i] for i in range(n) if mask >> i & 1}
-            elif ratio == best:
-                union |= {remaining[i] for i in range(n) if mask >> i & 1}
-        tier = union
-        newly = {
-            b for b in active
-            if sum((instance.demand_between(a, b) for a in tier), ZERO) > caps[b]
-        }
-        fixed |= tier
+            object_sums[mask] = sums = [x + y for x, y in zip(object_sums[sub], rows[low])]
+            endow_rows[mask] = e = endow_rows[sub] + agent_endow[low]
+            c = sum(map(min, active_caps, sums))
+            lhs, rhs = c * best_e, best_c * e
+            if lhs < rhs:
+                best_c, best_e, union = c, e, mask
+            elif lhs == rhs:
+                union |= mask
+        rate = Rational(best_c * endowment_scale, best_e * scale)
+        tier = frozenset(remaining[i] for i in range(n) if union >> i & 1)
+        newly = set()
+        for b, cap, used in zip(active, active_caps, object_sums[union]):
+            if used > cap:
+                newly.add(b)
+            else:
+                caps[b] = cap - used
         exhausted |= newly
-        lambdas.append(best)
-        agent_tiers.append(frozenset(tier))
+        lambdas.append(rate)
+        agent_tiers.append(tier)
         object_tiers.append(frozenset(newly))
         for a in tier:
-            per_agent[a] = best
+            per_agent[a] = rate
         remaining = [a for a in remaining if a not in tier]
-        for b in instance.objects:
-            if b not in exhausted:
-                caps[b] = capped[b] - sum((instance.demand_between(a, b) for a in fixed), ZERO)
     return BreakpointProfile(
         lambdas=tuple(lambdas),
         agent_tiers=tuple(agent_tiers),

@@ -1,9 +1,10 @@
 """Both rational backends give byte-identical output.
 
 ``Rational`` is ``gmpy2.mpq`` when gmpy2 imports and ``fractions.Fraction``
-otherwise.  With gmpy2 present, ``allocate --output json`` and
-``manipulate --output json`` run once on each backend, the second time with
-gmpy2 blocked, and both runs must print the same bytes and exit codes.
+otherwise.  With gmpy2 present, ``allocate --output json``, ``manipulate
+--output json`` and ``audit --output json`` run once on each backend, the
+second time with gmpy2 blocked, and both runs must print the same bytes and
+exit codes.
 """
 
 import importlib.util
@@ -93,3 +94,10 @@ def test_manipulate_json_identical_under_both_backends(corpus, tmp_path):
         ["manipulate", paths[-1], "--output", "json", "--mechanism", "mmf-si", "--grid", "1,2"]
     )
     assert_identical(commands)
+
+
+def test_audit_json_identical_under_both_backends(tmp_path):
+    # The default properties include substructure, so the subset-enumeration
+    # oracle scales mpq inputs to ints on one run and Fractions on the other.
+    paths = saved([staircase(4), si_misreport_instance()], tmp_path)
+    assert_identical([["audit", path, "--output", "json", "--samples", "5"] for path in paths])

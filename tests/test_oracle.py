@@ -1,11 +1,21 @@
-"""Brute-force references: subset-enumeration rates, samplers, tiny maximin rule."""
+"""Brute-force references: subset-enumeration rates, samplers, tiny maximin rule.
+
+``reference_oracle_breakpoints`` is the subset-enumeration oracle as it ran
+before it scaled the instance to ints: every subset sum, minimum and ratio is
+a ``Rational``.  ``oracle_breakpoints`` must return an equal profile whose
+rates are backend ``Rational``s.
+"""
+
+from typing import Optional
 
 import pytest
 
-from conftest import breakpoint_example, capacity
-from leximinflow.core import Instance, utilities
+from conftest import breakpoint_example, capacity, staircase
+from leximinflow import harness
+from leximinflow.core import Instance, capped_supply, utilities
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
-from leximinflow.leximin import breakpoints
+from leximinflow.harness import check_substructure
+from leximinflow.leximin import BreakpointProfile, breakpoints, lexicographic_allocation
 from leximinflow.oracle import (
     GridInfeasibleError,
     oracle_breakpoints,
@@ -14,6 +24,75 @@ from leximinflow.oracle import (
 )
 from leximinflow.properties import is_frugal
 from leximinflow.rational import Rational, ZERO
+
+
+def reference_oracle_breakpoints(instance: Instance) -> BreakpointProfile:
+    """Tier structure by subset enumeration on ``Rational``s: per tier, the
+    least joint-capacity / joint-endowment over the remaining agents'
+    nonempty subsets, and the union of every minimizing subset."""
+    capped = capped_supply(instance)
+    remaining = list(instance.agents)
+    caps = dict(capped)
+    fixed: set = set()
+    exhausted: set = set()
+    lambdas = []
+    agent_tiers = []
+    object_tiers = []
+    per_agent = {}
+    while remaining:
+        active = [b for b in instance.objects if b not in exhausted]
+        n = len(remaining)
+        endow_rows = [ZERO] * (1 << n)
+        object_sums = [[ZERO] * (1 << n) for _ in active]
+        for mask in range(1, 1 << n):
+            low = (mask & -mask).bit_length() - 1
+            sub = mask & (mask - 1)
+            agent = remaining[low]
+            endow_rows[mask] = endow_rows[sub] + instance.endowment[agent]
+            for j, b in enumerate(active):
+                object_sums[j][mask] = object_sums[j][sub] + instance.demand_between(agent, b)
+        best: Optional[Rational] = None
+        union: set = set()
+        for mask in range(1, 1 << n):
+            cap_sum = ZERO
+            for j, b in enumerate(active):
+                cap_sum += min(caps[b], object_sums[j][mask])
+            ratio = cap_sum / endow_rows[mask]
+            if best is None or ratio < best:
+                best = ratio
+                union = {remaining[i] for i in range(n) if mask >> i & 1}
+            elif ratio == best:
+                union |= {remaining[i] for i in range(n) if mask >> i & 1}
+        tier = union
+        newly = {
+            b for b in active
+            if sum((instance.demand_between(a, b) for a in tier), ZERO) > caps[b]
+        }
+        fixed |= tier
+        exhausted |= newly
+        lambdas.append(best)
+        agent_tiers.append(frozenset(tier))
+        object_tiers.append(frozenset(newly))
+        for a in tier:
+            per_agent[a] = best
+        remaining = [a for a in remaining if a not in tier]
+        for b in instance.objects:
+            if b not in exhausted:
+                caps[b] = capped[b] - sum((instance.demand_between(a, b) for a in fixed), ZERO)
+    return BreakpointProfile(
+        lambdas=tuple(lambdas),
+        agent_tiers=tuple(agent_tiers),
+        object_tiers=tuple(object_tiers),
+        per_agent=per_agent,
+    )
+
+
+def assert_matches_reference(instance: Instance) -> BreakpointProfile:
+    profile = oracle_breakpoints(instance)
+    assert profile == reference_oracle_breakpoints(instance)
+    rates = [*profile.lambdas, *profile.per_agent.values()]
+    assert all(type(rate) is Rational for rate in rates)
+    return profile
 
 
 def test_oracle_breakpoints_hand_example():
@@ -45,6 +124,64 @@ def test_oracle_breakpoints_size_limit():
 def test_solver_matches_oracle_on_random_slice(corpus):
     for inst in corpus[:80]:
         assert breakpoints(inst) == oracle_breakpoints(inst)
+
+
+def test_int_oracle_matches_the_reference_on_both_corpora(corpus, equal_corpus):
+    for inst in corpus + equal_corpus:
+        assert_matches_reference(inst)
+
+
+def test_int_oracle_matches_the_reference_at_twelve_agents():
+    # 10, 7 and 12 tiers.
+    for inst in (random_instance(1, 12, 6, 0.3), random_instance(3, 12, 6, 0.3), staircase(12)):
+        assert len(inst.agents) == 12
+        assert assert_matches_reference(inst).k >= 7
+
+
+def test_int_oracle_matches_the_reference_on_edge_instances():
+    # a3 demands nothing and nobody demands b3.
+    agents = ("a1", "a2", "a3")
+    objects = ("b1", "b2", "b3")
+    endowment = {"a1": 1, "a2": Rational(1, 2), "a3": 3}
+    demand = {("a1", "b1"): 2, ("a1", "b2"): 1, ("a2", "b2"): Rational(5, 3)}
+    expected = (
+        ({"b1": 0, "b2": 0, "b3": 0}, (ZERO,)),
+        ({"b1": 1, "b2": 0, "b3": 4}, (ZERO, Rational(1))),
+        # Supply above total demand: every agent freezes at its full demand.
+        ({"b1": 9, "b2": 7, "b3": 2}, (ZERO, Rational(3), Rational(10, 3))),
+    )
+    for supply, lambdas in expected:
+        inst = Instance(agents, endowment, objects, supply, demand)
+        assert assert_matches_reference(inst).lambdas == lambdas
+
+
+def test_int_oracle_matches_the_reference_on_prime_denominators():
+    inst = Instance(
+        ("a1", "a2", "a3"),
+        {"a1": Rational(1, 97), "a2": Rational(1, 101), "a3": Rational(3, 97)},
+        ("b1", "b2"),
+        {"b1": Rational(1, 101), "b2": Rational(50, 97)},
+        {("a1", "b1"): Rational(1, 97), ("a2", "b1"): Rational(2, 101),
+         ("a2", "b2"): Rational(1, 101), ("a3", "b2"): Rational(1)},
+    )
+    profile = assert_matches_reference(inst)
+    assert profile.lambdas == (Rational(97, 101), Rational(1), Rational(1651, 101))
+
+
+def test_int_oracle_matches_the_reference_on_substructure_residuals(corpus, monkeypatch):
+    residuals = []
+
+    def recorded(residual):
+        residuals.append(residual)
+        return oracle_breakpoints(residual)
+
+    monkeypatch.setattr(harness, "oracle_breakpoints", recorded)
+    for inst in corpus[:100]:
+        allocation, _ = lexicographic_allocation(inst)
+        assert check_substructure(inst, allocation, trials=5, seed=0).passed
+    assert len(residuals) > 300
+    for residual in residuals:
+        assert_matches_reference(residual)
 
 
 def test_sampler_zero_demand_yields_zero_allocation():
