@@ -308,9 +308,7 @@ def _truthful(view) -> tuple[dict[str, int], int]:
     """Every agent's truthful ``lmmf`` utility, endowment x rate, as an int
     over the returned unit X x L, for the view's demand scale X and the rate
     unit L of its split tree."""
-    tiers, unit = _split_tree(
-        view.agents, view.capped(view.totals), view.demand, view.totals, view.endowment
-    )
+    tiers, unit = _split_tree(view)
     utilities = {a: view.endowment[a] * rate for rate, tier, _ in tiers for a in tier}
     return utilities, view.scale * unit
 
@@ -327,12 +325,13 @@ def _floor_runner(
     reported ints, one per entry of ``pairs``, and returns whether its tier
     floors admit it.
 
-    A run caps each demanded object's supply by its total demand and runs
-    the solver's split tree, with its self-checks, on the view with the
-    coalition's nonzero reported ints in place of its entries.  The view
-    validates the truthful instance once, and every reported value is 0, one
-    of its supplies or a nonnegative multiple of one of its demands, so each
-    reported instance is valid by construction and no run validates it.
+    A run runs the solver's split tree, with its self-checks, on the view
+    with its demand and totals replaced, the coalition's nonzero reported
+    ints in place of its entries: the reported instance's int view at the
+    search's scale.  The view validates the truthful instance once, and
+    every reported value is 0, one of its supplies or a nonnegative multiple
+    of one of its demands, so each reported instance is valid by
+    construction and no run validates it.
 
     A run is admitted iff some member's tier floor (``_utility_floor``)
     beats its truthful utility and none falls below it: the mechanism's
@@ -357,7 +356,7 @@ def _floor_runner(
             if d:
                 demand[k] = d
                 totals[k[1]] = totals.get(k[1], 0) + d
-        tiers, unit = _split_tree(view.agents, view.capped(totals), demand, totals, view.endowment)
+        tiers, unit = _split_tree(view._replace(demand=demand, totals=totals))
         run_unit = view.scale * unit
         gain = False
         for a, own, endowment, base in members:

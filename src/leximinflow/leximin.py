@@ -42,8 +42,9 @@ amount f / (D x L).  That network holds the demanded objects, as the root
 does: an undemanded object has no demand edge and a zero sink edge, so it
 carries no flow.  On the rest it is a positive multiple of the instance's
 network, so Dinic makes the same augmentations at any such scale.  The
-split tree takes an int view directly (``_split_tree``), so the
-manipulation search runs it on misreports it scales itself.
+view is the solver's one input: ``_split_tree``, ``_final_flow`` and
+``_profile`` derive the root caps, D and E from it, so a misreport run
+hands the split tree its view with the demand and totals replaced.
 
 Both entry points validate the instance first and raise
 ``InvalidInstanceError`` on invalid input.  Past that point the input is
@@ -232,10 +233,10 @@ def _on_valid_input(solve):
 class _View(NamedTuple):
     """A valid instance's int view: its raw supplies, in object order, and
     its demands, both times the demand scale D, with the demands' per-object
-    totals; its endowments times the endowment scale E; and D and E."""
+    totals; its endowments times the endowment scale E; and D and E.  A
+    misreport run replaces its demand and totals, so no caps are stored."""
 
     agents: tuple
-    objects: tuple
     supply: dict
     demand: dict
     totals: dict
@@ -243,11 +244,10 @@ class _View(NamedTuple):
     scale: int
     endowment_scale: int
 
-    def capped(self, totals: Mapping[str, int]) -> dict:
-        """The root caps of a split tree over demands with these per-object
-        ``totals``: each demanded object's supply capped by its total."""
+    def capped(self) -> dict:
+        """The root caps: each demanded object's supply capped by its total."""
         supply = self.supply
-        return {b: min(supply[b], t) for b, t in totals.items()}
+        return {b: min(supply[b], t) for b, t in self.totals.items()}
 
 
 def _scaled(instance: Instance, extra: Iterable[Rational] = ()) -> _View:
@@ -265,7 +265,6 @@ def _scaled(instance: Instance, extra: Iterable[Rational] = ()) -> _View:
     endowment_scale = _common_denominator(instance.endowment.values())
     return _View(
         instance.agents,
-        instance.objects,
         _as_ints(supply, scale),
         demand,
         object_totals(demand),
@@ -276,25 +275,21 @@ def _scaled(instance: Instance, extra: Iterable[Rational] = ()) -> _View:
 
 
 @_on_valid_input
-def _split_tree(
-    agents: Sequence[str], capped: Mapping[str, int], demand: Mapping, totals: Mapping,
-    endowment: Mapping,
-) -> tuple[list[tuple[int, frozenset, frozenset]], int]:
+def _split_tree(view: _View) -> tuple[list[tuple[int, frozenset, frozenset]], int]:
     """The tiers of an int view, as (rate, agents, exhausted objects) sorted
     by rate, and their rate unit L: the split tree of ``breakpoints``, rooted
-    at every agent, the ``capped`` supplies of the demanded objects
-    (``_View.capped``), the ``demand`` entries and their per-object
-    ``totals``, which name exactly the objects of ``capped``.  A tier
-    certified at the int pair (cap, e) has the int rate cap x L / e, where
-    L, the lcm of the tiers' e / gcd(cap, e), is the least unit that makes
-    every rate an int.
+    at the view's agents, its root caps (``_View.capped``), its demand
+    entries and their per-object totals.  A tier certified at the int pair
+    (cap, e) has the int rate cap x L / e, where L, the lcm of the tiers'
+    e / gcd(cap, e), is the least unit that makes every rate an int.
 
     Self-checks (fatal on failure): the rates strictly increase, and the
     tiers absorb exactly the capped supply: the sum of endowment x rate is
-    L x the sum of ``capped``.
+    L x the sum of the root caps.
     """
+    endowment, capped = view.endowment, view.capped()
     leaves: list[tuple[int, int, frozenset, frozenset]] = []
-    work = [(list(agents), capped, demand, totals)] if agents else []
+    work = [(list(view.agents), capped, view.demand, view.totals)] if view.agents else []
     while work:
         agents, caps, demand, totals = work.pop()
         if len(agents) == 1:
@@ -349,14 +344,13 @@ def _split_tree(
 
 @_on_valid_input
 def _final_flow(
-    agents: Sequence[str], capped: Mapping[str, int], demand: Mapping, endowment: Mapping,
-    tiers: Sequence[tuple[int, frozenset, frozenset]], unit: int,
+    view: _View, tiers: Sequence[tuple[int, frozenset, frozenset]], unit: int
 ) -> dict:
-    """The allocation flow of an int view and its tiers over the rate unit
-    L: the nonzero flow on each demand entry.  The network is the view's
-    ``capped`` supplies and demands times L, with agent a's source edge at
-    endowment[a] x rate, so a flow f is the amount f / (D x L) for the
-    view's demand scale D.
+    """The allocation flow of an int view and its tiers (``_split_tree``)
+    over the rate unit L: the nonzero flow on each demand entry.  The
+    network is the view's root caps (``_View.capped``) and demands times L,
+    with agent a's source edge at its int endowment x rate, so a flow f is
+    the amount f / (D x L) for the view's demand scale D.
 
     Self-check (fatal on failure): the flow saturates every source edge.
     ``_split_tree`` checked that the source edges' total is the capped
@@ -365,10 +359,10 @@ def _final_flow(
     rate_of = {}
     for rate, tier, _ in tiers:
         rate_of.update(dict.fromkeys(tier, rate))
-    source_caps = {a: endowment[a] * rate_of[a] for a in agents}
+    source_caps = {a: view.endowment[a] * rate_of[a] for a in view.agents}
     # The one sort: the allocation is read off the demand edges by position.
-    demand = dict(sorted(demand.items()))
-    flow = max_flow(_view_network(source_caps, demand, capped, unit))
+    demand = dict(sorted(view.demand.items()))
+    flow = max_flow(_view_network(source_caps, demand, view.capped(), unit))
     total = sum(source_caps.values())
     if flow.value != total:
         raise InternalCheckError(
@@ -376,18 +370,19 @@ def _final_flow(
             f" = capped supply (int units times {unit})"
         )
     # The demand edges follow the source edges, in sorted demand order.
-    demand_flows = flow.edge_flows()[len(agents):]
+    demand_flows = flow.edge_flows()[len(source_caps):]
     return {k: f for k, f in zip(demand, demand_flows) if f}
 
 
-def _profile(tiers, unit: int, endowment_scale: int) -> BreakpointProfile:
-    """The breakpoint profile of sorted tiers whose int rates are over the
-    unit D x L, for demand scale D, rate unit L and endowment scale E: each
-    rate times E / (D x L), the only ``Rational`` built per tier."""
+def _profile(view: _View, tiers, unit: int) -> BreakpointProfile:
+    """The breakpoint profile of a view's sorted tiers, whose int rates are
+    over the rate unit L: each rate times E / (D x L), for the view's scales
+    D and E, the only ``Rational`` built per tier."""
+    denominator = view.scale * unit
     lambdas: list[Rational] = []
     per_agent: dict[str, Rational] = {}
     for rate, tier, _ in tiers:
-        lam = Rational(rate * endowment_scale, unit)
+        lam = Rational(rate * view.endowment_scale, denominator)
         lambdas.append(lam)
         per_agent.update(dict.fromkeys(tier, lam))
     return BreakpointProfile(
@@ -425,10 +420,7 @@ def breakpoints(instance: Instance) -> BreakpointProfile:
     The leaves, sorted by their int rates over one unit L, are the tiers.
     """
     view = _scaled(instance)
-    tiers, unit = _split_tree(
-        view.agents, view.capped(view.totals), view.demand, view.totals, view.endowment
-    )
-    return _profile(tiers, view.scale * unit, view.endowment_scale)
+    return _profile(view, *_split_tree(view))
 
 
 def lexicographic_allocation(instance: Instance) -> tuple[Allocation, BreakpointProfile]:
@@ -443,12 +435,10 @@ def lexicographic_allocation(instance: Instance) -> tuple[Allocation, Breakpoint
     endowment x rate and the total demand-capped supply.
     """
     view = _scaled(instance)
-    capped = view.capped(view.totals)
-    tiers, unit = _split_tree(view.agents, capped, view.demand, view.totals, view.endowment)
-    flows = _final_flow(view.agents, capped, view.demand, view.endowment, tiers, unit)
-    unit *= view.scale
-    amounts = {k: Rational(f, unit) for k, f in flows.items()}
-    return Allocation(amounts), _profile(tiers, unit, view.endowment_scale)
+    tiers, unit = _split_tree(view)
+    denominator = view.scale * unit
+    amounts = {k: Rational(f, denominator) for k, f in _final_flow(view, tiers, unit).items()}
+    return Allocation(amounts), _profile(view, tiers, unit)
 
 
 def structure_check(

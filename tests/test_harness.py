@@ -19,6 +19,7 @@ from leximinflow.harness import (
     AGENT_REMOVAL,
     ENDOWMENT_DECREASE,
     ManipulationReport,
+    _mechanism_utilities as REAL_UTILITIES,
     _utility_floor,
     _values,
     check_pm,
@@ -93,6 +94,73 @@ def test_pm_random_sweep(corpus):
         for kind in (ENDOWMENT_DECREASE, AGENT_REMOVAL):
             report = check_pm(inst, kind, trials=3, seed=seed)
             assert report.passed, report.witness
+
+
+def lower_on_variants(monkeypatch, base, agent):
+    """Make the mechanism's utilities put ``agent``'s at 1 below its utility
+    on ``base`` on every other instance that keeps it; return the list that
+    records each such variant, in solve order."""
+    variants = []
+    below = REAL_UTILITIES(base)[agent] - ONE
+
+    def lowered(inst):
+        got = REAL_UTILITIES(inst)
+        if inst is base:
+            return got
+        variants.append(inst)
+        return {**got, agent: below} if agent in got else got
+
+    monkeypatch.setattr(harness, "_mechanism_utilities", lowered)
+    return variants
+
+
+def test_rm_reports_the_agent_whose_utility_dropped(corpus, monkeypatch):
+    # A lowered utility on the first raised instance fails the check there,
+    # for whichever agent is lowered.  The note's perturbation is a dict of
+    # backend rationals, so only the text before it is compared.
+    for seed, inst in enumerate(corpus[:10]):
+        base = REAL_UTILITIES(inst)
+        for agent in inst.agents:
+            variants = lower_on_variants(monkeypatch, inst, agent)
+            report = check_rm(inst, trials=3, seed=seed)
+            [raised] = variants
+            assert raised.supply != inst.supply
+            assert (report.name, report.passed, report.seed) == ("resource-monotonic", False, seed)
+            witness = report.witness
+            assert witness.subject == (agent,)
+            assert (witness.lhs, witness.rhs) == (base[agent] - ONE, base[agent])
+            assert witness.note.startswith("utility dropped after supply increase {")
+
+
+@pytest.mark.parametrize("kind", [ENDOWMENT_DECREASE, AGENT_REMOVAL])
+def test_pm_never_blames_a_shrunk_agent(corpus, monkeypatch, kind):
+    # The lowered agent fails the check at the first trial that leaves it
+    # unchanged, and the trials before it, which shrank or removed it, never
+    # blame it.  A check whose every trial shrinks it passes.
+    skipped = failed = 0
+    for seed, inst in enumerate(corpus[:20]):
+        base = REAL_UTILITIES(inst)
+        for agent in inst.agents:
+            variants = lower_on_variants(monkeypatch, inst, agent)
+            report = check_pm(inst, kind, trials=3, seed=seed)
+            shrunk = [
+                sorted(a for a in inst.agents
+                       if a not in variant.agents or variant.endowment[a] != inst.endowment[a])
+                for variant in variants
+            ]
+            skipped += sum(agent in changed for changed in shrunk)
+            if report.passed:
+                assert len(variants) == 3 and all(agent in changed for changed in shrunk)
+                continue
+            failed += 1
+            assert all(agent in changed for changed in shrunk[:-1])
+            assert agent not in shrunk[-1]
+            assert (report.name, report.seed) == ("population-monotonic", seed)
+            witness = report.witness
+            assert witness.subject == (agent,)
+            assert (witness.lhs, witness.rhs) == (base[agent] - ONE, base[agent])
+            assert witness.note == f"utility dropped after shrinking {shrunk[-1]}"
+    assert skipped and failed
 
 
 def test_monotonicity_reads_utilities_off_the_profile(corpus, monkeypatch):
@@ -261,9 +329,7 @@ def int_floor(true, reported, agent):
     """``_utility_floor`` of the agent on the reported instance's int view,
     over the instance's units, with its true demands at the same scale."""
     view = _scaled(reported)
-    tiers, unit = _split_tree(
-        reported.agents, view.capped(view.totals), view.demand, view.totals, view.endowment
-    )
+    tiers, unit = _split_tree(view)
     entries = [
         (b, view.demand.get((agent, b), 0), int(true.demand_between(agent, b) * view.scale))
         for b in reported.objects

@@ -167,7 +167,7 @@ def root_node(inst):
     """The split tree's root node of an instance's int view: its agents, the
     capped supplies and demands, the demand totals and the endowments."""
     view = leximin._scaled(inst)
-    return view.agents, view.capped(view.totals), view.demand, view.totals, view.endowment
+    return view.agents, view.capped(), view.demand, view.totals, view.endowment
 
 
 def test_min_ratio_single_agent():
@@ -359,12 +359,9 @@ def test_split_tree_builds_no_rational(monkeypatch, corpus):
 
     solved = []
     monkeypatch.setattr(leximin, "Rational", forbidden)
-    for inst, view in zip(instances, views):
-        capped = view.capped(view.totals)
-        tiers, unit = leximin._split_tree(
-            inst.agents, capped, view.demand, view.totals, view.endowment
-        )
-        leximin._final_flow(inst.agents, capped, view.demand, view.endowment, tiers, unit)
+    for view in views:
+        tiers, unit = leximin._split_tree(view)
+        leximin._final_flow(view, tiers, unit)
         solved.append((tiers, unit))
     monkeypatch.undo()
     for tiers, unit in solved:

@@ -2,14 +2,15 @@
 
 The property checkers and the brute-force oracles audit the solver, so they
 must not call it: neither module may expose a solver entry point, nor the
-solver's int view, split tree or final flow.
+solver's int view (its builder or its type), split tree, final flow or
+profile.
 """
 
 import leximinflow
 from leximinflow import oracle, properties
 
 SOLVER_ENTRY_POINTS = ("breakpoints", "lexicographic_allocation", "min_ratio")
-SOLVER_INTERNALS = ("_scaled", "_split_tree", "_final_flow")
+SOLVER_INTERNALS = ("_scaled", "_View", "_split_tree", "_final_flow", "_profile")
 
 EXPORTS = (
     "Allocation",

@@ -318,18 +318,25 @@ def test_int_floors_match_the_rational_floors(corpus, monkeypatch):
     # Every floor the search computes, as an int over its run's unit X x L,
     # equals the reference's rational floor of that member on the reported
     # Instance.  A run stops at its first member below its baseline, so each
-    # run's floors are a prefix of its coalition's.
+    # run's floors are a prefix of its coalition's.  Each run's view, with
+    # its demand and totals replaced, is the reported instance's: its split
+    # tree gives the reported profile whole, so no agent's tier, a
+    # non-member's included, differs from the reported instance's.
     floors = []  # per split tree, the (agent, floor) pairs computed on it
+    solves = []  # per split tree, its view and its (tiers, unit)
     real_split = harness._split_tree
-    monkeypatch.setattr(
-        harness, "_split_tree", lambda *args: floors.append([]) or real_split(*args)
-    )
+
+    def split_tree(view):
+        floors.append([])
+        solves.append((view, real_split(view)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(harness, "_split_tree", split_tree)
     real_floor = harness._utility_floor
-    scale = []
 
     def recorded(tiers, unit, endowment, agent, entries):
         floor = real_floor(tiers, unit, endowment, agent, entries)
-        floors[-1].append((agent, Rational(floor, scale[0] * unit)))
+        floors[-1].append((agent, Rational(floor, solves[-1][0].scale * unit)))
         return floor
 
     monkeypatch.setattr(harness, "_utility_floor", recorded)
@@ -337,8 +344,8 @@ def test_int_floors_match_the_rational_floors(corpus, monkeypatch):
     for inst, size, grid, budget in search_cases(corpus[:40], 12):
         absolute = grid is None
         values = DEFAULT_GRID if absolute else grid
-        scale[:] = [leximin._scaled(inst, values).scale]
         floors.clear()
+        solves.clear()
         search_manipulation(inst, size, grid, budget=budget)
         runs = itertools.islice(
             (
@@ -352,13 +359,18 @@ def test_int_floors_match_the_rational_floors(corpus, monkeypatch):
         )
         # The first split tree is the truthful run's, which takes no floor.
         assert floors[0] == []
-        for got, (coalition, pairs, combo) in zip(floors[1:], runs, strict=True):
+        view, (tiers, unit) = solves[0]
+        assert leximin._profile(view, tiers, unit) == breakpoints(inst)
+        for got, (view, (tiers, unit)), (coalition, pairs, combo) in zip(
+            floors[1:], solves[1:], runs, strict=True
+        ):
             reported = Instance(
                 inst.agents, inst.endowment, inst.objects, inst.supply,
                 {**{k: v for k, v in inst.demand.items() if k[0] not in coalition},
                  **dict(zip(pairs, combo))},
             )
             profile = breakpoints(reported)
+            assert leximin._profile(view, tiers, unit) == profile, (inst, coalition, combo)
             want = [(a, reference_floor(inst, reported, profile, a)) for a in coalition]
             assert got and got == want[: len(got)], (inst, coalition, combo)
             pairs_of_members += len(got) == 2
