@@ -12,6 +12,15 @@ proof.
 The mechanism's utilities are read off its breakpoint profile: every max
 flow of its final network saturates every source edge, so agent a's utility
 is endowment(a) x rate(a) whichever allocation the flow picks.
+
+The ``lmmf`` manipulation search solves the truthful instance's whole split
+tree once, with its self-checks.  A misreport run walks only the split nodes
+that hold a coalition member: a member's utility floor needs only its own
+tier's int rate pair, the objects that tier exhausts and those that slower
+tiers exhausted.  So a run checks each node it walks (``min_ratio``'s cut
+and split checks) but not the whole tree's rate order or absorption
+identity.  A run whose floors admit it is solved again whole, through
+``lexicographic_allocation`` and ``structure_check``.
 """
 
 from __future__ import annotations
@@ -31,8 +40,10 @@ from .core import (
     utilities,
 )
 from .leximin import (
+    _earlier_objects,
     _scaled,
     _split_tree,
+    _split_walk,
     breakpoints,
     lexicographic_allocation,
     structure_check,
@@ -40,7 +51,7 @@ from .leximin import (
 from .oracle import (
     GRID_RESOLUTION, MAX_ORACLE_AGENTS, GridInfeasibleError, oracle_breakpoints, oracle_mmf_si
 )
-from .rational import ONE, Rational, ZERO
+from .rational import ONE, Rational, ZERO, format_rational
 from .reporting import PropertyReport, failing, passing
 
 ENDOWMENT_DECREASE = "endowment-decrease"
@@ -60,7 +71,8 @@ def check_rm(instance: Instance, trials: int, seed: int = 0) -> PropertyReport:
     """Supply increases must leave every agent at least as well off.
 
     Each trial raises a random nonempty subset of the objects by steps drawn
-    from a small rational grid, seeded.
+    from a small rational grid, seeded.  A failure's note lists the raised
+    objects in instance order, each with its step.
     """
     base = _mechanism_utilities(instance)
     rng = random.Random(seed)
@@ -83,9 +95,12 @@ def check_rm(instance: Instance, trials: int, seed: int = 0) -> PropertyReport:
         after = _mechanism_utilities(raised)
         for a in instance.agents:
             if after[a] < base[a]:
+                raised_by = ", ".join(
+                    f"{b} +{format_rational(bump[b])}" for b in instance.objects if b in bump
+                )
                 return failing(
                     "resource-monotonic", (a,), after[a], base[a],
-                    note=f"utility dropped after supply increase {bump}",
+                    note=f"utility dropped after supply increase {raised_by}",
                     seed=seed,
                 )
     return passing("resource-monotonic", detail=f"{len(perturbations)} perturbations", seed=seed)
@@ -231,11 +246,14 @@ class SearchResult:
     skipped: int
 
 
-def _utility_floor(tiers: Sequence, unit: int, endowment: int, agent: str, entries) -> int:
-    """Lower bound on the agent's true utility over every allocation the
-    mechanism could return for an int view with these ``tiers`` over the rate
-    unit L, as an int over the view's unit D x L.  ``entries`` holds the
-    agent's (object, reported int demand, true int demand).
+def _utility_floor(cap: int, e: int, exhausted, earlier, endowment: int, entries) -> int:
+    """Lower bound on a member's true utility over every allocation the
+    mechanism could return for a run, as an int over X x e, for the view's
+    demand scale X and the node scale e of the member's tier: over that
+    unit the tier's rate, the int pair (cap, e), is the int ``cap``.
+    ``exhausted`` holds the objects the tier exhausts, ``earlier`` those
+    that slower tiers exhausted, and ``entries`` the member's (object,
+    reported int demand, true int demand).
 
     The tier structure forces full service on objects never exhausted by the
     agent's tier and forbids service from earlier tiers' objects; only the
@@ -243,21 +261,16 @@ def _utility_floor(tiers: Sequence, unit: int, endowment: int, agent: str, entri
     by the agent's frozen utility, endowment x rate.  The worst split fills
     valueless headroom first.
     """
-    earlier: set = set()
-    for rate, tier, exhausted in tiers:
-        if agent in tier:
-            break
-        earlier |= exhausted
     served = headroom = 0
-    budget = endowment * rate
+    budget = endowment * cap
     for b, reported, true in entries:
         kept = min(reported, true)
         if b in exhausted:
             headroom += reported - kept
         elif b not in earlier:
             served += kept
-            budget -= reported * unit
-    return served * unit + max(0, budget - headroom * unit)
+            budget -= reported * e
+    return served * e + max(0, budget - headroom * e)
 
 
 def _values(t: int, s: int, ratios, absolute: bool) -> list[int]:
@@ -325,21 +338,27 @@ def _floor_runner(
     reported ints, one per entry of ``pairs``, and returns whether its tier
     floors admit it.
 
-    A run runs the solver's split tree, with its self-checks, on the view
-    with its demand and totals replaced, the coalition's nonzero reported
-    ints in place of its entries: the reported instance's int view at the
-    search's scale.  The view validates the truthful instance once, and
-    every reported value is 0, one of its supplies or a nonnegative multiple
-    of one of its demands, so each reported instance is valid by
-    construction and no run validates it.
+    A run walks the solver's split tree (``leximin._split_walk``) on the
+    view with its demand and totals replaced, the coalition's nonzero
+    reported ints in place of its entries: the reported instance's int view
+    at the search's scale.  The walk expands only the nodes that hold a
+    member, so a run takes one flow per multi-agent node on the members'
+    root-to-leaf paths, and each member's leaf gives its floor what it
+    needs: its tier's int pair (cap, e), the tier's exhausted objects, and
+    the objects slower tiers exhausted.  Every expanded node runs
+    ``min_ratio``'s cut and split checks; the whole tree's rate order and
+    absorption identity are checked on the truthful run and on a reported
+    run only.  The view validates the truthful instance once, and every
+    reported value is 0, one of its supplies or a nonnegative multiple of
+    one of its demands, so each reported instance is valid by construction
+    and no run validates it.
 
     A run is admitted iff some member's tier floor (``_utility_floor``)
     beats its truthful utility and none falls below it: the mechanism's
     allocation obeys the tier structure, so its utilities are at least the
-    floors.  Floors and utilities are ints over X x L, for the view's demand
-    scale X and the run's rate unit L, and compare by cross-multiplication.
-    A run that is not admitted skips the final flow and its self-checks; the
-    split tree and its self-checks run on every run.
+    floors.  A floor is an int over X x e, for the view's demand scale X
+    and its tier's node scale e, and compares with the truthful utility by
+    cross-multiplication.  A run that is not admitted skips the final flow.
     """
     others = {k: d for k, d in view.demand.items() if k[0] not in coalition}
     other_totals = object_totals(others)
@@ -348,6 +367,10 @@ def _floor_runner(
          view.endowment[a], baseline[a])
         for a in coalition
     ]
+    coalition_set = frozenset(coalition)
+
+    def holds_a_member(agents) -> bool:
+        return not coalition_set.isdisjoint(agents)
 
     def run(combo: Sequence[int]) -> bool:
         demand = dict(others)
@@ -356,13 +379,18 @@ def _floor_runner(
             if d:
                 demand[k] = d
                 totals[k[1]] = totals.get(k[1], 0) + d
-        tiers, unit = _split_tree(view._replace(demand=demand, totals=totals))
-        run_unit = view.scale * unit
+        leaves = _split_walk(view._replace(demand=demand, totals=totals), holds_a_member)
+        leaf_of = {}
+        for cap, e, tier, exhausted, earlier in leaves:
+            leaf_of.update(
+                dict.fromkeys(coalition_set & tier, (cap, e, exhausted, _earlier_objects(earlier)))
+            )
         gain = False
         for a, own, endowment, base in members:
+            cap, e, exhausted, earlier = leaf_of[a]
             entries = [(b, combo[i], t) for i, b, t in own]
-            lhs = _utility_floor(tiers, unit, endowment, a, entries) * baseline_unit
-            rhs = base * run_unit
+            lhs = _utility_floor(cap, e, exhausted, earlier, endowment, entries) * baseline_unit
+            rhs = base * view.scale * e
             if lhs < rhs:
                 return False
             gain = gain or lhs > rhs

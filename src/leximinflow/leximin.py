@@ -21,6 +21,15 @@ by identity, since its network's only cut is the source edge, so it records
 its rate without a flow.  A solve with k tiers, s of them single-agent,
 takes exactly 2k - 1 - s split flows, plus the final allocation flow.
 
+One worklist, ``_split_walk``, walks the tree.  It expands a child only when
+a caller's predicate holds for the child's agents, and it carries to each
+node the objects that slower tiers exhausted: a restriction child's tiers
+are all slower than its sibling's, so the contraction child inherits the
+objects the restriction over-demands, whether or not that child is walked.
+``_split_tree`` walks every child, then sorts the leaves and self-checks
+them as one profile; the manipulation search walks only the nodes that hold
+a coalition member, and reads each member's floor off its leaf.
+
 The split tree runs on Python ints.  ``breakpoints`` scales the instance
 once per solve into one int view (``_scaled``): raw supplies and demands by
 D, the lcm of their denominators, with the demands' per-object totals, and
@@ -44,11 +53,11 @@ carries no flow.  On the rest it is a positive multiple of the instance's
 network, so Dinic makes the same augmentations at any such scale.  The
 view is the solver's one input: ``_split_tree``, ``_final_flow`` and
 ``_profile`` derive the root caps, D and E from it, so a misreport run
-hands the split tree its view with the demand and totals replaced.
+hands the split walk its view with the demand and totals replaced.
 
 Both entry points validate the instance first and raise
 ``InvalidInstanceError`` on invalid input.  Past that point the input is
-known good, so a ``ValueError`` from the split tree or the final flow is a
+known good, so a ``ValueError`` from the split walk or the final flow is a
 solver bug, raised as ``InternalCheckError`` whoever called them.
 
 Every network is bipartite on vertex indices: source 0, the p agents
@@ -275,23 +284,28 @@ def _scaled(instance: Instance, extra: Iterable[Rational] = ()) -> _View:
 
 
 @_on_valid_input
-def _split_tree(view: _View) -> tuple[list[tuple[int, frozenset, frozenset]], int]:
-    """The tiers of an int view, as (rate, agents, exhausted objects) sorted
-    by rate, and their rate unit L: the split tree of ``breakpoints``, rooted
-    at the view's agents, its root caps (``_View.capped``), its demand
-    entries and their per-object totals.  A tier certified at the int pair
-    (cap, e) has the int rate cap x L / e, where L, the lcm of the tiers'
-    e / gcd(cap, e), is the least unit that makes every rate an int.
+def _split_walk(view: _View, keep) -> list[tuple[int, int, frozenset, frozenset, tuple]]:
+    """The leaves of a view's split tree, rooted at the view's agents, its
+    root caps (``_View.capped``), its demand entries and their per-object
+    totals, walking into a child only when ``keep`` holds for its agents.
+    Each leaf is (cap, e, tier, exhausted, earlier): a tier certified at the
+    int pair (cap, e), the objects it exhausts, and the objects that every
+    slower tier exhausts, as a chain of (exhausted, earlier) links ending in
+    ``()``, so a split extends it without copying.
 
-    Self-checks (fatal on failure): the rates strictly increase, and the
-    tiers absorb exactly the capped supply: the sum of endowment x rate is
-    L x the sum of the root caps.
+    A split's restriction child T holds exactly the agents that freeze at
+    rates up to the node's, and the objects T over-demands are exactly those
+    its tiers exhaust: the contraction child's ``earlier`` gains them
+    whether or not T is walked.  Every tier of the contraction is faster
+    than every tier of T, so a contraction that is not walked changes no
+    walked leaf.
     """
-    endowment, capped = view.endowment, view.capped()
-    leaves: list[tuple[int, int, frozenset, frozenset]] = []
-    work = [(list(view.agents), capped, view.demand, view.totals)] if view.agents else []
+    endowment = view.endowment
+    leaves: list[tuple[int, int, frozenset, frozenset, tuple]] = []
+    root = (list(view.agents), view.capped(), view.demand, view.totals, ())
+    work = [root] if view.agents else []
     while work:
-        agents, caps, demand, totals = work.pop()
+        agents, caps, demand, totals, earlier = work.pop()
         if len(agents) == 1:
             # Its network's only cut is the source edge, since cap is the sum
             # of min(cap_b, d_ab) over a's entries: the node certifies at rate
@@ -301,7 +315,8 @@ def _split_tree(view: _View) -> tuple[list[tuple[int, frozenset, frozenset]], in
             cap, e, tight = min_ratio(agents, caps, demand, totals, endowment)
         if len(tight) == len(agents):
             # A certified node's tier demands all of its totals.
-            leaves.append((cap, e, tight, frozenset(b for b, t in totals.items() if t > caps[b])))
+            exhausted = frozenset(b for b, t in totals.items() if t > caps[b])
+            leaves.append((cap, e, tight, exhausted, earlier))
             continue
         tight_demand, other_demand, tight_totals = {}, {}, {}
         for k, d in demand.items():
@@ -311,21 +326,49 @@ def _split_tree(view: _View) -> tuple[list[tuple[int, frozenset, frozenset]], in
             else:
                 other_demand[k] = d
         exhausted = {b for b, t in tight_totals.items() if t > caps[b]}
-        # The contraction keeps each object that T leaves open and the other
-        # agents still demand, at the cap and total T leaves.
-        rest_caps, rest_totals = {}, {}
-        for b, t in totals.items():
-            used = tight_totals.get(b, 0)
-            if t > used and b not in exhausted:
-                rest_caps[b] = caps[b] - used
-                rest_totals[b] = t - used
-        rest_demand = {k: d for k, d in other_demand.items() if k[1] not in exhausted}
-        work.append(([a for a in agents if a not in tight], rest_caps, rest_demand, rest_totals))
-        work.append(([a for a in agents if a in tight],
-                     {b: caps[b] for b in tight_totals}, tight_demand, tight_totals))
+        rest = [a for a in agents if a not in tight]
+        if keep(rest):
+            # The contraction keeps each object that T leaves open and the
+            # other agents still demand, at the cap and total T leaves.
+            rest_caps, rest_totals = {}, {}
+            for b, t in totals.items():
+                used = tight_totals.get(b, 0)
+                if t > used and b not in exhausted:
+                    rest_caps[b] = caps[b] - used
+                    rest_totals[b] = t - used
+            rest_demand = {k: d for k, d in other_demand.items() if k[1] not in exhausted}
+            work.append((rest, rest_caps, rest_demand, rest_totals, (exhausted, earlier)))
+        restricted = [a for a in agents if a in tight]
+        if keep(restricted):
+            work.append((restricted, {b: caps[b] for b in tight_totals}, tight_demand,
+                         tight_totals, earlier))
+    return leaves
+
+
+def _earlier_objects(earlier: tuple) -> set:
+    """The objects of a ``_split_walk`` leaf's ``earlier`` chain."""
+    objects = set()
+    while earlier:
+        exhausted, earlier = earlier
+        objects |= exhausted
+    return objects
+
+
+def _split_tree(view: _View) -> tuple[list[tuple[int, frozenset, frozenset]], int]:
+    """The tiers of an int view, as (rate, agents, exhausted objects) sorted
+    by rate, and their rate unit L: the whole split tree of ``breakpoints``
+    (``_split_walk`` into every child).  A tier certified at the int pair
+    (cap, e) has the int rate cap x L / e, where L, the lcm of the tiers'
+    e / gcd(cap, e), is the least unit that makes every rate an int.
+
+    Self-checks (fatal on failure): the rates strictly increase, and the
+    tiers absorb exactly the capped supply: the sum of endowment x rate is
+    L x the sum of the root caps.
+    """
+    leaves = _split_walk(view, lambda agents: True)
     unit = math.lcm(*(e // math.gcd(cap, e) for cap, e, *_ in leaves))
     tiers = sorted(
-        ((cap * unit // e, tight, exhausted) for cap, e, tight, exhausted in leaves),
+        ((cap * unit // e, tight, exhausted) for cap, e, tight, exhausted, _ in leaves),
         key=lambda tier: tier[0],
     )
     for (slower, *_), (faster, *_) in zip(tiers, tiers[1:]):
@@ -333,8 +376,8 @@ def _split_tree(view: _View) -> tuple[list[tuple[int, frozenset, frozenset]], in
             raise InternalCheckError(
                 f"rates must strictly increase, got {slower} then {faster} (int units over {unit})"
             )
-    absorbed = sum(endowment[a] * rate for rate, tier, _ in tiers for a in tier)
-    supply = sum(capped.values())
+    absorbed = sum(view.endowment[a] * rate for rate, tier, _ in tiers for a in tier)
+    supply = sum(view.capped().values())
     if absorbed != unit * supply:
         raise InternalCheckError(
             f"endowment-rate total {absorbed} != capped supply {supply} times the rate unit {unit}"

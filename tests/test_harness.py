@@ -27,9 +27,15 @@ from leximinflow.harness import (
     check_substructure,
     search_manipulation,
 )
-from leximinflow.leximin import _scaled, _split_tree, breakpoints, lexicographic_allocation
+from leximinflow.leximin import (
+    _earlier_objects,
+    _scaled,
+    _split_walk,
+    breakpoints,
+    lexicographic_allocation,
+)
 from leximinflow.oracle import oracle_breakpoints
-from leximinflow.rational import ONE, Rational, ZERO
+from leximinflow.rational import ONE, Rational, ZERO, format_rational
 
 
 def test_rm_hand_example():
@@ -116,8 +122,9 @@ def lower_on_variants(monkeypatch, base, agent):
 
 def test_rm_reports_the_agent_whose_utility_dropped(corpus, monkeypatch):
     # A lowered utility on the first raised instance fails the check there,
-    # for whichever agent is lowered.  The note's perturbation is a dict of
-    # backend rationals, so only the text before it is compared.
+    # for whichever agent is lowered.  The note lists the raised objects in
+    # instance order with their steps, in the same text on either backend.
+    notes = {}
     for seed, inst in enumerate(corpus[:10]):
         base = REAL_UTILITIES(inst)
         for agent in inst.agents:
@@ -129,7 +136,15 @@ def test_rm_reports_the_agent_whose_utility_dropped(corpus, monkeypatch):
             witness = report.witness
             assert witness.subject == (agent,)
             assert (witness.lhs, witness.rhs) == (base[agent] - ONE, base[agent])
-            assert witness.note.startswith("utility dropped after supply increase {")
+            steps = ", ".join(
+                f"{b} +{format_rational(raised.supply[b] - inst.supply[b])}"
+                for b in inst.objects if raised.supply[b] != inst.supply[b]
+            )
+            assert witness.note == f"utility dropped after supply increase {steps}"
+            notes[seed, agent] = witness.note
+    assert notes[5, "a1"] == (
+        "utility dropped after supply increase b1 +1/4, b2 +1, b3 +1/4, b4 +2, b6 +1/2"
+    )
 
 
 @pytest.mark.parametrize("kind", [ENDOWMENT_DECREASE, AGENT_REMOVAL])
@@ -294,6 +309,7 @@ def test_search_rejects_an_invalid_instance_before_any_run(monkeypatch):
                        {**inst.demand, (a, b): Rational(-1)})
     solves = []
     monkeypatch.setattr(harness, "_split_tree", lambda *args: solves.append(args))
+    monkeypatch.setattr(harness, "_split_walk", lambda *args: solves.append(args))
     with pytest.raises(InvalidInstanceError, match="demand must be nonnegative"):
         search_manipulation(invalid, coalition_size=1)
     assert solves == []
@@ -327,15 +343,18 @@ def test_search_raises_when_the_floors_admit_no_counterexample(monkeypatch):
 
 def int_floor(true, reported, agent):
     """``_utility_floor`` of the agent on the reported instance's int view,
-    over the instance's units, with its true demands at the same scale."""
+    over the instance's units, with its true demands at the same scale: the
+    split walk expands only the nodes that hold the agent."""
     view = _scaled(reported)
-    tiers, unit = _split_tree(view)
+    [(cap, e, tier, exhausted, earlier)] = _split_walk(view, lambda agents: agent in agents)
+    assert agent in tier
     entries = [
         (b, view.demand.get((agent, b), 0), int(true.demand_between(agent, b) * view.scale))
         for b in reported.objects
     ]
-    floor = _utility_floor(tiers, unit, view.endowment[agent], agent, entries)
-    return Rational(floor, view.scale * unit)
+    endowment = view.endowment[agent]
+    floor = _utility_floor(cap, e, exhausted, _earlier_objects(earlier), endowment, entries)
+    return Rational(floor, view.scale * e)
 
 
 def test_truthful_utility_floor_is_the_frozen_utility(corpus):

@@ -10,7 +10,7 @@ import leximinflow
 from leximinflow import oracle, properties
 
 SOLVER_ENTRY_POINTS = ("breakpoints", "lexicographic_allocation", "min_ratio")
-SOLVER_INTERNALS = ("_scaled", "_View", "_split_tree", "_final_flow", "_profile")
+SOLVER_INTERNALS = ("_scaled", "_View", "_split_walk", "_split_tree", "_final_flow", "_profile")
 
 EXPORTS = (
     "Allocation",

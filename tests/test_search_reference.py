@@ -13,8 +13,9 @@ import itertools
 import pytest
 
 from conftest import lower_search_baseline, reference_values, staircase
-from leximinflow import harness, leximin
+from leximinflow import cli, harness, leximin
 from leximinflow.core import Instance, InternalCheckError, utilities
+from leximinflow.fileio import load_instance
 from leximinflow.generators import random_instance, si_bound_instance, si_misreport_instance
 from leximinflow.harness import ManipulationReport, SearchResult, search_manipulation
 from leximinflow.leximin import breakpoints, lexicographic_allocation, structure_check
@@ -70,6 +71,73 @@ def reference_floor(instance, reported, profile, agent):
     if budget > headroom:
         floor += budget - headroom
     return floor
+
+
+def full_tree_floor(tiers, unit, endowment, agent, entries):
+    """The agent's floor (``harness._utility_floor``) read off the whole
+    split tree of a run's view, as an int over the view's unit D x L for the
+    tiers' rate unit L (``leximin._split_tree``): the slower tiers' exhausted
+    objects come from the sorted tiers that precede the agent's.  ``entries``
+    holds the agent's (object, reported int demand, true int demand)."""
+    earlier = set()
+    for rate, tier, exhausted in tiers:
+        if agent in tier:
+            break
+        earlier |= exhausted
+    served = headroom = 0
+    budget = endowment * rate
+    for b, reported, true in entries:
+        kept = min(reported, true)
+        if b in exhausted:
+            headroom += reported - kept
+        elif b not in earlier:
+            served += kept
+            budget -= reported * unit
+    return served * unit + max(0, budget - headroom * unit)
+
+
+def member_nodes(view, tiers, members):
+    """The multi-agent nodes of a view's whole split tree that hold one of
+    ``members``, derived from its sorted ``tiers`` (``leximin._split_tree``)
+    alone.  A node is a run of consecutive tiers: its tiers absorb exactly
+    its capacity, so its rate is their endowment-weighted mean rate, and its
+    restriction is its tiers at or below that rate."""
+    members = frozenset(members)
+    weights = [sum(view.endowment[a] for a in tier) for _, tier, _ in tiers]
+    count = 0
+    work = [(0, len(tiers))] if tiers else []
+    while work:
+        i, j = work.pop()
+        agents = frozenset().union(*(tier for _, tier, _ in tiers[i:j]))
+        if members.isdisjoint(agents):
+            continue
+        count += len(agents) > 1
+        if j - i > 1:
+            weight = sum(weights[i:j])
+            absorbed = sum(w * rate for w, (rate, _, _) in zip(weights[i:j], tiers[i:j]))
+            k = i
+            while tiers[k][0] * weight <= absorbed:
+                k += 1
+            assert i < k < j
+            work += [(i, k), (k, j)]
+    return count
+
+
+def reference_runs(instance, coalition_size, grid, runs):
+    """(coalition, entries, reported values) of the search's first ``runs``
+    runs, in search order."""
+    absolute = grid is None
+    values = DEFAULT_GRID if absolute else tuple(Rational(m) for m in grid)
+    return list(itertools.islice(
+        (
+            (coalition, pairs, combo)
+            for coalition, pairs, truth, value_lists in
+            reference_grids(instance, coalition_size, values, absolute)[0]
+            for combo in itertools.product(*value_lists)
+            if combo != truth
+        ),
+        runs,
+    ))
 
 
 def reference_run(instance, mechanism):
@@ -163,27 +231,32 @@ def search_cases(instances, budget):
 
 def test_search_matches_the_reference(corpus, monkeypatch):
     # Both searches must also solve the same networks, listed per search in
-    # solve order as (edge count, whether the final flow solved it).  The
-    # search takes the reference's split flows for every run, then, for the
-    # counterexample it returns, the reference's last run whole: the
-    # reported instance's split flows and its final flow.
+    # solve order as (agents, edge count): a split flow's agents are its
+    # node's, and the final flow's are None.  The reference solves its
+    # truthful instance and each run's reported instance whole, each ending
+    # in a final flow.  The search takes the reference's truthful split
+    # flows, then for each run the split flows of the nodes that hold a
+    # coalition member, in the same order, and for the counterexample it
+    # returns, the reference's last run whole: the reported instance's
+    # split flows and its final flow.
     flows = []
-    final = []
+    nodes = []  # the agents of each open min_ratio call
     real = leximin.max_flow
     monkeypatch.setattr(
         leximin, "max_flow",
-        lambda network: flows[-1].append((len(network.edges), bool(final))) or real(network),
+        lambda network: flows[-1].append((nodes[-1] if nodes else None, len(network.edges)))
+        or real(network),
     )
-    real_final = leximin._final_flow
+    real_min_ratio = leximin.min_ratio
 
-    def final_flow(*args):
-        final.append(1)
+    def min_ratio(agents, *args):
+        nodes.append(frozenset(agents))
         try:
-            return real_final(*args)
+            return real_min_ratio(agents, *args)
         finally:
-            final.pop()
+            nodes.pop()
 
-    monkeypatch.setattr(leximin, "_final_flow", final_flow)
+    monkeypatch.setattr(leximin, "min_ratio", min_ratio)
 
     def compare(cases, lowered=ZERO):
         """Assert that both searches return the same result and solve the
@@ -194,13 +267,21 @@ def test_search_matches_the_reference(corpus, monkeypatch):
             got = search_manipulation(inst, size, grid, budget=budget)
             flows.append([])
             want = reference_search(inst, size, grid, budget=budget, lowered=lowered)
-            split = [f for f in flows[-1] if not f[1]]
-            # The reference's truthful run and each of its runs end in a
-            # final flow, so its last run starts after the last final flow
-            # but one.
-            finals = [i for i, (_, final_flow_solve) in enumerate(flows[-1]) if final_flow_solve]
-            reported = flows[-1][finals[-2] + 1:] if want.counterexample else []
-            assert (got, flows[-2]) == (want, split + reported), (inst, size, grid)
+            solves = [[]]
+            for flow in flows[-1]:
+                solves[-1].append(flow)
+                if flow[0] is None:
+                    solves.append([])
+            truthful, *runs, rest = solves
+            assert rest == []
+            expected = truthful[:-1]
+            for (coalition, _, _), run in zip(
+                reference_runs(inst, size, grid, want.runs), runs, strict=True
+            ):
+                expected += [f for f in run[:-1] if not f[0].isdisjoint(coalition)]
+            if want.counterexample:
+                expected += runs[-1]
+            assert (got, flows[-2]) == (want, expected), (inst, size, grid)
             results.append(got)
         return results
 
@@ -272,10 +353,12 @@ def test_search_matches_the_reference_on_candidates(corpus, monkeypatch):
 
 
 def test_only_the_reported_run_takes_the_final_flow(corpus, monkeypatch):
-    # Each run's split tree takes exactly 2k - 1 - s flows for its k tiers,
-    # s of them single-agent.  The reported run then goes through
-    # ``lexicographic_allocation`` once: its reported instance's split tree,
-    # the final flow, and ``structure_check``.
+    # A whole split tree takes exactly 2k - 1 - s flows for its k tiers, s
+    # of them single-agent: the truthful run's, and the reported run's,
+    # which goes through ``lexicographic_allocation`` once: its reported
+    # instance's split tree, the final flow, and ``structure_check``.  Each
+    # misreport run walks only the nodes that hold a coalition member, one
+    # flow per multi-agent such node (``member_nodes``).
     lower_search_baseline(monkeypatch)
     events = []
     real_flow = leximin.max_flow
@@ -294,6 +377,23 @@ def test_only_the_reported_run_takes_the_final_flow(corpus, monkeypatch):
 
     monkeypatch.setattr(harness, "_split_tree", split_tree)
     monkeypatch.setattr(leximin, "_split_tree", split_tree)
+    real_walk = harness._split_walk
+    coalitions = []
+    saved = []  # per run, the flows its whole split tree takes beyond its walk
+
+    def split_walk(view, keep):
+        start = len(events)
+        leaves = real_walk(view, keep)
+        walked = events[start:]
+        tiers, _ = real_split(view)
+        del events[start:]
+        assert walked == ["flow"] * member_nodes(view, tiers, coalitions.pop(0))
+        singles = sum(len(tier) == 1 for _, tier, _ in tiers)
+        saved.append(2 * len(tiers) - 1 - singles - len(walked))
+        events.append("run")
+        return leaves
+
+    monkeypatch.setattr(harness, "_split_walk", split_walk)
     real_final = leximin._final_flow
     monkeypatch.setattr(
         leximin, "_final_flow", lambda *args: events.append("final") or real_final(*args)
@@ -305,64 +405,62 @@ def test_only_the_reported_run_takes_the_final_flow(corpus, monkeypatch):
     found = flowed = 0
     for inst, size, grid, budget in search_cases(corpus[:10], 12):
         events.clear()
+        coalitions[:] = [coalition for coalition, _, _ in reference_runs(inst, size, grid, budget)]
         got = search_manipulation(inst, size, grid, budget=budget)
         reported = got.counterexample is not None
         steps = [e for e in events if e != "flow"]
-        assert steps == ["tiers"] * (got.runs + 1) + ["tiers", "final", "check"] * reported
+        assert steps == ["tiers"] + ["run"] * got.runs + ["tiers", "final", "check"] * reported
         found += reported
-        flowed += "flow" in events
+        flowed += "flow" in events[events.index("tiers") + 1:]
     assert found and flowed
+    assert max(saved) > 0
 
 
 def test_int_floors_match_the_rational_floors(corpus, monkeypatch):
-    # Every floor the search computes, as an int over its run's unit X x L,
-    # equals the reference's rational floor of that member on the reported
-    # Instance.  A run stops at its first member below its baseline, so each
-    # run's floors are a prefix of its coalition's.  Each run's view, with
-    # its demand and totals replaced, is the reported instance's: its split
-    # tree gives the reported profile whole, so no agent's tier, a
-    # non-member's included, differs from the reported instance's.
-    floors = []  # per split tree, the (agent, floor) pairs computed on it
-    solves = []  # per split tree, its view and its (tiers, unit)
+    # Every floor the search computes, as an int over its member's unit
+    # X x e, equals the reference's rational floor of that member on the
+    # reported Instance.  A run stops at its first member below its
+    # baseline, so each run's floors are a prefix of its coalition's.  Each
+    # run's view, with its demand and totals replaced, is the reported
+    # instance's: its whole split tree gives the reported profile, so no
+    # agent's tier, a non-member's included, differs from the reported
+    # instance's.
+    truthful = []  # the truthful run's view
+    floors = []  # per run, the floors computed on it
+    views = []  # per run, its view
     real_split = harness._split_tree
 
     def split_tree(view):
-        floors.append([])
-        solves.append((view, real_split(view)))
-        return solves[-1][1]
+        truthful.append(view)
+        return real_split(view)
 
     monkeypatch.setattr(harness, "_split_tree", split_tree)
+    real_walk = harness._split_walk
+
+    def split_walk(view, keep):
+        floors.append([])
+        views.append(view)
+        return real_walk(view, keep)
+
+    monkeypatch.setattr(harness, "_split_walk", split_walk)
     real_floor = harness._utility_floor
 
-    def recorded(tiers, unit, endowment, agent, entries):
-        floor = real_floor(tiers, unit, endowment, agent, entries)
-        floors[-1].append((agent, Rational(floor, solves[-1][0].scale * unit)))
+    def recorded(cap, e, *args):
+        floor = real_floor(cap, e, *args)
+        floors[-1].append(Rational(floor, views[-1].scale * e))
         return floor
 
     monkeypatch.setattr(harness, "_utility_floor", recorded)
     pairs_of_members = 0
     for inst, size, grid, budget in search_cases(corpus[:40], 12):
-        absolute = grid is None
-        values = DEFAULT_GRID if absolute else grid
+        truthful.clear()
         floors.clear()
-        solves.clear()
+        views.clear()
         search_manipulation(inst, size, grid, budget=budget)
-        runs = itertools.islice(
-            (
-                (coalition, pairs, combo)
-                for coalition, pairs, truth, value_lists in
-                reference_grids(inst, size, values, absolute)[0]
-                for combo in itertools.product(*value_lists)
-                if combo != truth
-            ),
-            budget,
-        )
-        # The first split tree is the truthful run's, which takes no floor.
-        assert floors[0] == []
-        view, (tiers, unit) = solves[0]
-        assert leximin._profile(view, tiers, unit) == breakpoints(inst)
-        for got, (view, (tiers, unit)), (coalition, pairs, combo) in zip(
-            floors[1:], solves[1:], runs, strict=True
+        [view] = truthful
+        assert leximin._profile(view, *real_split(view)) == breakpoints(inst)
+        for got, view, (coalition, pairs, combo) in zip(
+            floors, views, reference_runs(inst, size, grid, budget), strict=True
         ):
             reported = Instance(
                 inst.agents, inst.endowment, inst.objects, inst.supply,
@@ -370,11 +468,98 @@ def test_int_floors_match_the_rational_floors(corpus, monkeypatch):
                  **dict(zip(pairs, combo))},
             )
             profile = breakpoints(reported)
-            assert leximin._profile(view, tiers, unit) == profile, (inst, coalition, combo)
-            want = [(a, reference_floor(inst, reported, profile, a)) for a in coalition]
+            assert leximin._profile(view, *real_split(view)) == profile, (inst, coalition, combo)
+            want = [reference_floor(inst, reported, profile, a) for a in coalition]
             assert got and got == want[: len(got)], (inst, coalition, combo)
             pairs_of_members += len(got) == 2
     assert pairs_of_members
+
+
+# Seeds of 7 x 7 random instances at density 2.5 / 7 with 6 or more tiers.
+SPARSE_TIER_SEEDS = (1, 3, 13, 16, 18, 22, 23, 24, 25, 26, 28, 29, 34, 35, 39, 41, 46, 47,
+                     56, 59, 60)
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["truthful", "lowered"])
+def test_pruned_floors_match_the_full_tree_floors(corpus, equal_corpus, monkeypatch, lowered):
+    # Every member of every run: the walk's leaves are the whole split
+    # tree's tiers that hold a member, each leaf's ``earlier`` holds the
+    # objects the slower tiers exhaust, and the member's floor over its
+    # leaf's unit D x e equals its floor over the whole tree's unit D x L,
+    # as ints over D x e x L.  With the baseline lowered, runs are admitted
+    # and reported too.
+    if lowered:
+        lower_search_baseline(monkeypatch)
+    runs = []  # per run, its view and the leaves its walk returned
+    real_walk = harness._split_walk
+
+    def split_walk(view, keep):
+        runs.append((view, real_walk(view, keep)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(harness, "_split_walk", split_walk)
+    instances = corpus[::5] + equal_corpus[::5]
+    instances += [random_instance(seed, 7, 7, 2.5 / 7) for seed in SPARSE_TIER_SEEDS]
+    instances += [staircase(n) for n in range(2, 15)]
+    members = reported = 0
+    for inst, size, grid, budget in search_cases(instances, 6):
+        runs.clear()
+        result = search_manipulation(inst, size, grid, budget=budget)
+        reported += result.counterexample is not None
+        truth = leximin._scaled(inst, DEFAULT_GRID if grid is None else grid).demand
+        for (view, leaves), (coalition, _, _) in zip(
+            runs, reference_runs(inst, size, grid, result.runs), strict=True
+        ):
+            tiers, unit = leximin._split_tree(view)
+            walked = {}
+            for cap, e, tier, exhausted, earlier in leaves:
+                assert (cap * unit) % e == 0
+                earlier = leximin._earlier_objects(earlier)
+                walked[cap * unit // e, tier, exhausted] = (cap, e, earlier)
+            want = {t for t in tiers if not t[1].isdisjoint(coalition)}
+            assert set(walked) == want, (inst, coalition)
+            slower = set()
+            for rate, tier, exhausted in tiers:
+                if (rate, tier, exhausted) in walked:
+                    cap, e, earlier = walked[rate, tier, exhausted]
+                    assert earlier == slower
+                    for a in tier.intersection(coalition):
+                        entries = [
+                            (b, view.demand.get((a, b), 0), truth.get((a, b), 0))
+                            for b in inst.objects
+                        ]
+                        endowment = view.endowment[a]
+                        pruned = harness._utility_floor(
+                            cap, e, exhausted, earlier, endowment, entries
+                        )
+                        full = full_tree_floor(tiers, unit, endowment, a, entries)
+                        assert pruned * unit == full * e, (inst, coalition, a)
+                        members += 1
+                slower |= exhausted
+    assert members > 5000
+    assert bool(reported) == lowered
+
+
+def test_scale_record_of_the_search_on_ci_instance(tmp_path, monkeypatch):
+    # The 1000 x 1000 instance that ``generate random --agents 1000 --objects
+    # 1000 --density 0.0025`` writes, searched as ``manipulate --coalition 3
+    # --budget 20`` does: the truthful run's whole split tree takes 701
+    # flows, and the 20 runs, which walk only their members' nodes, 283.
+    # Whole split trees for the runs took 14681 flows in all.
+    path = tmp_path / "r1000.json"
+    assert cli.main(["generate", "random", "--agents", "1000", "--objects", "1000",
+                     "--density", "0.0025", "--out", str(path)]) == 0
+    inst = random_instance(0, 1000, 1000, 0.0025)
+    assert load_instance(str(path)) == inst
+    flows = []
+    real = leximin.max_flow
+    monkeypatch.setattr(leximin, "max_flow", lambda network: flows.append(1) or real(network))
+    leximin.breakpoints(inst)
+    assert len(flows) == 701
+    flows.clear()
+    result = search_manipulation(inst, 3, budget=20)
+    assert (result.runs, result.truncated, result.counterexample) == (20, True, None)
+    assert len(flows) == 984
 
 
 def eager_space(instance, coalition_size, grid):
